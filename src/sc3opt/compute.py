@@ -24,6 +24,7 @@ throughout; unit conversions belong to the config layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,6 +59,8 @@ class ComputeParams:
     tau: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.rho, self.tau))):
+            raise ValueError("alpha, beta, rho and tau must be finite")
         if self.alpha <= 0.0 or self.beta <= 0.0:
             raise ValueError("alpha and beta must be positive")
         if not 0.0 < self.rho <= 1.0:
@@ -179,6 +182,8 @@ def region_time(region: RegionLabel, f, r, d: float, params: ComputeParams):
 
 
 def _check_flow(f: float, r: float, d: float) -> None:
+    if not (math.isfinite(f) and math.isfinite(r) and math.isfinite(d)):
+        raise ValueError("compute, rate and data size must be finite")
     if d <= 0.0:
         raise ValueError("data size must be positive")
     if f < 0.0 or r < 0.0:

@@ -28,7 +28,7 @@ from .channel import LinkParams, channel_gain, entropy_per_cycle
 from .compute import ComputeParams, SplitPlan, min_compute_time, optimal_split
 from .control import LN2, EntropyParams, LoopControlSpec, lqr_from_entropy, min_entropy
 from .errors import Infeasible, InfeasibleSubproblem, NoConvergence, Unstabilizable
-from .surrogate import SurrogateAnchor, anchor_codes, surrogate_batch
+from .surrogate import MajorantCoefficients, SurrogateAnchor, surrogate_batch
 
 # anchors with a dead component are pushed up to this fraction of the budget
 ANCHOR_FLOOR = 1e-6
@@ -44,7 +44,10 @@ class Budgets:
     r_max_bits: float
 
     def __post_init__(self):
-        if min(self.p_max_w, self.f_max_cycles, self.r_max_bits) <= 0.0:
+        values = (self.p_max_w, self.f_max_cycles, self.r_max_bits)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("budgets must be finite")
+        if min(values) <= 0.0:
             raise ValueError("all budgets must be positive")
 
 
@@ -59,6 +62,8 @@ class Loop:
     control: LoopControlSpec | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.data_bits, self.cycle_seconds, self.distance_m))):
+            raise ValueError("loop sizes, cycle time and distance must be finite")
         if self.data_bits <= 0.0 or self.cycle_seconds <= 0.0 or self.distance_m <= 0.0:
             raise ValueError("loop sizes, cycle time and distance must be positive")
 
@@ -94,6 +99,9 @@ class SolverConfig:
     inner_max_iters: int = 100_000
 
     def __post_init__(self):
+        values = (self.epsilon, self.inner_tol, self.max_outer_iters, self.inner_max_iters)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("tolerances and iteration budgets must be finite")
         if min(self.epsilon, self.inner_tol) <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_outer_iters < 1 or self.inner_max_iters < 1:
@@ -209,23 +217,30 @@ def _unpack(x: np.ndarray, b: Budgets, k: int):
 
 
 def project_budget_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= total}."""
+    """Euclidean projection onto {x >= 0, sum(x) <= total}, of a vector or
+    of each row of a 2-D array.
+
+    Sort-based (Duchi et al., ICML 2008): the threshold comes from the last
+    sorted position whose entry stays above it.  A row of a 2-D array gets
+    exactly the bits the 1-D call gives for that row.
+    """
     w = np.maximum(v, 0.0)
-    if w.sum() <= total:
+    inside = w.sum(-1) <= total
+    # truth-testing a scalar or a list costs far less than a numpy reduction
+    if inside if v.ndim == 1 else all(inside.tolist()):
         return w
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, v.size + 1)
-    rho = idx[u - css / idx > 0][-1]
-    theta = css[rho - 1] / rho
+    n = v.shape[-1]
+    u = np.sort(v)[..., ::-1]
+    css = u.cumsum(-1) - total
+    ratio = css / np.arange(1, n + 1)
+    last = n - 1 - (u > ratio)[..., ::-1].argmax(-1)
+    if v.ndim == 1:
+        theta = ratio[last]
+    else:
+        theta = ratio[np.arange(v.shape[0]), last]
+        theta[inside] = 0.0  # max(v - 0, 0) is the clipped row itself
+        theta = theta[:, None]
     return np.maximum(v - theta, 0.0)
-
-
-def _project_blocks(x: np.ndarray, k: int, n_blocks: int) -> np.ndarray:
-    out = np.empty_like(x)
-    for i in range(n_blocks):
-        out[i * k : (i + 1) * k] = project_budget_simplex(x[i * k : (i + 1) * k], 1.0)
-    return out
 
 
 _SPG_STEP_FLOOR = 1e-9  # below this the projected direction is rounding noise
@@ -287,21 +302,17 @@ def _spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: 
 # objectives
 
 
-def _joint_objective(data: _LoopData, anchors):
+def _joint_objective(data: _LoopData, majorant: MajorantCoefficients):
     """Surrogate-tight reduced objective over normalized (p, f, r)."""
     b = data.scenario.budgets
-    params = data.scenario.compute
     k = data.k
-    f0 = np.array([an.f0 for an in anchors])
-    r0 = np.array([an.r0 for an in anchors])
-    codes = anchor_codes(anchors)
     bw = data.bandwidth
     inf_grad = np.zeros(3 * k)
 
     def value_grad(x):
         p, f, r = _unpack(x, b, k)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tbar, dtf, dtr = surrogate_batch(f, r, f0, r0, codes, data.d_bits, params)
+            tbar, dtf, dtr = surrogate_batch(f, r, majorant)
             t_commu = data.t_cycle - tbar
             if not np.all(t_commu > 0.0):
                 return math.inf, inf_grad
@@ -439,18 +450,22 @@ def closed_form_lqr(
     return lqr_from_entropy(e, loop.entropy)
 
 
-def _inner_solve(data: _LoopData, anchors, cfg: SolverConfig, x0: np.ndarray):
-    fun = _joint_objective(data, anchors)
-    project = lambda x: _project_blocks(x, data.k, 3)  # noqa: E731
+def _majorant(data: _LoopData, anchors) -> MajorantCoefficients:
+    return MajorantCoefficients.from_anchors(anchors, data.d_bits, data.scenario.compute)
+
+
+def _inner_solve(data: _LoopData, majorant: MajorantCoefficients, cfg: SolverConfig, x0: np.ndarray):
+    fun = _joint_objective(data, majorant)
+    k = data.k
+    # one call projects the power, compute and backhaul blocks together
+    project = lambda x: project_budget_simplex(x.reshape(3, k), 1.0).reshape(-1)  # noqa: E731
     return _spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "inner problem")
 
 
-def _surrogate_allocation(data: _LoopData, anchors, x: np.ndarray) -> Allocation:
+def _surrogate_allocation(data: _LoopData, majorant: MajorantCoefficients, x: np.ndarray) -> Allocation:
     scenario = data.scenario
     p, f, r = _unpack(x, scenario.budgets, data.k)
-    f0 = np.array([an.f0 for an in anchors])
-    r0 = np.array([an.r0 for an in anchors])
-    tbar, _, _ = surrogate_batch(f, r, f0, r0, anchor_codes(anchors), data.d_bits, scenario.compute)
+    tbar, _, _ = surrogate_batch(f, r, majorant)
     t_commu = data.t_cycle - tbar
     e = data.bandwidth * t_commu * data.spectral(p)
     l, _ = data.lqr_terms(e)
@@ -520,19 +535,18 @@ def solve_inner(
     """
     cfg = config or SolverConfig()
     data = _LoopData(scenario)
+    majorant = _majorant(data, anchors)
     if x0 is None:
-        f = np.array([an.f0 for an in anchors])
+        f = majorant.f0
         r = np.array([an.r0 for an in anchors])
-        tbar, _, _ = surrogate_batch(
-            f, r, f.copy(), r.copy(), anchor_codes(anchors), data.d_bits, scenario.compute
-        )
+        tbar, _, _ = surrogate_batch(f, r, majorant)
         try:
             p = _feasible_power_init(data, data.t_cycle - tbar, "inner problem")
         except Infeasible as exc:
             raise InfeasibleSubproblem(str(exc), report=exc.report) from None
         x0 = _pack(p, f, r, scenario.budgets)
-    x, _, _, _, _ = _inner_solve(data, anchors, cfg, x0)
-    return _surrogate_allocation(data, anchors, x)
+    x, _, _, _, _ = _inner_solve(data, majorant, cfg, x0)
+    return _surrogate_allocation(data, majorant, x)
 
 
 def sca_solve(
@@ -575,7 +589,7 @@ def sca_solve(
     converged = False
     for _ in range(cfg.max_outer_iters):
         anchors = make_anchors(scenario, f, r)
-        x, _, _, iters, resid = _inner_solve(data, anchors, cfg, x)
+        x, _, _, iters, resid = _inner_solve(data, _majorant(data, anchors), cfg, x)
         p, f, r = _unpack(x, b, k)
         new_obj = _true_objective(data, p, f, r)
         records.append(

@@ -83,64 +83,101 @@ def convex_compute_time(f, r, anchor: SurrogateAnchor, d: float, params: Compute
     return region_time(RegionLabel.S4, f, r, d, params)
 
 
+@dataclass(frozen=True)
+class MajorantCoefficients:
+    """Per-loop constants of the majorant at one set of anchors.
+
+    Every regime's majorant takes the form
+
+        A / w + C - K * (3 - f0/f - w/w0),   w = c_f * f + c_r * r,
+
+    maxed with the exact S1 latency where the anchor lies in S1 or S2.  S2
+    is c_f = rho, c_r = alpha - beta; S3 is c_f = 1, c_r = alpha; S4 is
+    c_f = 1, c_r = 0, C = K = 0, which leaves the exact alpha*d/f.  The
+    constants are built once per anchor set with the same operation order
+    as the per-regime formulas (``convex_time_s2``/``convex_time_s3``), so
+    ``surrogate_batch`` reproduces them bit for bit.
+    """
+
+    f0: np.ndarray
+    w0: np.ndarray
+    cf: np.ndarray  # c_f
+    cr: np.ndarray  # c_r
+    num: np.ndarray  # A
+    const: np.ndarray  # C
+    slope: np.ndarray  # K
+    cf_w0: np.ndarray  # c_f / w0
+    gf: np.ndarray  # -c_f * A: d(A/w)/df = gf / w^2
+    gr: np.ndarray  # -c_r * A: d(A/w)/dr = gr / w^2
+    hr: np.ndarray  # K * c_r / w0
+    s12: np.ndarray  # anchors in S1 or S2: the max with the S1 latency applies
+    any_s12: bool
+    s1_num: np.ndarray  # beta * d
+    s1_gf: np.ndarray  # -(1 - rho) * beta * d
+    s1_gr: np.ndarray  # -beta * beta * d
+    beta: float
+    one_minus_rho: float
+    delay: float
+
+    @classmethod
+    def from_anchors(cls, anchors, d, params: ComputeParams) -> "MajorantCoefficients":
+        """Constants for a sequence of anchors; the array ``d`` holds each
+        loop's data size."""
+        a, b, rho = params.alpha, params.beta, params.rho
+        delay = params.relay_delay
+        f0 = np.array([an.f0 for an in anchors])
+        r0 = np.array([an.r0 for an in anchors])
+        codes = np.array([_REGION_CODE[an.region] for an in anchors])
+        s12 = codes <= 2
+        s3 = codes == 3
+        regimes = [s12, s3]
+        cf = np.where(s12, rho, 1.0)
+        cr = np.select(regimes, [a - b, a], 0.0)
+        w0 = cf * f0 + cr * r0
+        slope = np.select(regimes, [rho * a * delay / (a - b) * f0 / w0, delay * f0 / w0], 0.0)
+        return cls(
+            f0=f0,
+            w0=w0,
+            cf=cf,
+            cr=cr,
+            num=np.where(s12, rho * a * d, a * d),
+            const=np.select(regimes, [a * delay / (a - b), delay], 0.0),
+            slope=slope,
+            cf_w0=cf / w0,
+            gf=np.where(s12, -rho * rho * a * d, -a * d),
+            gr=np.select(regimes, [-(a - b) * rho * a * d, -a * a * d], 0.0),
+            hr=slope * cr / w0,
+            s12=s12,
+            any_s12=bool(s12.any()),
+            s1_num=b * d,
+            s1_gf=-(1.0 - rho) * b * d,
+            s1_gr=-b * b * d,
+            beta=b,
+            one_minus_rho=1.0 - rho,
+            delay=delay,
+        )
+
+
 def surrogate_batch(
-    f: np.ndarray,
-    r: np.ndarray,
-    f0: np.ndarray,
-    r0: np.ndarray,
-    codes: np.ndarray,
-    d: np.ndarray,
-    params: ComputeParams,
+    f: np.ndarray, r: np.ndarray, coef: MajorantCoefficients
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value and partial derivatives of the majorant for a vector of loops.
 
-    ``codes`` holds the anchors' regime numbers (1..4).  Used by the solver,
-    which needs gradients; all inputs are broadcast-compatible arrays with
-    f > 0 wherever a regime 1..3 anchor divides by it.
+    One kernel for every regime, on constants built once per anchor set
+    (see ``MajorantCoefficients``).  Used by the solver, which needs
+    gradients; every f must be positive.
     """
-    a, b, rho = params.alpha, params.beta, params.rho
-    delay = params.relay_delay
-    val = np.zeros_like(f)
-    dfv = np.zeros_like(f)
-    drv = np.zeros_like(f)
-
-    m12 = codes <= 2
-    if m12.any():
-        w = rho * f + (a - b) * r
-        w0 = rho * f0 + (a - b) * r0
-        k = rho * a * delay / (a - b) * f0 / w0
-        t2 = rho * a * d / w + a * delay / (a - b) - k * (3.0 - f0 / f - w / w0)
-        d2f = -rho * rho * a * d / (w * w) - k * (f0 / (f * f) - rho / w0)
-        d2r = -(a - b) * rho * a * d / (w * w) + k * (a - b) / w0
-        t1 = b * d / (b * r + (1.0 - rho) * f) + delay
-        den1 = b * r + (1.0 - rho) * f
-        d1f = -(1.0 - rho) * b * d / (den1 * den1)
-        d1r = -b * b * d / (den1 * den1)
-        use1 = t1 >= t2
-        val = np.where(m12, np.where(use1, t1, t2), val)
-        dfv = np.where(m12, np.where(use1, d1f, d2f), dfv)
-        drv = np.where(m12, np.where(use1, d1r, d2r), drv)
-
-    m3 = codes == 3
-    if m3.any():
-        v = f + a * r
-        v0 = f0 + a * r0
-        k = delay * f0 / v0
-        t3 = a * d / v + delay - k * (3.0 - f0 / f - v / v0)
-        d3f = -a * d / (v * v) - k * (f0 / (f * f) - 1.0 / v0)
-        d3r = -a * a * d / (v * v) + k * a / v0
-        val = np.where(m3, t3, val)
-        dfv = np.where(m3, d3f, dfv)
-        drv = np.where(m3, d3r, drv)
-
-    m4 = codes == 4
-    if m4.any():
-        val = np.where(m4, a * d / f, val)
-        dfv = np.where(m4, -a * d / (f * f), dfv)
-        drv = np.where(m4, 0.0, drv)
+    w = coef.cf * f + coef.cr * r
+    ww = w * w
+    val = coef.num / w + coef.const - coef.slope * (3.0 - coef.f0 / f - w / coef.w0)
+    dfv = coef.gf / ww - coef.slope * (coef.f0 / (f * f) - coef.cf_w0)
+    drv = coef.gr / ww + coef.hr
+    if coef.any_s12:
+        den = coef.beta * r + coef.one_minus_rho * f
+        t1 = coef.s1_num / den + coef.delay
+        use1 = coef.s12 & (t1 >= val)
+        dd = den * den
+        val = np.where(use1, t1, val)
+        dfv = np.where(use1, coef.s1_gf / dd, dfv)
+        drv = np.where(use1, coef.s1_gr / dd, drv)
     return val, dfv, drv
-
-
-def anchor_codes(anchors) -> np.ndarray:
-    """Regime numbers of a sequence of anchors, as an int array."""
-    return np.array([_REGION_CODE[an.region] for an in anchors], dtype=int)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,14 @@ def test_params_validation():
         ComputeParams(alpha=100.0, beta=50.0, rho=0.5, tau=0.0)
     with pytest.raises(ValueError):
         ComputeParams(alpha=50.0, beta=50.0, rho=0.5, tau=1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "rho", "tau"])
+def test_params_reject_non_finite(field, bad):
+    values = {"alpha": 100.0, "beta": 50.0, "rho": 0.5, "tau": 1e-3}
+    with pytest.raises(ValueError):
+        ComputeParams(**{**values, field: bad})
 
 
 def test_component_times_local_only(params):
@@ -108,6 +118,17 @@ def test_min_time_zero_rate_is_local_only(params):
 def test_min_time_requires_some_resource(params):
     with pytest.raises(NoFeasibleFlow):
         min_compute_time(0.0, 0.0, 1e6, params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_flow_rejects_non_finite(params, position, bad):
+    flow = [1e9, 1e6, 1e6]
+    flow[position] = bad
+    with pytest.raises(ValueError):
+        min_compute_time(*flow, params)
+    with pytest.raises(ValueError):
+        brute_force_min_time(*flow, params)
 
 
 def test_min_time_agrees_with_brute_force_on_examples(params):

@@ -43,6 +43,35 @@ def test_project_budget_simplex():
         assert np.linalg.norm(x - v) <= np.linalg.norm(w - v) + 1e-12
 
 
+def _simplex_rows(kind, k, rng):
+    """Three rows of length k, for a unit total: all inside the budget
+    simplex after clipping, all outside, or one inside, one outside and a
+    random row holding exact zeros."""
+    inside = rng.uniform(-0.5, 1.0, size=(3, k)) / (2.0 * k)
+    outside = rng.normal(0.0, 1.0, size=(3, k))
+    outside[:, 0] = 1.0 + rng.random(3)  # the positive part alone exceeds 1
+    if kind == "feasible":
+        return inside
+    if kind == "infeasible":
+        return outside
+    loose = rng.normal(0.2, 1.0, size=k)
+    loose[: k // 2] = 0.0
+    return np.stack([inside[0], outside[1], loose])
+
+
+@pytest.mark.parametrize("total", [1.0, 0.3, 2.5])
+@pytest.mark.parametrize("kind", ["feasible", "infeasible", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 5, 50])
+def test_project_budget_simplex_rows_match_vector(k, kind, total):
+    rng = np.random.default_rng(1000 * k + len(kind))
+    for _ in range(50):
+        rows = _simplex_rows(kind, k, rng) * total
+        inside = np.maximum(rows, 0.0).sum(axis=1) <= total
+        assert {"feasible": inside.all(), "infeasible": not inside.any()}.get(kind, inside[0] and not inside[1])
+        expected = np.stack([project_budget_simplex(row, total) for row in rows])
+        assert np.array_equal(project_budget_simplex(rows, total), expected)
+
+
 def test_single_loop_corner_solution():
     sc = tight_single_loop_scenario()
     alloc, trace = sca_solve(sc)
@@ -214,6 +243,28 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_outer_iters=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["epsilon", "max_outer_iters", "inner_tol", "inner_max_iters"])
+def test_solver_config_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["p_max_w", "f_max_cycles", "r_max_bits"])
+def test_budgets_reject_non_finite(field, bad):
+    values = {"p_max_w": 1.0, "f_max_cycles": 1e9, "r_max_bits": 1e7}
+    with pytest.raises(ValueError):
+        Budgets(**{**values, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["data_bits", "cycle_s", "distance_m"])
+def test_loop_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError):
+        make_loop(**{field: bad})
 
 
 def test_scenario_validation():

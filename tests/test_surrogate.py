@@ -3,8 +3,8 @@ import pytest
 
 from sc3opt import RegionLabel, min_compute_time, region_time
 from sc3opt.surrogate import (
+    MajorantCoefficients,
     SurrogateAnchor,
-    anchor_codes,
     convex_compute_time,
     convex_time_s2,
     convex_time_s3,
@@ -98,6 +98,30 @@ def test_anchor_validation(params):
         SurrogateAnchor(f0=1e9, r0=-1.0, region=RegionLabel.S2)
 
 
+def _assert_batch_matches_scalar(anchors, f, r, d, params):
+    """Batch values equal the scalar majorant; partials match finite
+    differences of it."""
+    vals, dfs, drs = surrogate_batch(f, r, MajorantCoefficients.from_anchors(anchors, d, params))
+    for i, anchor in enumerate(anchors):
+        di = float(d[i])
+        assert vals[i] == pytest.approx(
+            float(convex_compute_time(f[i], r[i], anchor, di, params)), rel=1e-12
+        )
+        # finite differences confirm the analytic partials
+        hf = f[i] * 1e-6
+        num_df = (
+            float(convex_compute_time(f[i] + hf, r[i], anchor, di, params))
+            - float(convex_compute_time(f[i] - hf, r[i], anchor, di, params))
+        ) / (2 * hf)
+        assert dfs[i] == pytest.approx(num_df, rel=1e-4, abs=1e-18)
+        hr = r[i] * 1e-6
+        num_dr = (
+            float(convex_compute_time(f[i], r[i] + hr, anchor, di, params))
+            - float(convex_compute_time(f[i], r[i] - hr, anchor, di, params))
+        ) / (2 * hr)
+        assert drs[i] == pytest.approx(num_dr, rel=1e-4, abs=1e-18)
+
+
 def test_surrogate_batch_matches_scalar(params):
     d = 1e6
     rng = np.random.default_rng(43)
@@ -109,25 +133,28 @@ def test_surrogate_batch_matches_scalar(params):
     ]
     f = 10.0 ** rng.uniform(7, 10, size=4)
     r = 10.0 ** rng.uniform(5, 7, size=4)
-    f0 = np.array([a.f0 for a in anchors])
-    r0 = np.array([a.r0 for a in anchors])
-    vals, dfs, drs = surrogate_batch(
-        f, r, f0, r0, anchor_codes(anchors), np.full(4, d), params
-    )
-    for i, anchor in enumerate(anchors):
-        assert vals[i] == pytest.approx(
-            float(convex_compute_time(f[i], r[i], anchor, d, params)), rel=1e-12
-        )
-        # finite differences confirm the analytic partials
-        hf = f[i] * 1e-6
-        num_df = (
-            float(convex_compute_time(f[i] + hf, r[i], anchor, d, params))
-            - float(convex_compute_time(f[i] - hf, r[i], anchor, d, params))
-        ) / (2 * hf)
-        assert dfs[i] == pytest.approx(num_df, rel=1e-4, abs=1e-18)
-        hr = r[i] * 1e-6
-        num_dr = (
-            float(convex_compute_time(f[i], r[i] + hr, anchor, d, params))
-            - float(convex_compute_time(f[i], r[i] - hr, anchor, d, params))
-        ) / (2 * hr)
-        assert drs[i] == pytest.approx(num_dr, rel=1e-4, abs=1e-18)
+    _assert_batch_matches_scalar(anchors, f, r, np.full(4, d), params)
+
+
+def test_surrogate_batch_mixed_regimes(params):
+    # one vector interleaving all four anchor regimes, each more than once
+    d = 1e6
+    rng = np.random.default_rng(47)
+    corners = [(1e8, 1e6), (1e9, 1e6), (4e9, 1e6), (6e9, 1e6)]
+    order = rng.permutation(np.repeat(np.arange(4), 3))
+    anchors = [SurrogateAnchor.at(*corners[j], d, params) for j in order]
+    assert {an.region for an in anchors} == set(RegionLabel)
+    f = 10.0 ** rng.uniform(7, 10, size=order.size)
+    r = 10.0 ** rng.uniform(5, 7, size=order.size)
+    _assert_batch_matches_scalar(anchors, f, r, np.full(order.size, d), params)
+
+
+def test_surrogate_batch_random_anchors_k50():
+    rng = np.random.default_rng(53)
+    p = random_compute_params(rng)
+    flows = [random_flow(rng) for _ in range(50)]
+    d = np.array([fl[2] for fl in flows])
+    anchors = [SurrogateAnchor.at(f0, r0, di, p) for (f0, r0, _), di in zip(flows, d)]
+    f = np.array([random_flow(rng)[0] for _ in range(50)])
+    r = np.array([random_flow(rng)[1] for _ in range(50)])
+    _assert_batch_matches_scalar(anchors, f, r, d, p)

@@ -36,6 +36,7 @@ from .control import (
     min_entropy,
 )
 from .errors import (
+    BadConfig,
     BadOverride,
     CostBelowFloor,
     Infeasible,

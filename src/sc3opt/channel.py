@@ -25,7 +25,10 @@ class LinkParams:
 
     def __post_init__(self):
         for name in ("bandwidth_hz", "gamma0", "noise_power_w", "uav_height_m"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .baselines import communication_oriented, evaluate_allocation, power_only_c
 from .channel import LinkParams
 from .compute import ComputeParams
 from .control import EntropyParams, LoopControlSpec, build_entropy_params, intrinsic_entropy
-from .errors import BadOverride, Infeasible, Sc3Error
+from .errors import BadConfig, BadOverride, Infeasible, Sc3Error
 from .oracle import convexity_probe, grid_search_global, monte_carlo_loop
 from .solver import (
     Allocation,
@@ -145,6 +146,21 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
 # serialization
 
 
+def _rejects_bad_values(parse):
+    """Re-raise the ValueError a malformed or out-of-range value causes
+    while parsing (a bad number, non-finite input, invalid JSON) as
+    BadConfig."""
+
+    @functools.wraps(parse)
+    def wrapper(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except ValueError as exc:
+            raise BadConfig(str(exc)) from exc
+
+    return wrapper
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     out = {
         "compute": {
@@ -189,6 +205,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return out
 
 
+@_rejects_bad_values
 def scenario_from_dict(data: dict) -> Scenario:
     compute = ComputeParams(
         alpha=float(data["compute"]["alpha_cycles_per_bit"]),
@@ -256,6 +273,7 @@ def allocation_to_dict(alloc: Allocation) -> dict:
     }
 
 
+@_rejects_bad_values
 def allocation_from_dict(data: dict) -> Allocation:
     loops = tuple(
         LoopAllocation(
@@ -268,9 +286,13 @@ def allocation_from_dict(data: dict) -> Allocation:
         )
         for entry in data["loops"]
     )
+    resources = [v for la in loops for v in (la.p_w, la.f_cycles, la.r_bits, la.t_commu_s)]
+    if not all(map(math.isfinite, resources)):
+        raise ValueError("allocation resources and windows must be finite")
     return Allocation(loops=loops, sum_lqr=float(data["sum_lqr"]))
 
 
+@_rejects_bad_values
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
         data = json.load(fh)

@@ -206,6 +206,8 @@ def min_compute_time_batch(f, r, d: float, params: ComputeParams) -> np.ndarray:
     """Vectorized ``min_compute_time`` over arrays of (f, r) pairs."""
     f = np.asarray(f, dtype=float)
     r = np.asarray(r, dtype=float)
+    if not (np.isfinite(f).all() and np.isfinite(r).all() and math.isfinite(d)):
+        raise ValueError("compute, rate and data size must be finite")
     a, b, rho = params.alpha, params.beta, params.rho
     delay = params.relay_delay
     out = np.empty(np.broadcast(f, r).shape)

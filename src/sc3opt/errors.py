@@ -47,3 +47,7 @@ class InfeasibleSubproblem(Infeasible):
 
 class BadOverride(Sc3Error):
     """Unknown key passed to the scenario generator or sweep parser."""
+
+
+class BadConfig(Sc3Error):
+    """A scenario or allocation file holds a malformed or out-of-range value."""

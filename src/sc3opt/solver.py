@@ -10,7 +10,9 @@ computation time, and each loop's cost is the best cost its delivered
 entropy allows.  What remains is a smooth convex objective over the product
 of three capped simplexes, solved by spectral projected gradient.  The
 outer objective never increases because each majorant touches the true
-latency at its anchor.
+latency at its anchor.  After each such majorize-minimize (MM) step the
+outer loop extrapolates along it, keeping a longer step only while the true
+objective keeps falling; the stop rule still judges the plain MM step.
 
 Decision variables are normalized by their budgets before optimization;
 resources here span ten orders of magnitude and raw gradients would be
@@ -32,6 +34,12 @@ from .surrogate import MajorantCoefficients, SurrogateAnchor, surrogate_batch
 
 # anchors with a dead component are pushed up to this fraction of the budget
 ANCHOR_FLOOR = 1e-6
+
+# extrapolation trials per outer round, at 1, 2, 4, ... MM steps beyond the MM point
+_EXTRAPOLATION_TRIALS = 8
+# MM points spend a budget only to within rounding: a normalized block sum
+# this far above 1 still counts as inside
+_BUDGET_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,8 @@ class IterationRecord:
     anchors: tuple[tuple[float, float], ...]
     inner_iterations: int
     inner_residual: float
+    # accepted multiple of the round's majorize-minimize step (1.0: the MM point)
+    step_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -522,6 +532,35 @@ def _true_objective(data: _LoopData, p: np.ndarray, f: np.ndarray, r: np.ndarray
     return float(l.sum())
 
 
+def _extrapolate(data: _LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: float):
+    """Best point on the ray from x_prev through the MM point x_mm.
+
+    Tries x_mm + t (x_mm - x_prev) for t = 1, 2, 4, ... and stops at the
+    first trial that leaves the interior or does not lower the true
+    objective below the best so far.  Trials are never projected: one
+    outside the interior ends the search.  Returns (x, objective,
+    step_scale), step_scale being the multiple of the MM step from x_prev
+    (1.0 when every trial is rejected).
+    """
+    b = data.scenario.budgets
+    k = data.k
+    step = x_mm - x_prev
+    best = (x_mm, obj_mm, 1.0)
+    t = 1.0
+    for _ in range(_EXTRAPOLATION_TRIALS):
+        x = x_mm + t * step
+        # above twice the anchor floor the next majorant is anchored at the
+        # trial itself, so the trial is a feasible warm start for it
+        if x.min() < 2.0 * ANCHOR_FLOOR or x.reshape(3, k).sum(1).max() > 1.0 + _BUDGET_SLACK:
+            break
+        obj = _true_objective(data, *_unpack(x, b, k))
+        if not obj < best[1]:
+            break
+        best = (x, obj, 1.0 + t)
+        t *= 2.0
+    return best
+
+
 def solve_inner(
     scenario: Scenario,
     anchors,
@@ -558,10 +597,16 @@ def sca_solve(
     settles.
 
     Starts from an equal split of compute and backhaul with power chosen to
-    give every loop the same entropy margin.  Each iteration solves the
-    convex subproblem anchored at the previous point, starting from it, so
-    the true objective sequence never increases.  Raises Infeasible (with a
-    per-loop report) when the initial split cannot stabilize every loop.
+    give every loop the same entropy margin.  Each round solves the convex
+    subproblem anchored at the previous point, starting from it (the MM
+    step), then tries 1, 2, 4, ... further MM steps along the same direction
+    and keeps the trial with the lowest true objective; a trial that leaves
+    the interior of the budget simplexes ends the search.  The accepted
+    point anchors and warm-starts the next round, so the true objective
+    sequence never increases.  The loop stops when the MM step's relative
+    decrease falls below epsilon, returning that round's MM point as is.
+    Raises Infeasible (with a per-loop report) when the initial split cannot
+    stabilize every loop.
     """
     cfg = config or SolverConfig()
     data = _LoopData(scenario)
@@ -589,22 +634,26 @@ def sca_solve(
     converged = False
     for _ in range(cfg.max_outer_iters):
         anchors = make_anchors(scenario, f, r)
-        x, _, _, iters, resid = _inner_solve(data, _majorant(data, anchors), cfg, x)
+        x_mm, _, _, iters, resid = _inner_solve(data, _majorant(data, anchors), cfg, x)
+        mm_obj = _true_objective(data, *_unpack(x_mm, b, k))
+        # the stop rule judges the plain MM step; its point is returned as is
+        converged = (obj - mm_obj) / obj < cfg.epsilon
+        if converged:
+            x, obj, scale = x_mm, mm_obj, 1.0
+        else:
+            x, obj, scale = _extrapolate(data, x, x_mm, mm_obj)
         p, f, r = _unpack(x, b, k)
-        new_obj = _true_objective(data, p, f, r)
         records.append(
             IterationRecord(
-                objective=new_obj,
+                objective=obj,
                 anchors=tuple((an.f0, an.r0) for an in anchors),
                 inner_iterations=iters,
                 inner_residual=resid,
+                step_scale=scale,
             )
         )
-        if (obj - new_obj) / obj < cfg.epsilon:
-            converged = True
-            obj = new_obj
+        if converged:
             break
-        obj = new_obj
     alloc = _true_allocation(data, p, f, r)
     trace = SolveTrace(iterations=tuple(records), converged=converged, epsilon=cfg.epsilon)
     return alloc, trace

@@ -10,6 +10,14 @@ from sc3opt import (
     Scenario,
 )
 
+# first ten integer seeds whose optimum needs no cross-loop specialization;
+# on those the solver settles in <= 5 outer rounds and every extrapolation
+# trial is rejected, so each round ends at its plain MM point.  The other
+# default seeds migrate loops between offload regimes: the majorants are
+# conservative far from their anchors, so plain MM steps crawl there, and
+# extrapolating along them settles those seeds in 7-13 rounds.
+QUICK_SEEDS = (0, 1, 2, 6, 7, 9, 11, 12, 18, 19)
+
 
 @pytest.fixture
 def params():

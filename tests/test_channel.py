@@ -95,3 +95,11 @@ def test_validation(link):
         power_for_entropy(1.0, 0.0, 100.0, link)
     with pytest.raises(ValueError):
         LinkParams(bandwidth_hz=0.0, gamma0=1e-6, noise_power_w=1e-14, uav_height_m=100.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["bandwidth_hz", "gamma0", "noise_power_w", "uav_height_m"])
+def test_link_params_reject_non_finite(field, bad):
+    values = {"bandwidth_hz": 5000.0, "gamma0": 1e-6, "noise_power_w": 1e-14, "uav_height_m": 100.0}
+    with pytest.raises(ValueError):
+        LinkParams(**{**values, field: bad})

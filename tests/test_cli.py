@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sc3opt import BadOverride, SweepSpec, generate_scenario, run_sweep
+from sc3opt import BadConfig, BadOverride, SweepSpec, generate_scenario, run_sweep
 from sc3opt.cli import (
     allocation_from_dict,
     allocation_to_dict,
@@ -205,3 +205,42 @@ def test_cli_bad_config_exit_code(tmp_path):
     config.write_text(json.dumps({"seed": 0, "overrides": {"nope": 1}}))
     out = tmp_path / "alloc.json"
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+
+
+def _explicit_scenario_text(section, key, value):
+    data = scenario_to_dict(generate_scenario(0))
+    data[section][key] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"seed": 0, "overrides": {"p_max_dbw": math.inf}}),
+        json.dumps({"seed": 0, "overrides": {"tau_s": -1.0}}),
+        _explicit_scenario_text("link", "bandwidth_hz", math.nan),
+        _explicit_scenario_text("budgets", "r_max_bits", "fast"),
+        '{"seed": 0,',
+    ],
+    ids=["inf_override", "negative_override", "nan_link", "text_budget", "truncated_json"],
+)
+def test_cli_bad_value_ends_in_error_line(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    with pytest.raises(BadConfig):
+        load_scenario(str(config))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_validate_rejects_non_finite_allocation(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0}))
+    alloc = tmp_path / "alloc.json"
+    main(["solve", "--config", str(config), "--out", str(alloc)])
+    payload = json.loads(alloc.read_text())
+    payload["loops"][0]["p_w"] = math.nan
+    alloc.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config), "--alloc", str(alloc)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -131,6 +131,18 @@ def test_flow_rejects_non_finite(params, position, bad):
         brute_force_min_time(*flow, params)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_batch_rejects_non_finite(params, position, bad):
+    flow = [np.array([1e9, 1e9]), np.array([1e6, 1e6]), 1e6]
+    if position == 2:
+        flow[2] = bad
+    else:
+        flow[position][0] = bad
+    with pytest.raises(ValueError):
+        min_compute_time_batch(*flow, params)
+
+
 def test_min_time_agrees_with_brute_force_on_examples(params):
     for f, r in ((1e8, 1e6), (1e9, 1e6), (4e9, 1e6)):
         closed = min_compute_time(f, r, 1e6, params)

@@ -21,8 +21,8 @@ from sc3opt import (
     sca_solve,
     solve_inner,
 )
-from sc3opt.solver import project_budget_simplex
-from conftest import make_loop, symmetric_two_loop_scenario, tight_single_loop_scenario
+from sc3opt.solver import ANCHOR_FLOOR, project_budget_simplex
+from conftest import QUICK_SEEDS, make_loop, symmetric_two_loop_scenario, tight_single_loop_scenario
 
 
 def test_project_budget_simplex():
@@ -115,6 +115,52 @@ def test_trace_monotone_and_bounded():
         assert trace.converged
         assert len(objs) - 1 <= 10
         assert alloc.sum_lqr == pytest.approx(objs[-1], rel=1e-9)
+
+
+def _monotone(trace):
+    objs = trace.objectives
+    return all(b <= a + 1e-9 * a for a, b in zip(objs, objs[1:]))
+
+
+def test_extrapolation_settles_a_migrating_seed():
+    # seed 3 moves two loops toward a compute-light, backhaul-heavy split;
+    # plain MM steps crawl there and stop at the 30-round cap
+    sc = generate_scenario(3)
+    alloc, trace = sca_solve(sc)
+    assert trace.converged and len(trace.iterations) - 1 <= 15
+    assert check_allocation(sc, alloc).ok
+    assert _monotone(trace)
+    assert any(rec.step_scale > 1.0 for rec in trace.iterations)
+    assert trace.iterations[-1].step_scale == 1.0  # the stopping round is a plain MM step
+
+
+@pytest.mark.parametrize("seed", QUICK_SEEDS)
+def test_quick_seeds_take_plain_mm_steps(seed):
+    _, trace = sca_solve(generate_scenario(seed))
+    assert [rec.step_scale for rec in trace.iterations] == [1.0] * len(trace.iterations)
+
+
+def test_interior_guard_keeps_solution_feasible():
+    # a round whose start share lies above the anchor floor F and whose MM
+    # point lands at or below it has a first trial 2 x_mm - x_prev below F,
+    # inside the band the interior guard rejects; seed 8 drives a backhaul
+    # share to zero and shows such a round in its trace
+    sc = generate_scenario(8)
+    alloc, trace = sca_solve(sc)
+    b = sc.budgets
+    floors = (ANCHOR_FLOOR * b.f_max_cycles, ANCHOR_FLOOR * b.r_max_bits)
+
+    def floored(rec):
+        return [share == floor for anchor in rec.anchors for share, floor in zip(anchor, floors)]
+
+    guarded = [
+        rec.step_scale == 1.0 and any(not was and now for was, now in zip(floored(rec), floored(nxt)))
+        for rec, nxt in zip(trace.iterations[1:], trace.iterations[2:])
+    ]
+    assert any(guarded)
+    assert trace.converged and _monotone(trace)
+    report = check_allocation(sc, alloc)
+    assert report.ok, report.violations
 
 
 def test_warm_start_converges_immediately():

@@ -23,8 +23,10 @@ from .compute import (
     component_times,
     min_compute_time,
     min_compute_time_batch,
+    min_compute_time_grad,
     optimal_split,
     realized_latency,
+    region_partials,
     region_time,
 )
 from .control import (
@@ -34,6 +36,7 @@ from .control import (
     intrinsic_entropy,
     lqr_from_entropy,
     min_entropy,
+    riccati_diagonal,
 )
 from .errors import (
     BadConfig,

@@ -13,19 +13,20 @@ import math
 
 import numpy as np
 
-from .compute import RegionLabel, classify_region, min_compute_time, optimal_split
+# classify_region, min_compute_time and optimal_split are not called here any
+# more; they stay attributes of this module because bench/tracer.py wraps them
+# by module and name
+from .compute import classify_region, min_compute_time, min_compute_time_grad, optimal_split  # noqa: F401
 from .control import LN2
 from .errors import NoConvergence
 from .solver import (
     Allocation,
-    LoopAllocation,
+    LoopData,
     Scenario,
     SolverConfig,
-    _feasible_power_init,
-    _LoopData,
-    _power_objective,
-    _spg,
+    feasible_power_init,
     project_budget_simplex,
+    spg,
 )
 
 
@@ -53,71 +54,51 @@ def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
     return p
 
 
+def _power_objective(data: LoopData, t_commu: np.ndarray):
+    """Reduced objective in normalized power only, windows held fixed."""
+    b = data.scenario.budgets
+    bw = data.bandwidth
+    inf_grad = np.zeros(data.k)
+
+    def value_grad(x):
+        p = x * b.p_max_w
+        se = data.spectral(p)
+        e = bw * t_commu * se
+        if not np.all(e > data.h):
+            return math.inf, inf_grad
+        l, dl = data.lqr_terms(e)
+        de_dp = bw * t_commu * data.gamma / ((1.0 + data.gamma * p) * LN2)
+        return float(l.sum()), dl * de_dp * b.p_max_w
+
+    return value_grad
+
+
 def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:
     """Equal compute/backhaul split; power alone optimized for the sum cost."""
     cfg = config or SolverConfig()
-    data = _LoopData(scenario)
+    data = LoopData(scenario)
     k = data.k
     b = scenario.budgets
     f = np.full(k, b.f_max_cycles / k)
     r = np.full(k, b.r_max_bits / k)
     t_commu = data.t_cycle - data.true_min_times(f, r)
-    p0 = _feasible_power_init(data, t_commu, "power-only baseline")
+    p0 = feasible_power_init(data, t_commu, "power-only baseline")
     fun = _power_objective(data, t_commu)
     project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
-    x, _, _, _, _ = _spg(
+    x, _, _, _, _ = spg(
         fun, project, p0 / b.p_max_w, cfg.inner_tol, cfg.inner_max_iters, "power-only baseline"
     )
-    p = x * b.p_max_w
-    e = data.bandwidth * t_commu * data.spectral(p)
-    l, _ = data.lqr_terms(e)
-    loops = tuple(
-        LoopAllocation(
-            p_w=float(p[i]),
-            f_cycles=float(f[i]),
-            r_bits=float(r[i]),
-            t_commu_s=float(t_commu[i]),
-            lqr_cost=float(l[i]),
-            split=optimal_split(float(f[i]), float(r[i]), float(data.d_bits[i]), scenario.compute),
-        )
-        for i in range(k)
-    )
-    return Allocation(loops=loops, sum_lqr=float(l.sum()))
+    return data.allocation(x * b.p_max_w, f, r, t_commu)
 
 
-def _sum_time_objective(data: _LoopData, r_eq: float):
+def _sum_time_objective(data: LoopData, r_eq: float):
     """Total true computation time as a function of normalized compute."""
     params = data.scenario.compute
-    a, beta, rho = params.alpha, params.beta, params.rho
-    delay = params.relay_delay
     f_max = data.scenario.budgets.f_max_cycles
 
     def value_grad(x):
-        f = x * f_max
-        total = 0.0
-        grad = np.zeros(data.k)
-        for i in range(data.k):
-            d = float(data.d_bits[i])
-            fi = float(f[i])
-            region = classify_region(fi, r_eq, d, params)
-            if region is RegionLabel.S1:
-                den = beta * r_eq + (1.0 - rho) * fi
-                total += beta * d / den + delay
-                grad[i] = -(1.0 - rho) * beta * d / (den * den)
-            elif region is RegionLabel.S2:
-                den = rho * fi + (a - beta) * r_eq
-                num = rho * a * d - rho * delay * fi + beta * delay * r_eq
-                total += num / den + delay
-                grad[i] = (-rho * delay * den - rho * num) / (den * den)
-            elif region is RegionLabel.S3:
-                den = fi + a * r_eq
-                num = a * d - delay * fi
-                total += num / den + delay
-                grad[i] = (-delay * den - num) / (den * den)
-            else:
-                total += a * d / fi
-                grad[i] = -a * d / (fi * fi)
-        return total, grad * f_max
+        t, dt_df, _ = min_compute_time_grad(x * f_max, r_eq, data.d_bits, params)
+        return float(t.cumsum()[-1]), dt_df * f_max  # cumsum adds in loop order, sum() pairwise
 
     return value_grad
 
@@ -130,7 +111,7 @@ def communication_oriented(scenario: Scenario, config: SolverConfig | None = Non
     come out with an infinite cost rather than an error.
     """
     cfg = config or SolverConfig()
-    data = _LoopData(scenario)
+    data = LoopData(scenario)
     k = data.k
     b = scenario.budgets
     r_eq = b.r_max_bits / k
@@ -138,34 +119,11 @@ def communication_oriented(scenario: Scenario, config: SolverConfig | None = Non
     project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
     x0 = np.full(k, 1.0 / k)
     try:
-        x, _, _, _, _ = _spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "compute split")
+        x, _, _, _, _ = spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "compute split")
     except NoConvergence:
         x = x0  # the equal split is a valid, if unpolished, fallback
-    f = x * b.f_max_cycles
     p = water_filling(data.gamma, b.p_max_w)
-    r = np.full(k, r_eq)
-    t_comp = data.true_min_times(f, r)
-    t_commu = data.t_cycle - t_comp
-    loops = []
-    total = 0.0
-    for i in range(k):
-        if t_commu[i] <= 0.0:
-            cost = math.inf
-        else:
-            e = data.bandwidth * t_commu[i] * math.log1p(data.gamma[i] * p[i]) / LN2
-            cost = data.lqr_single(i, e)
-        total += cost
-        loops.append(
-            LoopAllocation(
-                p_w=float(p[i]),
-                f_cycles=float(f[i]),
-                r_bits=float(r[i]),
-                t_commu_s=float(max(t_commu[i], 0.0)),
-                lqr_cost=cost,
-                split=optimal_split(float(f[i]), float(r[i]), float(data.d_bits[i]), scenario.compute),
-            )
-        )
-    return Allocation(loops=tuple(loops), sum_lqr=total)
+    return data.allocation(p, x * b.f_max_cycles, np.full(k, r_eq))
 
 
 def evaluate_allocation(scenario: Scenario, alloc: Allocation) -> float:
@@ -174,19 +132,10 @@ def evaluate_allocation(scenario: Scenario, alloc: Allocation) -> float:
     Ignores any stored costs and windows: takes the true minimal computation
     time at each loop's (f, r), gives the loop the full cycle remainder to
     communicate, and inverts the entropy curve.  Infinite when any loop
-    cannot be stabilized.
+    cannot be stabilized.  On a solver or baseline output it reproduces
+    ``sum_lqr`` bit for bit.
     """
-    data = _LoopData(scenario)
-    total = 0.0
-    for i, la in enumerate(alloc.loops):
-        t_commu = data.t_cycle[i] - min_compute_time(
-            la.f_cycles, la.r_bits, float(data.d_bits[i]), scenario.compute
-        )
-        if t_commu <= 0.0:
-            return math.inf
-        e = data.bandwidth * t_commu * math.log1p(data.gamma[i] * max(la.p_w, 0.0)) / LN2
-        cost = data.lqr_single(i, e)
-        if not math.isfinite(cost):
-            return math.inf
-        total += cost
-    return total
+    p = np.array([max(la.p_w, 0.0) for la in alloc.loops])
+    f = np.array([la.f_cycles for la in alloc.loops])
+    r = np.array([la.r_bits for la in alloc.loops])
+    return LoopData(scenario).true_objective(p, f, r)

@@ -12,10 +12,8 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,11 +320,14 @@ class SweepSpec:
             raise BadOverride(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise ValueError("a sweep needs at least one value")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError("sweep values must be finite")
         bad = set(self.schemes) - set(SCHEMES)
         if bad:
             raise BadOverride(f"unknown schemes {sorted(bad)}")
 
     @classmethod
+    @_rejects_bad_values
     def from_dict(cls, data: dict) -> "SweepSpec":
         return cls(
             parameter=data["parameter"],
@@ -376,24 +377,15 @@ def run_sweep(
     base_overrides: dict | None = None,
     config: SolverConfig | None = None,
 ) -> list[dict]:
-    """All sweep cells in deterministic (value, scheme, seed) order.
-
-    Cells run in parallel up to the SC3_THREADS cap; failures are encoded in
-    the status column and never abort the sweep.
-    """
-    cells = [
-        (sweep.parameter, value, scheme, seed, base_overrides, config)
+    """All sweep cells, run one after another in (value, scheme, seed)
+    order; failures are encoded in the status column and never abort the
+    sweep."""
+    return [
+        _run_cell(sweep.parameter, value, scheme, seed, base_overrides, config)
         for value in sweep.values
         for scheme in sweep.schemes
         for seed in sweep.seeds
     ]
-    cap = os.environ.get("SC3_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(cells)))
-    if workers == 1:
-        return [_run_cell(*cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: _run_cell(*c), cells))
 
 
 def write_csv(rows: list[dict], path: str) -> None:
@@ -436,7 +428,6 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.sweep) as fh:
         sweep = SweepSpec.from_dict(json.load(fh))
-    base = {}
     with open(args.config) as fh:
         data = json.load(fh)
     if "loops" in data:

@@ -168,7 +168,7 @@ def classify_region(f: float, r: float, d: float, params: ComputeParams) -> Regi
 def region_time(region: RegionLabel, f, r, d: float, params: ComputeParams):
     """Closed-form latency of one regime, evaluated without membership checks.
 
-    Accepts scalars or numpy arrays for f and r.
+    Accepts scalars or numpy arrays for f, r and d.
     """
     a, b, rho = params.alpha, params.beta, params.rho
     delay = params.relay_delay
@@ -179,6 +179,30 @@ def region_time(region: RegionLabel, f, r, d: float, params: ComputeParams):
     if region is RegionLabel.S3:
         return (a * d - delay * f) / (f + a * r) + delay
     return a * d / f
+
+
+def region_partials(region: RegionLabel, f, r, d: float, params: ComputeParams):
+    """Partial derivatives (dt/df, dt/dr) of ``region_time`` for one regime.
+
+    Accepts scalars or numpy arrays for f, r and d.
+    """
+    a, b, rho = params.alpha, params.beta, params.rho
+    delay = params.relay_delay
+    if region is RegionLabel.S1:
+        den = b * r + (1.0 - rho) * f
+        den2 = den * den
+        return -(1.0 - rho) * b * d / den2, -b * b * d / den2
+    if region is RegionLabel.S2:
+        den = rho * f + (a - b) * r
+        num = rho * a * d - rho * delay * f + b * delay * r
+        den2 = den * den
+        return (-rho * delay * den - rho * num) / den2, (b * delay * den - (a - b) * num) / den2
+    if region is RegionLabel.S3:
+        den = f + a * r
+        num = a * d - delay * f
+        den2 = den * den
+        return (-delay * den - num) / den2, -a * num / den2
+    return -a * d / (f * f), 0.0
 
 
 def _check_flow(f: float, r: float, d: float) -> None:
@@ -202,37 +226,40 @@ def min_compute_time(f: float, r: float, d: float, params: ComputeParams) -> flo
     return float(region_time(classify_region(f, r, d, params), f, r, d, params))
 
 
-def min_compute_time_batch(f, r, d: float, params: ComputeParams) -> np.ndarray:
-    """Vectorized ``min_compute_time`` over arrays of (f, r) pairs."""
+def _region_masks(f, r, d, params: ComputeParams):
+    """``classify_region`` over arrays: one boolean mask per regime, S1 to S4."""
+    s4 = f >= params.alpha * d / params.relay_delay
+    s3 = ~s4 & ((r <= 0.0) | (params.preproc_gain <= 0.0) | (f >= _pre_band_edge(r, d, params)))
+    s2 = ~(s4 | s3) & (f >= params.beta * r / params.rho)
+    return ~(s4 | s3 | s2), s2, s3, s4
+
+
+def _piecewise(pieces, n: int, f, r, d, params: ComputeParams) -> tuple[np.ndarray, ...]:
+    """Merge the n arrays ``pieces(region, f, r, d, params)`` returns, regime
+    by regime: each (f, r) pair takes the values of the regime it falls in."""
     f = np.asarray(f, dtype=float)
     r = np.asarray(r, dtype=float)
-    if not (np.isfinite(f).all() and np.isfinite(r).all() and math.isfinite(d)):
+    if not (np.isfinite(f).all() and np.isfinite(r).all() and np.isfinite(d).all()):
         raise ValueError("compute, rate and data size must be finite")
-    a, b, rho = params.alpha, params.beta, params.rho
-    delay = params.relay_delay
-    out = np.empty(np.broadcast(f, r).shape)
-    s4 = f >= a * d / delay
-    if params.preproc_gain > 0.0:
-        edge = (params.preproc_gain * d - b * delay * r) / ((1.0 - rho) * delay)
-        s3 = ~s4 & ((r <= 0.0) | (f >= edge))
-        s2 = ~s4 & ~s3 & (f >= b * r / rho)
-        s1 = ~s4 & ~s3 & ~s2
-    else:
-        s3 = ~s4
-        s2 = np.zeros_like(s4)
-        s1 = np.zeros_like(s4)
+    out = (np.zeros(np.broadcast(f, r, d).shape),) * n
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s4, a * d / f, 0.0)
-        out = np.where(s3, (a * d - delay * f) / (f + a * r) + delay, out)
-        if s2.any():
-            out = np.where(
-                s2,
-                (rho * a * d - rho * delay * f + b * delay * r) / (rho * f + (a - b) * r) + delay,
-                out,
-            )
-        if s1.any():
-            out = np.where(s1, b * d / (b * r + (1.0 - rho) * f) + delay, out)
+        for region, mask in zip(RegionLabel, _region_masks(f, r, d, params)):
+            if mask.any():
+                out = tuple(np.where(mask, v, o) for v, o in zip(pieces(region, f, r, d, params), out))
     return out
+
+
+def min_compute_time_batch(f, r, d, params: ComputeParams) -> np.ndarray:
+    """Vectorized ``min_compute_time`` over arrays of (f, r) pairs, bit for
+    bit; d is a scalar or an array broadcasting against them."""
+    return _piecewise(lambda *args: (region_time(*args),), 1, f, r, d, params)[0]
+
+
+def min_compute_time_grad(f, r, d, params: ComputeParams):
+    """``min_compute_time_batch`` with its partial derivatives in f and r,
+    as (t, dt/df, dt/dr); each pair takes the partials of its own regime."""
+    pieces = lambda *args: (region_time(*args), *region_partials(*args))  # noqa: E731
+    return _piecewise(pieces, 3, f, r, d, params)
 
 
 def optimal_split(f: float, r: float, d: float, params: ComputeParams) -> SplitPlan:

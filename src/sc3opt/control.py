@@ -117,6 +117,16 @@ def _fixed_point(step, x0: np.ndarray, what: str) -> np.ndarray:
     raise NoConvergence(f"{what} fixed point did not converge")
 
 
+def riccati_diagonal(a, b, q, r) -> np.ndarray:
+    """Steady-state LQR cost of each dimension of a diagonal plant.
+
+    Iterates the scalar Riccati recursion s <- q + a^2 s - (a b s)^2 / (r + b^2 s)
+    from s = q, elementwise over arrays of diagonal entries a, b, q and r.
+    """
+    step = lambda s: q + a * a * s - (a * b * s) ** 2 / (r + b * b * s)  # noqa: E731
+    return _fixed_point(step, np.array(q, dtype=float), "Riccati")
+
+
 def build_entropy_params(plant: LoopControlSpec) -> EntropyParams:
     """Derive EntropyParams from a diagonal plant description.
 
@@ -151,10 +161,7 @@ def build_entropy_params(plant: LoopControlSpec) -> EntropyParams:
         raise UnsupportedStructure("builder requires nonzero input gains")
     h = intrinsic_entropy(plant.a)
 
-    q = np.ones(n)
-    s = _fixed_point(
-        lambda x: q + a * a * x - (a * b * x) ** 2 / (b * b * x), q.copy(), "Riccati"
-    )
+    s = riccati_diagonal(a, b, np.ones(n), 0.0)
     m = s * b / (b * b * s) * b * s  # r_w = 0 throughout
 
     def kalman_step(sig):

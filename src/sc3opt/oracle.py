@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compute import min_compute_time_batch, optimal_split
-from .control import LN2, LoopControlSpec
+from .control import LN2, LoopControlSpec, riccati_diagonal
 from .errors import UnsupportedStructure
-from .solver import Allocation, LoopAllocation, Scenario, _LoopData
+from .solver import Allocation, LoopAllocation, LoopData, Scenario
 
 
 def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation, float]:
@@ -32,7 +32,7 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
         raise ValueError("the grid oracle only handles one or two loops")
     if grid_n > 100:
         raise ValueError("grid_n above 100 is pointlessly slow")
-    data = _LoopData(scenario)
+    data = LoopData(scenario)
     b = scenario.budgets
     axis = np.linspace(0.0, 1.0, grid_n + 1)
     pg, fg, rg = (m.ravel() for m in np.meshgrid(axis, axis, axis, indexing="ij"))
@@ -91,16 +91,6 @@ class McResult:
     cycles: int
 
 
-def _scalar_lqr_gain(a: float, b: float, q: float, r: float) -> float:
-    s = q
-    for _ in range(10_000):
-        s_new = q + a * a * s - (a * b * s) ** 2 / (r + b * b * s)
-        if abs(s_new - s) < 1e-12:
-            break
-        s = s_new
-    return a * b * s / (r + b * b * s)
-
-
 def monte_carlo_loop(
     loop: LoopControlSpec,
     bits_per_cycle: float,
@@ -126,9 +116,13 @@ def monte_carlo_loop(
     if np.count_nonzero(loop.a - np.diag(a_diag)) != 0:
         raise UnsupportedStructure("the simulator needs a scalar or diagonal plant")
     b_diag = np.diagonal(loop.b_in).astype(float) if loop.b_in.shape == (n, n) else np.ones(n)
+    if np.any(b_diag == 0.0):
+        raise UnsupportedStructure("the simulator needs nonzero input gains")
     q_diag = np.diagonal(loop.q_w).astype(float)
     r_diag = np.diagonal(loop.r_w).astype(float) if loop.r_w.shape == (n, n) else np.zeros(n)
 
+    s = riccati_diagonal(a_diag, b_diag, q_diag, r_diag)
+    gains = a_diag * b_diag * s / (r_diag + b_diag * b_diag * s)
     h_dims = np.abs(np.log2(np.abs(a_diag)))
     weights = h_dims / h_dims.sum() if h_dims.sum() > 0 else np.full(n, 1.0 / n)
     rng = np.random.default_rng(seed)
@@ -143,7 +137,7 @@ def monte_carlo_loop(
 
     for dim in range(n):
         a, b = float(a_diag[dim]), float(b_diag[dim])
-        gain = _scalar_lqr_gain(a, b, float(q_diag[dim]), float(r_diag[dim]))
+        gain = float(gains[dim])
         bits = bits_per_cycle * float(weights[dim])
         slack = 4.0 * (sigma_v + abs(a) * sigma_w)  # noise allowance per cycle
         span = max(slack, 1e-12)

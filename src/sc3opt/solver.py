@@ -167,7 +167,7 @@ class AllocationReport:
 # per-scenario arrays
 
 
-class _LoopData:
+class LoopData:
     """Scenario constants flattened into per-loop numpy arrays."""
 
     def __init__(self, scenario: Scenario):
@@ -195,13 +195,6 @@ class _LoopData:
         dl = -(2.0 * LN2 / self.n) * self.c * zinv / (denom * denom)
         return l, dl
 
-    def lqr_single(self, i: int, e: float) -> float:
-        """Cost of loop i at entropy e; infinite when e does not exceed h."""
-        if e <= self.h[i]:
-            return math.inf
-        w = 2.0 * (e - self.h[i]) / self.n[i]
-        return float(self.l_min[i] + self.c[i] * 2.0 ** (-w) / -math.expm1(-w * LN2))
-
     def spectral(self, p: np.ndarray) -> np.ndarray:
         return np.log1p(self.gamma * p) / LN2
 
@@ -212,6 +205,38 @@ class _LoopData:
                 for i in range(self.k)
             ]
         )
+
+    def costs(self, p: np.ndarray, t_commu: np.ndarray) -> np.ndarray:
+        """Per-loop cost at power p and communication window t_commu;
+        infinite for a loop whose entropy does not exceed its intrinsic rate."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e = self.bandwidth * t_commu * self.spectral(p)
+            l, _ = self.lqr_terms(e)
+        return np.where((t_commu > 0.0) & (e > self.h), l, math.inf)
+
+    def true_objective(self, p: np.ndarray, f: np.ndarray, r: np.ndarray) -> float:
+        """Sum cost with every window tight against the true minimal
+        computation time; ``allocation`` reports the same sum bit for bit."""
+        return float(self.costs(p, self.t_cycle - self.true_min_times(f, r)).sum())
+
+    def allocation(self, p, f, r, t_commu: np.ndarray | None = None) -> Allocation:
+        """Allocation of (p, f, r) with windows t_commu, by default tight
+        against the true minimal computation time."""
+        if t_commu is None:
+            t_commu = self.t_cycle - self.true_min_times(f, r)
+        l = self.costs(p, t_commu)
+        loops = tuple(
+            LoopAllocation(
+                p_w=float(p[i]),
+                f_cycles=float(f[i]),
+                r_bits=float(r[i]),
+                t_commu_s=max(float(t_commu[i]), 0.0),
+                lqr_cost=float(l[i]),
+                split=optimal_split(float(f[i]), float(r[i]), float(self.d_bits[i]), self.scenario.compute),
+            )
+            for i in range(self.k)
+        )
+        return Allocation(loops=loops, sum_lqr=float(l.sum()))
 
 
 def _pack(p, f, r, b: Budgets) -> np.ndarray:
@@ -257,7 +282,7 @@ _SPG_STEP_FLOOR = 1e-9  # below this the projected direction is rounding noise
 _SPG_STALL_LIMIT = 100
 
 
-def _spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: str):
+def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: str):
     """Monotone spectral projected gradient on a convex set.
 
     Searches along the projected-arc direction with Armijo backtracking and
@@ -312,7 +337,7 @@ def _spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: 
 # objectives
 
 
-def _joint_objective(data: _LoopData, majorant: MajorantCoefficients):
+def _joint_objective(data: LoopData, majorant: MajorantCoefficients):
     """Surrogate-tight reduced objective over normalized (p, f, r)."""
     b = data.scenario.budgets
     k = data.k
@@ -346,35 +371,16 @@ def _joint_objective(data: _LoopData, majorant: MajorantCoefficients):
     return value_grad
 
 
-def _power_objective(data: _LoopData, t_commu: np.ndarray):
-    """Reduced objective in normalized power only, windows held fixed."""
-    b = data.scenario.budgets
-    bw = data.bandwidth
-    inf_grad = np.zeros(data.k)
-
-    def value_grad(x):
-        p = x * b.p_max_w
-        se = data.spectral(p)
-        e = bw * t_commu * se
-        if not np.all(e > data.h):
-            return math.inf, inf_grad
-        l, dl = data.lqr_terms(e)
-        de_dp = bw * t_commu * data.gamma / ((1.0 + data.gamma * p) * LN2)
-        return float(l.sum()), dl * de_dp * b.p_max_w
-
-    return value_grad
-
-
 # ---------------------------------------------------------------------------
 # feasibility and initialization
 
 
-def _stabilizing_power(data: _LoopData, t_commu: np.ndarray, margin_bits: float) -> np.ndarray:
+def _stabilizing_power(data: LoopData, t_commu: np.ndarray, margin_bits: float) -> np.ndarray:
     se_req = (data.h + margin_bits) / (data.bandwidth * t_commu)
     return np.maximum(np.expm1(se_req * LN2) / data.gamma, 0.0)
 
 
-def _feasible_power_init(data: _LoopData, t_commu: np.ndarray, what: str) -> np.ndarray:
+def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.ndarray:
     """Power start that stabilizes every loop with a common entropy margin.
 
     Bisects the margin to the largest value the power budget affords, then
@@ -460,79 +466,15 @@ def closed_form_lqr(
     return lqr_from_entropy(e, loop.entropy)
 
 
-def _majorant(data: _LoopData, anchors) -> MajorantCoefficients:
-    return MajorantCoefficients.from_anchors(anchors, data.d_bits, data.scenario.compute)
-
-
-def _inner_solve(data: _LoopData, majorant: MajorantCoefficients, cfg: SolverConfig, x0: np.ndarray):
+def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConfig, x0: np.ndarray):
     fun = _joint_objective(data, majorant)
     k = data.k
     # one call projects the power, compute and backhaul blocks together
     project = lambda x: project_budget_simplex(x.reshape(3, k), 1.0).reshape(-1)  # noqa: E731
-    return _spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "inner problem")
+    return spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "inner problem")
 
 
-def _surrogate_allocation(data: _LoopData, majorant: MajorantCoefficients, x: np.ndarray) -> Allocation:
-    scenario = data.scenario
-    p, f, r = _unpack(x, scenario.budgets, data.k)
-    tbar, _, _ = surrogate_batch(f, r, majorant)
-    t_commu = data.t_cycle - tbar
-    e = data.bandwidth * t_commu * data.spectral(p)
-    l, _ = data.lqr_terms(e)
-    loops = tuple(
-        LoopAllocation(
-            p_w=float(p[i]),
-            f_cycles=float(f[i]),
-            r_bits=float(r[i]),
-            t_commu_s=float(t_commu[i]),
-            lqr_cost=float(l[i]),
-            split=optimal_split(float(f[i]), float(r[i]), float(data.d_bits[i]), scenario.compute),
-        )
-        for i in range(data.k)
-    )
-    return Allocation(loops=loops, sum_lqr=float(l.sum()))
-
-
-def _true_allocation(data: _LoopData, p: np.ndarray, f: np.ndarray, r: np.ndarray) -> Allocation:
-    """Allocation with the communication window tight against the true
-    minimal computation time."""
-    scenario = data.scenario
-    t_comp = data.true_min_times(f, r)
-    t_commu = data.t_cycle - t_comp
-    loops = []
-    total = 0.0
-    for i in range(data.k):
-        if t_commu[i] <= 0.0:
-            cost = math.inf
-        else:
-            e = data.bandwidth * t_commu[i] * math.log1p(data.gamma[i] * p[i]) / LN2
-            cost = data.lqr_single(i, e)
-        total += cost
-        loops.append(
-            LoopAllocation(
-                p_w=float(p[i]),
-                f_cycles=float(f[i]),
-                r_bits=float(r[i]),
-                t_commu_s=float(max(t_commu[i], 0.0)),
-                lqr_cost=cost,
-                split=optimal_split(float(f[i]), float(r[i]), float(data.d_bits[i]), scenario.compute),
-            )
-        )
-    return Allocation(loops=tuple(loops), sum_lqr=total)
-
-
-def _true_objective(data: _LoopData, p: np.ndarray, f: np.ndarray, r: np.ndarray) -> float:
-    t_commu = data.t_cycle - data.true_min_times(f, r)
-    if not np.all(t_commu > 0.0):
-        return math.inf
-    e = data.bandwidth * t_commu * data.spectral(p)
-    if not np.all(e > data.h):
-        return math.inf
-    l, _ = data.lqr_terms(e)
-    return float(l.sum())
-
-
-def _extrapolate(data: _LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: float):
+def _extrapolate(data: LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: float):
     """Best point on the ray from x_prev through the MM point x_mm.
 
     Tries x_mm + t (x_mm - x_prev) for t = 1, 2, 4, ... and stops at the
@@ -553,7 +495,7 @@ def _extrapolate(data: _LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: 
         # trial itself, so the trial is a feasible warm start for it
         if x.min() < 2.0 * ANCHOR_FLOOR or x.reshape(3, k).sum(1).max() > 1.0 + _BUDGET_SLACK:
             break
-        obj = _true_objective(data, *_unpack(x, b, k))
+        obj = data.true_objective(*_unpack(x, b, k))
         if not obj < best[1]:
             break
         best = (x, obj, 1.0 + t)
@@ -573,19 +515,20 @@ def solve_inner(
     against the surrogate latency, hence feasible under the true one.
     """
     cfg = config or SolverConfig()
-    data = _LoopData(scenario)
-    majorant = _majorant(data, anchors)
+    data = LoopData(scenario)
+    majorant = MajorantCoefficients.from_anchors(anchors, data.d_bits, scenario.compute)
     if x0 is None:
         f = majorant.f0
         r = np.array([an.r0 for an in anchors])
         tbar, _, _ = surrogate_batch(f, r, majorant)
         try:
-            p = _feasible_power_init(data, data.t_cycle - tbar, "inner problem")
+            p = feasible_power_init(data, data.t_cycle - tbar, "inner problem")
         except Infeasible as exc:
             raise InfeasibleSubproblem(str(exc), report=exc.report) from None
         x0 = _pack(p, f, r, scenario.budgets)
     x, _, _, _, _ = _inner_solve(data, majorant, cfg, x0)
-    return _surrogate_allocation(data, majorant, x)
+    p, f, r = _unpack(x, scenario.budgets, data.k)
+    return data.allocation(p, f, r, data.t_cycle - surrogate_batch(f, r, majorant)[0])
 
 
 def sca_solve(
@@ -609,18 +552,17 @@ def sca_solve(
     stabilize every loop.
     """
     cfg = config or SolverConfig()
-    data = _LoopData(scenario)
+    data = LoopData(scenario)
     k = data.k
     b = scenario.budgets
     if init is None:
         f = np.full(k, b.f_max_cycles / k)
         r = np.full(k, b.r_max_bits / k)
-        t0 = data.t_cycle - data.true_min_times(f, r)
-        p = _feasible_power_init(data, t0, "initialization")
+        p = feasible_power_init(data, data.t_cycle - data.true_min_times(f, r), "initialization")
     else:
         p, f, r = (np.asarray(v, dtype=float) for v in init)
     x = _pack(p, f, r, b)
-    obj = _true_objective(data, p, f, r)
+    obj = data.true_objective(p, f, r)
     if not math.isfinite(obj):
         raise Infeasible("initial allocation does not stabilize every loop")
     records = [
@@ -634,8 +576,9 @@ def sca_solve(
     converged = False
     for _ in range(cfg.max_outer_iters):
         anchors = make_anchors(scenario, f, r)
-        x_mm, _, _, iters, resid = _inner_solve(data, _majorant(data, anchors), cfg, x)
-        mm_obj = _true_objective(data, *_unpack(x_mm, b, k))
+        majorant = MajorantCoefficients.from_anchors(anchors, data.d_bits, scenario.compute)
+        x_mm, _, _, iters, resid = _inner_solve(data, majorant, cfg, x)
+        mm_obj = data.true_objective(*_unpack(x_mm, b, k))
         # the stop rule judges the plain MM step; its point is returned as is
         converged = (obj - mm_obj) / obj < cfg.epsilon
         if converged:
@@ -654,14 +597,15 @@ def sca_solve(
         )
         if converged:
             break
-    alloc = _true_allocation(data, p, f, r)
+    alloc = data.allocation(p, f, r)
     trace = SolveTrace(iterations=tuple(records), converged=converged, epsilon=cfg.epsilon)
     return alloc, trace
 
 
 def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     """Verify every constraint of the full problem against the true
-    piecewise latency; reports normalized slacks instead of raising."""
+    piecewise latency; reports normalized slacks instead of raising.  Every
+    comparison is written so that a NaN slack counts as a violation."""
     tol = -1e-6
     b = scenario.budgets
     violations: list[str] = []
@@ -674,7 +618,7 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     slacks["compute"] = (b.f_max_cycles - f_sum) / b.f_max_cycles
     slacks["rate"] = (b.r_max_bits - r_sum) / b.r_max_bits
     for name in ("power", "compute", "rate"):
-        if slacks[name] < tol:
+        if not slacks[name] >= tol:
             violations.append(f"{name} budget exceeded (slack {slacks[name]:.3e})")
 
     time_slack, entropy_slack, split_gap = [], [], []
@@ -682,7 +626,7 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
         t_comp = min_compute_time(la.f_cycles, la.r_bits, loop.data_bits, scenario.compute)
         ts = (loop.cycle_seconds - t_comp - la.t_commu_s) / loop.cycle_seconds
         time_slack.append(ts)
-        if ts < tol:
+        if not ts >= tol:
             violations.append(f"loop {i}: cycle time exceeded (slack {ts:.3e})")
         if not math.isfinite(la.lqr_cost) or la.lqr_cost <= loop.entropy.l_min:
             entropy_slack.append(-math.inf)
@@ -692,17 +636,17 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
             e_need = min_entropy(la.lqr_cost, loop.entropy)
             es = (e_have - e_need) / max(abs(e_need), 1.0)
             entropy_slack.append(es)
-            if es < tol:
+            if not es >= tol:
                 violations.append(f"loop {i}: entropy shortfall (slack {es:.3e})")
         if la.split is not None:
             sp = la.split
             gap = abs(sp.d1 + sp.d2 + sp.d3 - loop.data_bits) / loop.data_bits
             split_gap.append(gap)
-            if gap > -tol:
+            if not gap <= -tol:
                 violations.append(f"loop {i}: split does not cover the data (gap {gap:.3e})")
-            if sp.f1 + sp.f2 > la.f_cycles * (1.0 - tol) + (-tol) * b.f_max_cycles:
+            if not sp.f1 + sp.f2 <= la.f_cycles * (1.0 - tol) + (-tol) * b.f_max_cycles:
                 violations.append(f"loop {i}: split compute exceeds the loop share")
-            if sp.r2 + sp.r3 > la.r_bits * (1.0 - tol) + (-tol) * b.r_max_bits:
+            if not sp.r2 + sp.r3 <= la.r_bits * (1.0 - tol) + (-tol) * b.r_max_bits:
                 violations.append(f"loop {i}: split rate exceeds the loop share")
         else:
             split_gap.append(math.nan)

@@ -129,3 +129,10 @@ def test_evaluate_ignores_split_and_stored_costs():
     assert evaluate_allocation(sc, stripped) == pytest.approx(
         evaluate_allocation(sc, alloc), rel=1e-12
     )
+
+
+def test_evaluate_reproduces_baseline_costs():
+    for p_max_dbw in (5.0, 10.0):  # comm_oriented leaves a loop unstable at 5 dBW
+        sc = generate_scenario(3, {"p_max_dbw": p_max_dbw})
+        for alloc in (power_only_closed_loop(sc), communication_oriented(sc)):
+            assert evaluate_allocation(sc, alloc) == alloc.sum_lqr

@@ -99,8 +99,7 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="p_max_dbw", values=(1.0,), schemes=("magic",))
 
 
-def test_run_sweep_rows_and_inf_encoding(tmp_path, monkeypatch):
-    monkeypatch.setenv("SC3_THREADS", "1")
+def test_run_sweep_rows_and_inf_encoding(tmp_path):
     sweep = SweepSpec(
         parameter="f_max_ghz",
         values=(0.5, 5.0),
@@ -124,18 +123,14 @@ def test_run_sweep_rows_and_inf_encoding(tmp_path, monkeypatch):
     assert float(parsed[1]["sum_lqr"]) > 0.0
 
 
-def test_run_sweep_parallel_order_independent(monkeypatch):
+def test_run_sweep_serial_runs_agree():
     sweep = SweepSpec(
         parameter="p_max_dbw", values=(10.0, 14.0), schemes=("power_only",), seeds=(0, 1)
     )
-    monkeypatch.setenv("SC3_THREADS", "1")
-    serial = run_sweep(sweep)
-    monkeypatch.setenv("SC3_THREADS", "4")
-    parallel = run_sweep(sweep)
     strip = lambda rows: [  # noqa: E731
         {k: v for k, v in r.items() if k != "wall_ms"} for r in rows
     ]
-    assert strip(serial) == strip(parallel)
+    assert strip(run_sweep(sweep)) == strip(run_sweep(sweep))
 
 
 def test_allocation_roundtrip():
@@ -205,6 +200,19 @@ def test_cli_bad_config_exit_code(tmp_path):
     config.write_text(json.dumps({"seed": 0, "overrides": {"nope": 1}}))
     out = tmp_path / "alloc.json"
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("values", ["[Infinity]", "[]"], ids=["infinite_value", "no_values"])
+def test_cli_sweep_bad_spec_ends_in_error_line(tmp_path, capsys, values):
+    text = '{"parameter": "p_max_dbw", "values": %s, "schemes": ["power_only"]}' % values
+    with pytest.raises(BadConfig):
+        SweepSpec.from_dict(json.loads(text))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0}))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(text)
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _explicit_scenario_text(section, key, value):

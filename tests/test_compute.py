@@ -14,6 +14,7 @@ from sc3opt import (
     component_times,
     min_compute_time,
     min_compute_time_batch,
+    min_compute_time_grad,
     optimal_split,
     realized_latency,
     region_time,
@@ -266,8 +267,35 @@ def test_continuity_across_boundaries(params):
 
 def test_batch_matches_scalar(params):
     rng = np.random.default_rng(23)
-    fs = 10.0 ** rng.uniform(6, 10, size=64)
-    rs = 10.0 ** rng.uniform(4, 8, size=64)
+    # random pairs, one pair inside each regime (S1 to S4) and a zero rate
+    fs = np.append(10.0 ** rng.uniform(6, 10, size=64), [1e8, 1e9, 3e9, 8e9, 1e9])
+    rs = np.append(10.0 ** rng.uniform(4, 8, size=64), [1e6, 1e6, 1e6, 1e6, 0.0])
+    ds = 10.0 ** rng.uniform(5, 7, size=fs.size)
+    assert {classify_region(f, r, 1e6, params) for f, r in zip(fs, rs)} == set(RegionLabel)
     batch = min_compute_time_batch(fs, rs, 1e6, params)
-    for i in range(64):
-        assert batch[i] == pytest.approx(min_compute_time(fs[i], rs[i], 1e6, params), rel=1e-12)
+    per_loop = min_compute_time_batch(fs, rs, ds, params)
+    t, _, _ = min_compute_time_grad(fs, rs, ds, params)
+    for i in range(fs.size):
+        assert batch[i] == min_compute_time(fs[i], rs[i], 1e6, params)
+        assert per_loop[i] == t[i] == min_compute_time(fs[i], rs[i], ds[i], params)
+
+
+def test_latency_partials_match_finite_differences():
+    rng = np.random.default_rng(29)
+    seen = set()
+    for _ in range(400):
+        p = random_compute_params(rng)
+        d = 10.0 ** rng.uniform(5, 7)
+        f, r = 10.0 ** rng.uniform(6, 10), 10.0 ** rng.uniform(4, 8)
+        hf, hr = 1e-4 * f, 1e-4 * r
+        region = classify_region(f, r, d, p)
+        around = [(f + hf, r), (f - hf, r), (f, r + hr), (f, r - hr)]
+        if any(classify_region(x, y, d, p) is not region for x, y in around):
+            continue  # a central difference across a boundary measures no partial
+        seen.add(region)
+        t = [min_compute_time(x, y, d, p) for x, y in around]
+        t0, dt_df, dt_dr = min_compute_time_grad(f, r, d, p)
+        # absolute floors sit far above the differences' rounding error
+        assert dt_df == pytest.approx((t[0] - t[1]) / (2.0 * hf), rel=1e-5, abs=1e-9 * t0 / f)
+        assert dt_dr == pytest.approx((t[2] - t[3]) / (2.0 * hr), rel=1e-5, abs=1e-9 * t0 / r)
+    assert seen == set(RegionLabel)

@@ -14,6 +14,7 @@ from sc3opt import (
     intrinsic_entropy,
     lqr_from_entropy,
     min_entropy,
+    riccati_diagonal,
 )
 
 
@@ -168,3 +169,16 @@ def test_entropy_params_validation():
         EntropyParams(n=1, h=1.0, l_min=0.0, c=0.0)
     with pytest.raises(ValueError):
         EntropyParams(n=1, h=math.inf, l_min=0.0, c=1.0)
+
+
+def test_riccati_diagonal_solves_the_scalar_equation():
+    a = np.array([2.0, -0.5, 3.0, 1.5])
+    b = np.array([1.0, 2.0, 0.5, -1.0])
+    q = np.array([1.0, 2.0, 0.5, 1.0])
+    r = np.array([0.0, 0.1, 1.0, 2.0])
+    s = riccati_diagonal(a, b, q, r)
+    assert s[0] == q[0]  # with no control weight the recursion settles at q
+    # positive root of b^2 s^2 + (r (1 - a^2) - q b^2) s - q r = 0
+    lin = r * (1.0 - a * a) - q * b * b
+    exact = (-lin + np.sqrt(lin * lin + 4.0 * b * b * q * r)) / (2.0 * b * b)
+    assert np.allclose(s, exact, rtol=1e-9, atol=0.0)

@@ -11,7 +11,7 @@ from sc3opt import (
     monte_carlo_loop,
     sca_solve,
 )
-from sc3opt import EntropyParams
+from sc3opt import EntropyParams, UnsupportedStructure
 from conftest import symmetric_two_loop_scenario, tight_single_loop_scenario
 
 
@@ -104,3 +104,12 @@ def test_monte_carlo_above_entropy_tracks_floor():
 def test_monte_carlo_rejects_bad_budget():
     with pytest.raises(ValueError):
         monte_carlo_loop(scalar_plant(), 0.0, 1000, 0)
+
+
+def test_monte_carlo_rejects_zero_input_gain():
+    plant = LoopControlSpec(
+        a=np.array([[2.0]]), b_in=np.zeros((1, 1)), c_obs=np.eye(1), q_w=np.eye(1),
+        r_w=np.eye(1), sigma_v2=0.01, sigma_w2=0.0,
+    )
+    with pytest.raises(UnsupportedStructure):
+        monte_carlo_loop(plant, 4.0, 100, 0)

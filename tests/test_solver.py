@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sc3opt import (
     Unstabilizable,
     check_allocation,
     closed_form_lqr,
+    evaluate_allocation,
     generate_scenario,
     make_anchors,
     min_compute_time,
@@ -322,3 +324,23 @@ def test_scenario_validation():
         Budgets(p_max_w=0.0, f_max_cycles=1e9, r_max_bits=1e7)
     with pytest.raises(ValueError):
         make_loop(data_bits=0.0)
+
+
+@pytest.mark.parametrize("field", ["p_w", "t_commu_s"])
+def test_check_allocation_fails_nan(field):
+    sc = generate_scenario(0)
+    alloc, _ = sca_solve(sc)
+    loops = (dataclasses.replace(alloc.loops[0], **{field: math.nan}),) + alloc.loops[1:]
+    assert not check_allocation(sc, Allocation(loops=loops, sum_lqr=alloc.sum_lqr)).ok
+
+
+@pytest.mark.parametrize(
+    "seed, overrides",
+    [(10, {}), (0, {"k_loops": 50, "p_max_dbw": 20.0, "f_max_ghz": 50.0, "r_max_mbps": 500.0})],
+    ids=["k5_seed10", "k50_seed0"],
+)
+def test_returned_cost_is_trace_objective_and_evaluation(seed, overrides):
+    sc = generate_scenario(seed, overrides)
+    alloc, trace = sca_solve(sc)
+    assert alloc.sum_lqr == trace.objectives[-1]
+    assert evaluate_allocation(sc, alloc) == alloc.sum_lqr

@@ -78,6 +78,22 @@ def dbw_to_watts(dbw: float) -> float:
     return 10.0 ** (dbw / 10.0)
 
 
+def _rejects_bad_values(parse):
+    """Re-raise the ValueError a malformed or out-of-range value causes
+    while reading or building a scenario (a bad number, non-finite input,
+    invalid JSON, a budget the model rejects) as BadConfig."""
+
+    @functools.wraps(parse)
+    def wrapper(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except ValueError as exc:
+            raise BadConfig(str(exc)) from exc
+
+    return wrapper
+
+
+@_rejects_bad_values
 def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
     """Deterministic random scenario: robots uniform in a disc around the
     hub, unstable diagonal plants, entropy constants from the builder.
@@ -142,21 +158,6 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _rejects_bad_values(parse):
-    """Re-raise the ValueError a malformed or out-of-range value causes
-    while parsing (a bad number, non-finite input, invalid JSON) as
-    BadConfig."""
-
-    @functools.wraps(parse)
-    def wrapper(*args, **kwargs):
-        try:
-            return parse(*args, **kwargs)
-        except ValueError as exc:
-            raise BadConfig(str(exc)) from exc
-
-    return wrapper
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -291,9 +292,15 @@ def allocation_from_dict(data: dict) -> Allocation:
 
 
 @_rejects_bad_values
-def load_scenario(path: str) -> Scenario:
+def _read_json(path: str):
+    """The JSON document in the file at path."""
     with open(path) as fh:
-        data = json.load(fh)
+        return json.load(fh)
+
+
+@_rejects_bad_values
+def load_scenario(path: str) -> Scenario:
+    data = _read_json(path)
     if "loops" in data:
         return scenario_from_dict(data)
     unknown = set(data) - {"seed", "overrides"}
@@ -426,10 +433,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.sweep) as fh:
-        sweep = SweepSpec.from_dict(json.load(fh))
-    with open(args.config) as fh:
-        data = json.load(fh)
+    sweep = SweepSpec.from_dict(_read_json(args.sweep))
+    data = _read_json(args.config)
     if "loops" in data:
         print("sweeps need a generated scenario config (seed/overrides)", file=sys.stderr)
         return 1
@@ -442,8 +447,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.config)
-    with open(args.alloc) as fh:
-        alloc = allocation_from_dict(json.load(fh))
+    alloc = allocation_from_dict(_read_json(args.alloc))
     report = check_allocation(scenario, alloc)
     print(f"power slack {report.slacks['power']:.3e}")
     print(f"compute slack {report.slacks['compute']:.3e}")

@@ -26,7 +26,10 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
 
     Grids loop 1's (p, f, r) over the budgets; with two loops the remainder
     of each budget goes to loop 2, since every loop's cost is non-increasing
-    in every resource.  Costs use the true minimal computation time.
+    in every resource.  Costs use the true minimal computation time.  The
+    latency does not depend on the power, so it is evaluated once per (f, r)
+    grid point and the costs are formed on the (p, (f, r)) outer product,
+    p varying slowest.
     """
     if scenario.k > 2:
         raise ValueError("the grid oracle only handles one or two loops")
@@ -35,39 +38,38 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     data = LoopData(scenario)
     b = scenario.budgets
     axis = np.linspace(0.0, 1.0, grid_n + 1)
-    pg, fg, rg = (m.ravel() for m in np.meshgrid(axis, axis, axis, indexing="ij"))
+    fg, rg = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
 
     def loop_costs(i: int, p, f, r):
+        """Loop i's window over the (f, r) points and its cost over
+        (p, (f, r)), one row per power."""
         with np.errstate(all="ignore"):
             t_commu = data.t_cycle[i] - min_compute_time_batch(
                 f, r, float(data.d_bits[i]), scenario.compute
             )
-            e = data.bandwidth * t_commu * np.log1p(data.gamma[i] * p) / LN2
+            e = data.bandwidth * t_commu * np.log1p(data.gamma[i] * p)[:, None] / LN2
             good = (t_commu > 0.0) & (e > data.h[i])
             cost = np.full(e.shape, np.inf)
             if good.any():
                 w = 2.0 * (e[good] - data.h[i]) / data.n[i]
                 cost[good] = data.l_min[i] + data.c[i] / np.expm1(w * LN2)
-        return cost
+        return t_commu, cost
 
-    total = loop_costs(0, pg * b.p_max_w, fg * b.f_max_cycles, rg * b.r_max_bits)
+    _, total = loop_costs(0, axis * b.p_max_w, fg * b.f_max_cycles, rg * b.r_max_bits)
     if scenario.k == 2:
         total = total + loop_costs(
-            1, (1.0 - pg) * b.p_max_w, (1.0 - fg) * b.f_max_cycles, (1.0 - rg) * b.r_max_bits
-        )
+            1, (1.0 - axis) * b.p_max_w, (1.0 - fg) * b.f_max_cycles, (1.0 - rg) * b.r_max_bits
+        )[1]
     best = int(np.argmin(total))
-    objective = float(total[best])
-    shares = [(pg[best], fg[best], rg[best])]
+    objective = float(total.flat[best])
+    i_p, i_fr = divmod(best, fg.size)
+    shares = [(axis[i_p], fg[i_fr], rg[i_fr])]
     if scenario.k == 2:
-        shares.append((1.0 - pg[best], 1.0 - fg[best], 1.0 - rg[best]))
+        shares.append((1.0 - axis[i_p], 1.0 - fg[i_fr], 1.0 - rg[i_fr]))
     loops = []
     for i, (sp, sf, sr) in enumerate(shares):
         p_i, f_i, r_i = sp * b.p_max_w, sf * b.f_max_cycles, sr * b.r_max_bits
-        t_comp = float(
-            min_compute_time_batch(np.array([f_i]), np.array([r_i]), float(data.d_bits[i]), scenario.compute)[0]
-        )
-        t_commu = float(data.t_cycle[i]) - t_comp
-        cost = float(loop_costs(i, np.array([p_i]), np.array([f_i]), np.array([r_i]))[0])
+        t_commu, cost = loop_costs(i, np.array([p_i]), np.array([f_i]), np.array([r_i]))
         split = None
         if f_i > 0.0 or r_i > 0.0:
             split = optimal_split(f_i, r_i, float(data.d_bits[i]), scenario.compute)
@@ -76,8 +78,8 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
                 p_w=float(p_i),
                 f_cycles=float(f_i),
                 r_bits=float(r_i),
-                t_commu_s=max(t_commu, 0.0),
-                lqr_cost=cost,
+                t_commu_s=max(float(t_commu[0]), 0.0),
+                lqr_cost=float(cost[0, 0]),
                 split=split,
             )
         )
@@ -107,10 +109,20 @@ def monte_carlo_loop(
     power-of-two level counts.  Diagonal plants run one scalar loop per
     dimension with the bit budget split proportionally to each dimension's
     entropy rate.  Divergence (state beyond the overflow bound) is reported
-    in the result, not raised.
+    in the result, not raised, and ends the run.
+
+    Results are reproducible from ``seed``: one generator feeds the
+    dimensions in order, each taking one block of 1 + per * n_cycles
+    standard normals (per = 2 with sensing noise, 1 without).  A block is
+    consumed as the initial state, then per cycle the reading noise (when
+    sigma_w > 0) followed by the process noise, each scaled by its standard
+    deviation, exactly the draws ``rng.normal(0.0, sigma)`` would give one
+    at a time.
     """
-    if bits_per_cycle <= 0.0:
-        raise ValueError("the bit budget must be positive")
+    if not (math.isfinite(bits_per_cycle) and bits_per_cycle > 0.0):
+        raise ValueError("the bit budget must be positive and finite")
+    if n_cycles < 1:
+        raise ValueError("the run needs at least one cycle")
     n = loop.n
     a_diag = np.diagonal(loop.a).astype(float)
     if np.count_nonzero(loop.a - np.diag(a_diag)) != 0:
@@ -128,6 +140,7 @@ def monte_carlo_loop(
     rng = np.random.default_rng(seed)
     sigma_v = math.sqrt(loop.sigma_v2)
     sigma_w = math.sqrt(loop.sigma_w2)
+    per = 2 if sigma_w > 0.0 else 1
     warmup = max(n_cycles // 10, 1)
 
     cost_sum = 0.0
@@ -137,35 +150,48 @@ def monte_carlo_loop(
 
     for dim in range(n):
         a, b = float(a_diag[dim]), float(b_diag[dim])
+        abs_a = abs(a)
+        q, r = float(q_diag[dim]), float(r_diag[dim])
         gain = float(gains[dim])
         bits = bits_per_cycle * float(weights[dim])
-        slack = 4.0 * (sigma_v + abs(a) * sigma_w)  # noise allowance per cycle
+        slack = 4.0 * (sigma_v + abs_a * sigma_w)  # noise allowance per cycle
         span = max(slack, 1e-12)
-        x = rng.normal(0.0, sigma_v)
+        z = rng.standard_normal(1 + per * n_cycles)
+        x = float(0.0 + sigma_v * z[0])
+        process = (0.0 + sigma_v * z[per::per]).tolist()
+        reading = (0.0 + sigma_w * z[1::2]).tolist() if per == 2 else None
         credit = 0.0
         dim_cost = 0.0
         dim_cycles = 0
         for t in range(n_cycles):
             credit += bits
-            used = min(math.floor(credit), 30)  # whole bits spent this cycle
+            used = math.floor(credit)  # whole bits spent this cycle
+            if used > 30:
+                used = 30
             credit -= used
-            levels = 2 ** int(used)
-            y = x + rng.normal(0.0, sigma_w) if sigma_w > 0.0 else x
-            if abs(y) > span:
-                span = 1.1 * abs(y)  # reading escaped, re-capture it
-            if levels >= 2:
+            levels = 1 << used
+            y = x if reading is None else x + reading[t]
+            abs_y = abs(y)
+            if abs_y > span:
+                span = 1.1 * abs_y  # reading escaped, re-capture it
+            if used:
+                half = levels >> 1
                 delta = 2.0 * span / levels
-                idx = min(max(math.floor(y / delta), -levels // 2), levels // 2 - 1)
+                idx = math.floor(y / delta)
+                if idx < -half:
+                    idx = -half
+                elif idx >= half:
+                    idx = half - 1
                 x_hat = (idx + 0.5) * delta
             else:
                 x_hat = 0.0
             u = -gain * x_hat
             if t >= warmup:
-                dim_cost += q_diag[dim] * x * x + r_diag[dim] * u * u
+                dim_cost += q * x * x + r * u * u
                 dim_cycles += 1
-            x = a * x + b * u + rng.normal(0.0, sigma_v)
-            span = abs(a) * span / max(levels, 1) + slack
-            if not math.isfinite(x) or abs(x) > overflow:
+            x = a * x + b * u + process[t]
+            span = abs_a * span / levels + slack
+            if not -overflow <= x <= overflow:
                 diverged = True
                 ran = min(ran, t + 1)
                 break

@@ -252,3 +252,38 @@ def test_cli_validate_rejects_non_finite_allocation(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--config", str(config), "--alloc", str(alloc)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_sweep_records_rejected_value_and_continues(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0}))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"parameter": "f_max_ghz", "values": [-1.0, 5.0], "schemes": ["power_only"]}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["error:BadConfig", "ok"]
+    assert rows[0]["sum_lqr"] == "inf"
+
+
+@pytest.mark.parametrize("broken", ["sweep", "config", "alloc"])
+def test_cli_truncated_json_ends_in_error_line(tmp_path, capsys, broken):
+    files = {
+        "config": json.dumps({"seed": 0, "overrides": {"k_loops": 2}}),
+        "sweep": json.dumps({"parameter": "p_max_dbw", "values": [10.0], "schemes": ["power_only"]}),
+        "alloc": json.dumps(
+            {"sum_lqr": 1.0, "loops": [{"p_w": 1.0, "f_cycles": 1e9, "r_bits": 1e7, "t_commu_s": 0.05, "lqr_cost": 1.0}]}
+        ),
+    }
+    files[broken] = files[broken][: len(files[broken]) // 2]
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    if broken == "alloc":
+        argv = ["validate", "--config", str(paths["config"]), "--alloc", str(paths["alloc"])]
+    else:
+        argv = ["sweep", "--config", str(paths["config"]), "--sweep", str(paths["sweep"]), "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

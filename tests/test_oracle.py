@@ -1,17 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
 from sc3opt import (
+    Allocation,
+    LoopAllocation,
     LoopControlSpec,
     build_entropy_params,
     convexity_probe,
     generate_scenario,
     grid_search_global,
+    intrinsic_entropy,
+    min_compute_time_batch,
     min_entropy,
     monte_carlo_loop,
+    optimal_split,
+    riccati_diagonal,
     sca_solve,
 )
-from sc3opt import EntropyParams, UnsupportedStructure
+from sc3opt import EntropyParams, McResult, UnsupportedStructure
+from sc3opt.control import LN2
+from sc3opt.solver import LoopData
 from conftest import symmetric_two_loop_scenario, tight_single_loop_scenario
 
 
@@ -101,9 +111,14 @@ def test_monte_carlo_above_entropy_tracks_floor():
     assert costs[-1] <= 3.0 * floor
 
 
-def test_monte_carlo_rejects_bad_budget():
+@pytest.mark.parametrize(
+    "bits, n_cycles",
+    [(0.0, 1000), (math.inf, 1000), (math.nan, 1000), (2.0, 0), (2.0, -5)],
+    ids=["zero_bits", "inf_bits", "nan_bits", "no_cycles", "negative_cycles"],
+)
+def test_monte_carlo_rejects_bad_budget(bits, n_cycles):
     with pytest.raises(ValueError):
-        monte_carlo_loop(scalar_plant(), 0.0, 1000, 0)
+        monte_carlo_loop(scalar_plant(), bits, n_cycles, 0)
 
 
 def test_monte_carlo_rejects_zero_input_gain():
@@ -113,3 +128,165 @@ def test_monte_carlo_rejects_zero_input_gain():
     )
     with pytest.raises(UnsupportedStructure):
         monte_carlo_loop(plant, 4.0, 100, 0)
+
+
+def reference_grid_search(scenario, grid_n):
+    """The grid oracle evaluated on the full 3-D (p, f, r) meshgrid, latency
+    included at every point, kept as the reference for the (f, r)-once
+    version."""
+    data = LoopData(scenario)
+    b = scenario.budgets
+    axis = np.linspace(0.0, 1.0, grid_n + 1)
+    pg, fg, rg = (m.ravel() for m in np.meshgrid(axis, axis, axis, indexing="ij"))
+
+    def loop_costs(i, p, f, r):
+        with np.errstate(all="ignore"):
+            t_commu = data.t_cycle[i] - min_compute_time_batch(
+                f, r, float(data.d_bits[i]), scenario.compute
+            )
+            e = data.bandwidth * t_commu * np.log1p(data.gamma[i] * p) / LN2
+            good = (t_commu > 0.0) & (e > data.h[i])
+            cost = np.full(e.shape, np.inf)
+            if good.any():
+                w = 2.0 * (e[good] - data.h[i]) / data.n[i]
+                cost[good] = data.l_min[i] + data.c[i] / np.expm1(w * LN2)
+        return cost
+
+    total = loop_costs(0, pg * b.p_max_w, fg * b.f_max_cycles, rg * b.r_max_bits)
+    if scenario.k == 2:
+        total = total + loop_costs(
+            1, (1.0 - pg) * b.p_max_w, (1.0 - fg) * b.f_max_cycles, (1.0 - rg) * b.r_max_bits
+        )
+    best = int(np.argmin(total))
+    objective = float(total[best])
+    shares = [(pg[best], fg[best], rg[best])]
+    if scenario.k == 2:
+        shares.append((1.0 - pg[best], 1.0 - fg[best], 1.0 - rg[best]))
+    loops = []
+    for i, (sp, sf, sr) in enumerate(shares):
+        p_i, f_i, r_i = sp * b.p_max_w, sf * b.f_max_cycles, sr * b.r_max_bits
+        t_comp = float(
+            min_compute_time_batch(np.array([f_i]), np.array([r_i]), float(data.d_bits[i]), scenario.compute)[0]
+        )
+        t_commu = float(data.t_cycle[i]) - t_comp
+        cost = float(loop_costs(i, np.array([p_i]), np.array([f_i]), np.array([r_i]))[0])
+        split = None
+        if f_i > 0.0 or r_i > 0.0:
+            split = optimal_split(f_i, r_i, float(data.d_bits[i]), scenario.compute)
+        loops.append(
+            LoopAllocation(
+                p_w=float(p_i),
+                f_cycles=float(f_i),
+                r_bits=float(r_i),
+                t_commu_s=max(t_commu, 0.0),
+                lqr_cost=cost,
+                split=split,
+            )
+        )
+    return Allocation(loops=tuple(loops), sum_lqr=objective), objective
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"k_loops": 1}, {"k_loops": 2}, {"k_loops": 2, "p_max_dbw": -5.0}],
+    ids=["k1", "k2", "k2_low_power"],
+)
+def test_grid_search_matches_full_meshgrid_reference(overrides):
+    for seed in range(4):
+        sc = generate_scenario(seed, overrides)
+        assert grid_search_global(sc, grid_n=12) == reference_grid_search(sc, 12)
+
+
+def reference_monte_carlo(loop, bits_per_cycle, n_cycles, seed):
+    """The Monte-Carlo loop drawing each noise sample with its own
+    ``rng.normal`` call, kept as the reference for the block-drawn one."""
+    n = loop.n
+    a_diag = np.diagonal(loop.a).astype(float)
+    b_diag = np.diagonal(loop.b_in).astype(float) if loop.b_in.shape == (n, n) else np.ones(n)
+    q_diag = np.diagonal(loop.q_w).astype(float)
+    r_diag = np.diagonal(loop.r_w).astype(float) if loop.r_w.shape == (n, n) else np.zeros(n)
+    s = riccati_diagonal(a_diag, b_diag, q_diag, r_diag)
+    gains = a_diag * b_diag * s / (r_diag + b_diag * b_diag * s)
+    h_dims = np.abs(np.log2(np.abs(a_diag)))
+    weights = h_dims / h_dims.sum() if h_dims.sum() > 0 else np.full(n, 1.0 / n)
+    rng = np.random.default_rng(seed)
+    sigma_v = math.sqrt(loop.sigma_v2)
+    sigma_w = math.sqrt(loop.sigma_w2)
+    warmup = max(n_cycles // 10, 1)
+    cost_sum = 0.0
+    diverged = False
+    ran = n_cycles
+    overflow = 1e8 * max(sigma_v, 1e-9)
+    for dim in range(n):
+        a, b = float(a_diag[dim]), float(b_diag[dim])
+        gain = float(gains[dim])
+        bits = bits_per_cycle * float(weights[dim])
+        slack = 4.0 * (sigma_v + abs(a) * sigma_w)
+        span = max(slack, 1e-12)
+        x = rng.normal(0.0, sigma_v)
+        credit = 0.0
+        dim_cost = 0.0
+        dim_cycles = 0
+        for t in range(n_cycles):
+            credit += bits
+            used = min(math.floor(credit), 30)
+            credit -= used
+            levels = 2 ** int(used)
+            y = x + rng.normal(0.0, sigma_w) if sigma_w > 0.0 else x
+            if abs(y) > span:
+                span = 1.1 * abs(y)
+            if levels >= 2:
+                delta = 2.0 * span / levels
+                idx = min(max(math.floor(y / delta), -levels // 2), levels // 2 - 1)
+                x_hat = (idx + 0.5) * delta
+            else:
+                x_hat = 0.0
+            u = -gain * x_hat
+            if t >= warmup:
+                dim_cost += q_diag[dim] * x * x + r_diag[dim] * u * u
+                dim_cycles += 1
+            x = a * x + b * u + rng.normal(0.0, sigma_v)
+            span = abs(a) * span / max(levels, 1) + slack
+            if not math.isfinite(x) or abs(x) > overflow:
+                diverged = True
+                ran = min(ran, t + 1)
+                break
+        if dim_cycles > 0:
+            cost_sum += dim_cost / dim_cycles
+        if diverged:
+            break
+    cost = math.inf if diverged else cost_sum
+    return McResult(empirical_cost=cost, diverged=diverged, cycles=ran)
+
+
+def _second_mode_unstable():
+    # mode 0 is stable and never diverges; mode 1 gets too few bits
+    return LoopControlSpec(
+        a=np.diag([0.5, -6.0]), b_in=np.diag([1.0, 0.5]), c_obs=np.eye(2), q_w=np.eye(2),
+        r_w=np.diag([0.0, 0.3]), sigma_v2=0.01, sigma_w2=0.001,
+    )
+
+
+@pytest.mark.parametrize(
+    "plant, h_mults, n_cycles",
+    [
+        (scalar_plant(), (0.9, 1.1, 2.0, 10.0), 500),
+        (scalar_plant(sigma_w2=0.002), (0.9, 1.1, 2.0, 10.0), 500),
+        (_second_mode_unstable(), (0.9, 2.0), 400),
+        (generate_scenario(3, {"n_state": 6}).loops[0].control, (0.9, 2.0), 300),
+    ],
+    ids=["scalar_quiet", "scalar_noisy", "second_mode_diverges", "generated_n6"],
+)
+def test_monte_carlo_matches_per_draw_reference(plant, h_mults, n_cycles):
+    h = intrinsic_entropy(plant.a)
+    for mult in h_mults:
+        for seed in range(3):
+            got = monte_carlo_loop(plant, mult * h, n_cycles, seed)
+            assert got == reference_monte_carlo(plant, mult * h, n_cycles, seed)
+
+
+def test_second_mode_divergence_ends_the_run():
+    # mode 0 is stable, so the divergence and its cycle count come from mode 1
+    plant = _second_mode_unstable()
+    res = monte_carlo_loop(plant, 0.9 * intrinsic_entropy(plant.a), 400, 0)
+    assert res.diverged and res.cycles < 400

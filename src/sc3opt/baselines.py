@@ -57,17 +57,16 @@ def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
 def _power_objective(data: LoopData, t_commu: np.ndarray):
     """Reduced objective in normalized power only, windows held fixed."""
     b = data.scenario.budgets
-    bw = data.bandwidth
+    bw_t = data.bandwidth * t_commu
     inf_grad = np.zeros(data.k)
 
     def value_grad(x):
-        p = x * b.p_max_w
-        se = data.spectral(p)
-        e = bw * t_commu * se
-        if not np.all(e > data.h):
+        snr = data.gamma * (x * b.p_max_w)
+        e = bw_t * data.spectral(snr)
+        if not (e > data.h).all():
             return math.inf, inf_grad
         l, dl = data.lqr_terms(e)
-        de_dp = bw * t_commu * data.gamma / ((1.0 + data.gamma * p) * LN2)
+        de_dp = bw_t * data.gamma / ((1.0 + snr) * LN2)
         return float(l.sum()), dl * de_dp * b.p_max_w
 
     return value_grad
@@ -85,9 +84,7 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
     p0 = feasible_power_init(data, t_commu, "power-only baseline")
     fun = _power_objective(data, t_commu)
     project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
-    x, _, _, _, _ = spg(
-        fun, project, p0 / b.p_max_w, cfg.inner_tol, cfg.inner_max_iters, "power-only baseline"
-    )
+    x = spg(fun, project, p0 / b.p_max_w, cfg.inner_tol, cfg.inner_max_iters, "power-only baseline")[0]
     return data.allocation(x * b.p_max_w, f, r, t_commu)
 
 
@@ -119,7 +116,7 @@ def communication_oriented(scenario: Scenario, config: SolverConfig | None = Non
     project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
     x0 = np.full(k, 1.0 / k)
     try:
-        x, _, _, _, _ = spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "compute split")
+        x = spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "compute split")[0]
     except NoConvergence:
         x = x0  # the equal split is a valid, if unpolished, fallback
     p = water_filling(data.gamma, b.p_max_w)

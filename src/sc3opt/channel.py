@@ -32,8 +32,15 @@ class LinkParams:
                 raise ValueError(f"{name} must be positive")
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def channel_gain(d: float, params: LinkParams) -> float:
     """Inverse-square path gain gamma0 / d^2 at distance d meters."""
+    _require_finite(distance=d)
     if d <= 0.0:
         raise ValueError("distance must be positive")
     return params.gamma0 / (d * d)
@@ -41,6 +48,7 @@ def channel_gain(d: float, params: LinkParams) -> float:
 
 def spectral_efficiency(p: float, g: float, params: LinkParams) -> float:
     """log2(1 + g p / sigma^2) bits/s/Hz; concave and increasing in p."""
+    _require_finite(power=p, gain=g)
     if p < 0.0:
         raise ValueError("power must be nonnegative")
     return math.log1p(g * p / params.noise_power_w) / LN2
@@ -48,6 +56,7 @@ def spectral_efficiency(p: float, g: float, params: LinkParams) -> float:
 
 def entropy_per_cycle(p: float, t_commu: float, d: float, params: LinkParams) -> float:
     """Bits deliverable in one cycle's communication window of t_commu seconds."""
+    _require_finite(communication_time=t_commu)
     if t_commu < 0.0:
         raise ValueError("communication time must be nonnegative")
     return params.bandwidth_hz * t_commu * spectral_efficiency(p, channel_gain(d, params), params)
@@ -56,6 +65,7 @@ def entropy_per_cycle(p: float, t_commu: float, d: float, params: LinkParams) ->
 def power_for_entropy(e: float, t_commu: float, d: float, params: LinkParams) -> float:
     """Transmit power delivering e bits in t_commu seconds; inverse of
     entropy_per_cycle in p."""
+    _require_finite(entropy=e, communication_time=t_commu)
     if e < 0.0:
         raise ValueError("entropy must be nonnegative")
     if t_commu <= 0.0:

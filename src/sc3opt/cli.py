@@ -293,9 +293,13 @@ def allocation_from_dict(data: dict) -> Allocation:
 
 @_rejects_bad_values
 def _read_json(path: str):
-    """The JSON document in the file at path."""
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in the file at path; an unreadable file is a
+    BadConfig like a malformed one."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise BadConfig(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 @_rejects_bad_values

@@ -140,6 +140,8 @@ class IterationRecord:
     inner_residual: float
     # accepted multiple of the round's majorize-minimize step (1.0: the MM point)
     step_scale: float = 1.0
+    # objective evaluations in the round's SPG run (0: no inner solve)
+    inner_evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,12 @@ class LoopData:
         self.n = np.array([float(lp.entropy.n) for lp in loops])
         self.c = np.array([lp.entropy.c for lp in loops])
         self.l_min = np.array([lp.entropy.l_min for lp in loops])
+        self.dl_scale = -(2.0 * LN2 / self.n) * self.c  # dl = dl_scale 2^-w / (1 - 2^-w)^2
         self.d_bits = np.array([lp.data_bits for lp in loops])
         self.t_cycle = np.array([lp.cycle_seconds for lp in loops])
+        b = scenario.budgets
+        # x.reshape(3, k) * budget_col turns normalized x into rows p, f, r
+        self.budget_col = np.array([[b.p_max_w], [b.f_max_cycles], [b.r_max_bits]])
 
     def lqr_terms(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-loop cost and its derivative in delivered entropy (e > h)."""
@@ -192,11 +198,12 @@ class LoopData:
         zinv = np.exp2(-w)
         denom = -np.expm1(-w * LN2)  # 1 - 2^-w, accurate for small w
         l = self.l_min + self.c * zinv / denom
-        dl = -(2.0 * LN2 / self.n) * self.c * zinv / (denom * denom)
+        dl = self.dl_scale * zinv / (denom * denom)
         return l, dl
 
-    def spectral(self, p: np.ndarray) -> np.ndarray:
-        return np.log1p(self.gamma * p) / LN2
+    def spectral(self, snr: np.ndarray) -> np.ndarray:
+        """Per-loop spectral efficiency (bits/s/Hz) at SNR gamma * p."""
+        return np.log1p(snr) / LN2
 
     def true_min_times(self, f: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.array(
@@ -210,7 +217,7 @@ class LoopData:
         """Per-loop cost at power p and communication window t_commu;
         infinite for a loop whose entropy does not exceed its intrinsic rate."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e = self.bandwidth * t_commu * self.spectral(p)
+            e = self.bandwidth * t_commu * self.spectral(self.gamma * p)
             l, _ = self.lqr_terms(e)
         return np.where((t_commu > 0.0) & (e > self.h), l, math.inf)
 
@@ -241,10 +248,6 @@ class LoopData:
 
 def _pack(p, f, r, b: Budgets) -> np.ndarray:
     return np.concatenate([p / b.p_max_w, f / b.f_max_cycles, r / b.r_max_bits])
-
-
-def _unpack(x: np.ndarray, b: Budgets, k: int):
-    return x[:k] * b.p_max_w, x[k : 2 * k] * b.f_max_cycles, x[2 * k :] * b.r_max_bits
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +282,10 @@ def project_budget_simplex(v: np.ndarray, total: float) -> np.ndarray:
 
 
 _SPG_STEP_FLOOR = 1e-9  # below this the projected direction is rounding noise
-_SPG_STALL_LIMIT = 100
+# objective evaluations without a decrease beyond float64 resolution before
+# SPG gives up; counting evaluations rather than steps keeps a run parked on
+# a kink from spending dozens of Armijo halvings per fruitless step
+_SPG_STALL_EVALS = 100
 
 
 def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: str):
@@ -287,43 +293,48 @@ def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: s
 
     Searches along the projected-arc direction with Armijo backtracking and
     a Barzilai-Borwein trial step.  Stops when the prox residual of the
-    relative-scaled gradient drops below tol, or when the objective stops
-    improving at float64 resolution (the measured residual then sits at its
-    numerical floor; it is still returned for inspection).  Returns
-    (x, value, gradient, iterations, residual).
+    relative-scaled gradient drops below tol, or after 100 objective
+    evaluations without a decrease beyond float64 resolution (the measured
+    residual then sits at its numerical floor; it is still returned for
+    inspection).  Returns (x, value, gradient, iterations, residual,
+    evaluations), the last counting every call of value_grad.
     """
     x = project(np.array(x0, dtype=float))
     val, grad = value_grad(x)
+    evals = 1
     if not math.isfinite(val):
         raise InfeasibleSubproblem(f"{what}: start point is infeasible")
     val_floor = 8.0 * np.finfo(float).eps
     step = 1.0
-    stall = 0
+    stall = 0  # objective evaluations since the last real decrease
     resid = math.inf
     for it in range(max_iters):
         scale = max(abs(val), 1e-300)
         resid = float(np.max(np.abs(x - project(x - grad / scale))))
-        if resid <= tol or stall >= _SPG_STALL_LIMIT:
-            return x, val, grad, it, resid
+        if resid <= tol or stall >= _SPG_STALL_EVALS:
+            return x, val, grad, it, resid, evals
         d = project(x - step * grad) - x
         slope = float(grad @ d)
-        if slope >= 0.0 or not np.any(d):
+        if slope >= 0.0 or not d.any():
             step = max(step * 0.25, _SPG_STEP_FLOOR)
             stall += 1
             continue
         lam, moved = 1.0, False
+        tries = 0
         while lam >= 1e-20:
             x_try = x + lam * d
             val_try, grad_try = value_grad(x_try)
+            tries += 1
             if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
                 moved = True
                 break
             lam *= 0.5
+        evals += tries
         if not moved:
             step = max(step * 0.25, _SPG_STEP_FLOOR)
-            stall += 1
+            stall += tries
             continue
-        stall = stall + 1 if val - val_try <= val_floor * abs(val) else 0
+        stall = stall + tries if val - val_try <= val_floor * abs(val) else 0
         s_vec = x_try - x
         y_vec = grad_try - grad
         sy = float(s_vec @ y_vec)
@@ -339,34 +350,34 @@ def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: s
 
 def _joint_objective(data: LoopData, majorant: MajorantCoefficients):
     """Surrogate-tight reduced objective over normalized (p, f, r)."""
-    b = data.scenario.budgets
     k = data.k
     bw = data.bandwidth
+    budget_col = data.budget_col
     inf_grad = np.zeros(3 * k)
 
     def value_grad(x):
-        p, f, r = _unpack(x, b, k)
+        p, f, r = x.reshape(3, k) * budget_col
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tbar, dtf, dtr = surrogate_batch(f, r, majorant)
             t_commu = data.t_cycle - tbar
-            if not np.all(t_commu > 0.0):
+            if not (t_commu > 0.0).all():
                 return math.inf, inf_grad
-            se = data.spectral(p)
-            e = bw * t_commu * se
-            if not np.all(e > data.h):
+            snr = data.gamma * p
+            se = data.spectral(snr)
+            bw_t = bw * t_commu
+            e = bw_t * se
+            if not (e > data.h).all():
                 return math.inf, inf_grad
             l, dl = data.lqr_terms(e)
-            de_dp = bw * t_commu * data.gamma / ((1.0 + data.gamma * p) * LN2)
-            de_df = -bw * se * dtf
-            de_dr = -bw * se * dtr
-            grad = np.concatenate(
-                [
-                    dl * de_dp * b.p_max_w,
-                    dl * de_df * b.f_max_cycles,
-                    dl * de_dr * b.r_max_bits,
-                ]
-            )
-        return float(l.sum()), grad
+            # rows: de/dp, de/df, de/dr, then chained through dl and the budgets
+            grad = np.empty((3, k))
+            np.divide(bw_t * data.gamma, (1.0 + snr) * LN2, out=grad[0])
+            neg_bw_se = -bw * se
+            np.multiply(neg_bw_se, dtf, out=grad[1])
+            np.multiply(neg_bw_se, dtr, out=grad[2])
+            grad *= dl
+            grad *= budget_col
+        return float(l.sum()), grad.reshape(-1)
 
     return value_grad
 
@@ -484,7 +495,6 @@ def _extrapolate(data: LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: f
     step_scale), step_scale being the multiple of the MM step from x_prev
     (1.0 when every trial is rejected).
     """
-    b = data.scenario.budgets
     k = data.k
     step = x_mm - x_prev
     best = (x_mm, obj_mm, 1.0)
@@ -495,7 +505,7 @@ def _extrapolate(data: LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: f
         # trial itself, so the trial is a feasible warm start for it
         if x.min() < 2.0 * ANCHOR_FLOOR or x.reshape(3, k).sum(1).max() > 1.0 + _BUDGET_SLACK:
             break
-        obj = data.true_objective(*_unpack(x, b, k))
+        obj = data.true_objective(*x.reshape(3, k) * data.budget_col)
         if not obj < best[1]:
             break
         best = (x, obj, 1.0 + t)
@@ -526,8 +536,8 @@ def solve_inner(
         except Infeasible as exc:
             raise InfeasibleSubproblem(str(exc), report=exc.report) from None
         x0 = _pack(p, f, r, scenario.budgets)
-    x, _, _, _, _ = _inner_solve(data, majorant, cfg, x0)
-    p, f, r = _unpack(x, scenario.budgets, data.k)
+    x = _inner_solve(data, majorant, cfg, x0)[0]
+    p, f, r = x.reshape(3, data.k) * data.budget_col
     return data.allocation(p, f, r, data.t_cycle - surrogate_batch(f, r, majorant)[0])
 
 
@@ -577,15 +587,15 @@ def sca_solve(
     for _ in range(cfg.max_outer_iters):
         anchors = make_anchors(scenario, f, r)
         majorant = MajorantCoefficients.from_anchors(anchors, data.d_bits, scenario.compute)
-        x_mm, _, _, iters, resid = _inner_solve(data, majorant, cfg, x)
-        mm_obj = data.true_objective(*_unpack(x_mm, b, k))
+        x_mm, _, _, iters, resid, evals = _inner_solve(data, majorant, cfg, x)
+        mm_obj = data.true_objective(*x_mm.reshape(3, k) * data.budget_col)
         # the stop rule judges the plain MM step; its point is returned as is
         converged = (obj - mm_obj) / obj < cfg.epsilon
         if converged:
             x, obj, scale = x_mm, mm_obj, 1.0
         else:
             x, obj, scale = _extrapolate(data, x, x_mm, mm_obj)
-        p, f, r = _unpack(x, b, k)
+        p, f, r = x.reshape(3, k) * data.budget_col
         records.append(
             IterationRecord(
                 objective=obj,
@@ -593,6 +603,7 @@ def sca_solve(
                 inner_iterations=iters,
                 inner_residual=resid,
                 step_scale=scale,
+                inner_evaluations=evals,
             )
         )
         if converged:
@@ -632,7 +643,10 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
             entropy_slack.append(-math.inf)
             violations.append(f"loop {i}: cost unachievable (lqr {la.lqr_cost})")
         else:
-            e_have = entropy_per_cycle(la.p_w, la.t_commu_s, loop.distance_m, scenario.link)
+            try:
+                e_have = entropy_per_cycle(la.p_w, la.t_commu_s, loop.distance_m, scenario.link)
+            except ValueError:  # a non-finite or negative power or window
+                e_have = -math.inf
             e_need = min_entropy(la.lqr_cost, loop.entropy)
             es = (e_have - e_need) / max(abs(e_need), 1.0)
             entropy_slack.append(es)

@@ -103,3 +103,24 @@ def test_link_params_reject_non_finite(field, bad):
     values = {"bandwidth_hz": 5000.0, "gamma0": 1e-6, "noise_power_w": 1e-14, "uav_height_m": 100.0}
     with pytest.raises(ValueError):
         LinkParams(**{**values, field: bad})
+
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call, good",
+    [
+        (channel_gain, (100.0,)),
+        (spectral_efficiency, (10.0, 1e-10)),
+        (entropy_per_cycle, (10.0, 0.05, 100.0)),
+        (power_for_entropy, (10.0, 0.05, 100.0)),
+    ],
+    ids=lambda v: getattr(v, "__name__", ""),
+)
+def test_channel_functions_reject_non_finite(link, call, good, bad):
+    call(*good, link)
+    for position in range(len(good)):
+        args = list(good)
+        args[position] = bad
+        with pytest.raises(ValueError):
+            call(*args, link)

@@ -287,3 +287,22 @@ def test_cli_truncated_json_ends_in_error_line(tmp_path, capsys, broken):
         argv = ["sweep", "--config", str(paths["config"]), "--sweep", str(paths["sweep"]), "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("missing", ["config", "sweep", "alloc"])
+def test_cli_missing_file_ends_in_error_line(tmp_path, capsys, missing):
+    paths = {name: tmp_path / f"{name}.json" for name in ("config", "sweep", "alloc")}
+    paths["config"].write_text(json.dumps({"seed": 0, "overrides": {"k_loops": 2}}))
+    paths["sweep"].write_text(json.dumps({"parameter": "p_max_dbw", "values": [10.0], "schemes": ["power_only"]}))
+    assert main(["solve", "--config", str(paths["config"]), "--out", str(paths["alloc"])]) == 0
+    paths[missing].unlink()
+    capsys.readouterr()
+    if missing == "alloc":
+        argv = ["validate", "--config", str(paths["config"]), "--alloc", str(paths["alloc"])]
+    elif missing == "sweep":
+        argv = ["sweep", "--config", str(paths["config"]), "--sweep", str(paths["sweep"]), "--out", str(tmp_path / "rows.csv")]
+    else:
+        argv = ["solve", "--config", str(paths["config"]), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(paths[missing]) in err

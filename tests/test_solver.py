@@ -142,6 +142,17 @@ def test_quick_seeds_take_plain_mm_steps(seed):
     assert [rec.step_scale for rec in trace.iterations] == [1.0] * len(trace.iterations)
 
 
+def test_trace_counts_inner_evaluations():
+    # seed 10 parks two inner solves on the S1/S2 kink of the majorant; the
+    # stall budget counted in evaluations ends them after ~100 fruitless calls
+    _, trace = sca_solve(generate_scenario(10))
+    assert trace.converged and len(trace.iterations) - 1 == 7
+    assert trace.iterations[0].inner_evaluations == 0
+    evals = [rec.inner_evaluations for rec in trace.iterations[1:]]
+    assert all(n > rec.inner_iterations for n, rec in zip(evals, trace.iterations[1:]))
+    assert sum(evals) <= 5_000
+
+
 def test_interior_guard_keeps_solution_feasible():
     # a round whose start share lies above the anchor floor F and whose MM
     # point lands at or below it has a first trial 2 x_mm - x_prev below F,

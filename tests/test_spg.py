@@ -1,0 +1,240 @@
+"""The inner solve against its predecessors: the spectral projected
+gradient (SPG) and the reduced objective it minimizes.
+
+``spg`` stops after 100 objective evaluations without a decrease beyond
+float64 resolution.  Its predecessor, kept below as the reference, counted
+100 *steps* instead, however many Armijo halvings each took.  Nothing else
+differs, so a run that ends at tolerance must be the same run bit for bit,
+and a run parked on a kink must leave far sooner, at the same value to
+float64 resolution.  The reduced objective only regrouped its arithmetic,
+so it must return the reference's bits at every point a solve evaluates.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import sc3opt.baselines
+import sc3opt.solver
+from sc3opt import (
+    InfeasibleSubproblem,
+    NoConvergence,
+    communication_oriented,
+    generate_scenario,
+    power_only_closed_loop,
+    sca_solve,
+)
+from sc3opt.control import LN2
+from sc3opt.solver import project_budget_simplex, spg
+from sc3opt.surrogate import surrogate_batch
+
+VAL_FLOOR = 8.0 * np.finfo(float).eps  # spg's "real decrease" threshold, relative
+LINE_SEARCH_EVALS = 67  # halvings from 1 while the step stays >= 1e-20
+
+
+def reference_spg(value_grad, project, x0, tol, max_iters, what):
+    """spg with the stall budget counted in steps (limit 100)."""
+    x = project(np.array(x0, dtype=float))
+    val, grad = value_grad(x)
+    if not math.isfinite(val):
+        raise InfeasibleSubproblem(f"{what}: start point is infeasible")
+    val_floor = 8.0 * np.finfo(float).eps
+    step = 1.0
+    stall = 0
+    resid = math.inf
+    for it in range(max_iters):
+        scale = max(abs(val), 1e-300)
+        resid = float(np.max(np.abs(x - project(x - grad / scale))))
+        if resid <= tol or stall >= 100:
+            return x, val, grad, it, resid
+        d = project(x - step * grad) - x
+        slope = float(grad @ d)
+        if slope >= 0.0 or not np.any(d):
+            step = max(step * 0.25, 1e-9)
+            stall += 1
+            continue
+        lam, moved = 1.0, False
+        while lam >= 1e-20:
+            x_try = x + lam * d
+            val_try, grad_try = value_grad(x_try)
+            if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
+                moved = True
+                break
+            lam *= 0.5
+        if not moved:
+            step = max(step * 0.25, 1e-9)
+            stall += 1
+            continue
+        stall = stall + 1 if val - val_try <= val_floor * abs(val) else 0
+        s_vec = x_try - x
+        y_vec = grad_try - grad
+        sy = float(s_vec @ y_vec)
+        step = min(float(s_vec @ s_vec) / sy, 1e10) if sy > 1e-300 else min(step * 2.0, 1e10)
+        step = max(step, 1e-9)
+        x, val, grad = x_try, val_try, grad_try
+    raise NoConvergence(f"{what}: projected gradient exceeded {max_iters} iterations")
+
+
+def reference_joint_objective(data, majorant):
+    """The reduced objective with one product per gradient block, joined by
+    np.concatenate."""
+    b = data.scenario.budgets
+    k = data.k
+    bw = data.bandwidth
+    inf_grad = np.zeros(3 * k)
+
+    def value_grad(x):
+        p, f, r = x[:k] * b.p_max_w, x[k : 2 * k] * b.f_max_cycles, x[2 * k :] * b.r_max_bits
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tbar, dtf, dtr = surrogate_batch(f, r, majorant)
+            t_commu = data.t_cycle - tbar
+            if not np.all(t_commu > 0.0):
+                return math.inf, inf_grad
+            se = np.log1p(data.gamma * p) / LN2
+            e = bw * t_commu * se
+            if not np.all(e > data.h):
+                return math.inf, inf_grad
+            w = 2.0 * (e - data.h) / data.n
+            zinv = np.exp2(-w)
+            denom = -np.expm1(-w * LN2)
+            l = data.l_min + data.c * zinv / denom
+            dl = -(2.0 * LN2 / data.n) * data.c * zinv / (denom * denom)
+            de_dp = bw * t_commu * data.gamma / ((1.0 + data.gamma * p) * LN2)
+            de_df = -bw * se * dtf
+            de_dr = -bw * se * dtr
+            grad = np.concatenate(
+                [dl * de_dp * b.p_max_w, dl * de_df * b.f_max_cycles, dl * de_dr * b.r_max_bits]
+            )
+        return float(l.sum()), grad
+
+    return value_grad
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _twin_spg(outcomes: list):
+    """spg that reruns each call ending at tolerance through the reference
+    and records (new result, reference result); stall exits record None."""
+
+    def run(value_grad, project, x0, tol, max_iters, what):
+        got = spg(value_grad, project, x0, tol, max_iters, what)
+        ref = reference_spg(value_grad, project, x0, tol, max_iters, what) if got[4] <= tol else None
+        outcomes.append((got, ref))
+        return got
+
+    return run
+
+
+def _assert_bit_identical(outcomes):
+    compared = [(got, ref) for got, ref in outcomes if ref is not None]
+    assert compared
+    for got, ref in compared:
+        x, val, grad, iters, resid, _ = got
+        rx, rval, rgrad, riters, rresid = ref
+        assert _bits(x) == _bits(rx)
+        assert _bits(val) == _bits(rval)
+        assert _bits(grad) == _bits(rgrad)
+        assert iters == riters
+        assert _bits(resid) == _bits(rresid)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solver_rounds_at_tolerance_match_reference(monkeypatch, seed):
+    outcomes = []
+    monkeypatch.setattr(sc3opt.solver, "spg", _twin_spg(outcomes))
+    _, trace = sca_solve(generate_scenario(seed))
+    assert len(outcomes) == len(trace.iterations) - 1  # one SPG run per round
+    _assert_bit_identical(outcomes)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_baseline_runs_at_tolerance_match_reference(monkeypatch, seed):
+    outcomes = []
+    monkeypatch.setattr(sc3opt.baselines, "spg", _twin_spg(outcomes))
+    sc = generate_scenario(seed)
+    power_only_closed_loop(sc)
+    communication_oriented(sc)
+    assert len(outcomes) == 2
+    _assert_bit_identical(outcomes)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 10])
+def test_joint_objective_matches_reference(monkeypatch, seed):
+    # seeds 3 and 10 park rounds on the majorant's kink, so their solves also
+    # evaluate points where the S1 branch of the max is active
+    evaluated = []
+    joint_objective = sc3opt.solver._joint_objective
+
+    def checked(data, majorant):
+        fun = joint_objective(data, majorant)
+        ref = reference_joint_objective(data, majorant)
+
+        def value_grad(x):
+            val, grad = fun(x)
+            ref_val, ref_grad = ref(x)
+            assert _bits(val) == _bits(ref_val)
+            assert _bits(grad) == _bits(ref_grad)
+            evaluated.append(math.isfinite(val))
+            return val, grad
+
+        return value_grad
+
+    monkeypatch.setattr(sc3opt.solver, "_joint_objective", checked)
+    sca_solve(generate_scenario(seed))
+    assert sum(evaluated) > 100
+
+
+def _kink_problem():
+    """1 + max(|x - c1|^2, |x - c2|^2) over {x >= 0, sum(x) <= 1}.
+
+    The centers are mirror images about m = (0.1, 0.2, 0.3), so the
+    minimizer m lies on the kink where both pieces are equal, inside the
+    simplex.  Each evaluation returns the active piece's gradient and is
+    logged.
+    """
+    m = np.array([0.1, 0.2, 0.3])
+    e = 0.05 * np.array([1.0, -2.0, 0.5])
+    c1, c2 = m + e, m - e
+    log = []
+
+    def value_grad(x):
+        q1 = float((x - c1) @ (x - c1))
+        q2 = float((x - c2) @ (x - c2))
+        val, grad = (1.0 + q1, 2.0 * (x - c1)) if q1 >= q2 else (1.0 + q2, 2.0 * (x - c2))
+        log.append(val)
+        return val, grad
+
+    return value_grad, log
+
+
+def _evals_after_last_decrease(log):
+    """Evaluations after the last one that undercut every earlier value by
+    more than float64 resolution."""
+    last, best = 0, log[0]
+    for i, v in enumerate(log[1:], start=1):
+        if v < best - VAL_FLOOR * abs(best):
+            last = i
+        best = min(best, v)
+    return len(log) - 1 - last
+
+
+def test_kink_stall_exit_is_counted_in_evaluations():
+    project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
+    x0 = np.array([0.5, 0.1, 0.05])
+    tol, max_iters = 1e-7, 100_000
+
+    fun, log = _kink_problem()
+    x, val, _, iters, resid, evals = spg(fun, project, x0, tol, max_iters, "kink")
+    ref_fun, ref_log = _kink_problem()
+    ref_val = reference_spg(ref_fun, project, x0, tol, max_iters, "kink")[1]
+
+    assert evals == len(log)
+    assert resid > tol and iters < max_iters  # the stall exit, not tolerance or the cap
+    assert _evals_after_last_decrease(log) <= 100 + LINE_SEARCH_EVALS
+    # the step-counted rule spends far more after the same last decrease
+    assert _evals_after_last_decrease(ref_log) > 100 + LINE_SEARCH_EVALS
+    # both stop on gains below float64 resolution, so their values agree to it
+    assert val <= ref_val + VAL_FLOOR * abs(ref_val)

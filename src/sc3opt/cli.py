@@ -8,13 +8,15 @@ core only ever sees watts, cycles/s, bits/s and seconds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +38,8 @@ from .solver import (
 )
 from .surrogate import SurrogateAnchor, convex_compute_time
 
-SWEEP_PARAMETERS = ("p_max_dbw", "f_max_ghz", "r_max_mbps", "sigma_v2")
+BUDGET_PARAMETERS = ("p_max_dbw", "f_max_ghz", "r_max_mbps")
+SWEEP_PARAMETERS = BUDGET_PARAMETERS + ("sigma_v2",)
 SCHEMES = ("sca", "power_only", "comm_oriented")
 
 # generation defaults; the data size per cycle is a modeling choice, picked
@@ -93,6 +96,15 @@ def _rejects_bad_values(parse):
     return wrapper
 
 
+def _budgets(cfg: dict) -> Budgets:
+    """The budgets a generation config names, in model units."""
+    return Budgets(
+        p_max_w=dbw_to_watts(float(cfg["p_max_dbw"])),
+        f_max_cycles=float(cfg["f_max_ghz"]) * 1e9,
+        r_max_bits=float(cfg["r_max_mbps"]) * 1e6,
+    )
+
+
 @_rejects_bad_values
 def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
     """Deterministic random scenario: robots uniform in a disc around the
@@ -123,11 +135,7 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
         rho=float(cfg["rho"]),
         tau=float(cfg["tau_s"]),
     )
-    budgets = Budgets(
-        p_max_w=dbw_to_watts(float(cfg["p_max_dbw"])),
-        f_max_cycles=float(cfg["f_max_ghz"]) * 1e9,
-        r_max_bits=float(cfg["r_max_mbps"]) * 1e6,
-    )
+    budgets = _budgets(cfg)
 
     loops = []
     for _ in range(k):
@@ -351,13 +359,13 @@ class SweepSpec:
 CSV_HEADER = ("param_value", "scheme", "seed", "sum_lqr", "status", "iterations", "wall_ms")
 
 
-def _run_cell(parameter, value, scheme, seed, base_overrides, config):
-    start = time.perf_counter()
+def _run_cell(scenario, value, scheme, seed, config, start):
+    """One row: ``scheme`` on ``scenario``, which may instead be the Sc3Error
+    building it raised; ``wall_ms`` counts from ``start``."""
     iterations = 0
     try:
-        overrides = dict(base_overrides or {})
-        overrides[parameter] = value
-        scenario = generate_scenario(seed, overrides)
+        if isinstance(scenario, Sc3Error):
+            raise scenario
         if scheme == "sca":
             alloc, trace = sca_solve(scenario, config)
             iterations = len(trace.iterations) - 1
@@ -383,20 +391,50 @@ def _run_cell(parameter, value, scheme, seed, base_overrides, config):
     }
 
 
+@_rejects_bad_values
+def _with_budgets(scenario: Scenario, overrides: dict) -> Scenario:
+    """``scenario`` with the budgets the generation overrides name."""
+    return replace(scenario, budgets=_budgets({**DEFAULTS, **overrides}))
+
+
+def _seed_rows(sweep, seed, base_overrides, config):
+    """One seed's rows in (value, scheme) order.  Every scheme of a value
+    shares its scenario; a budget sweep draws the seed's loops only once."""
+    rows = []
+    drawn = None
+    for value in sweep.values:
+        overrides = {**(base_overrides or {}), sweep.parameter: value}
+        start = time.perf_counter()
+        try:
+            if drawn is not None and sweep.parameter in BUDGET_PARAMETERS:
+                scenario = _with_budgets(drawn, overrides)
+            else:
+                scenario = drawn = generate_scenario(seed, overrides)
+        except Sc3Error as exc:
+            scenario = exc
+        for scheme in sweep.schemes:
+            rows.append(_run_cell(scenario, value, scheme, seed, config, start))
+            start = time.perf_counter()
+    return rows
+
+
 def run_sweep(
     sweep: SweepSpec,
     base_overrides: dict | None = None,
     config: SolverConfig | None = None,
 ) -> list[dict]:
-    """All sweep cells, run one after another in (value, scheme, seed)
-    order; failures are encoded in the status column and never abort the
-    sweep."""
-    return [
-        _run_cell(sweep.parameter, value, scheme, seed, base_overrides, config)
-        for value in sweep.values
-        for scheme in sweep.schemes
-        for seed in sweep.seeds
-    ]
+    """All sweep cells, one row each in (value, scheme, seed) order;
+    failures are encoded in the status column and never abort the sweep.
+
+    Cells run seed by seed in the calling thread, so only one seed's
+    scenario is alive at a time.  A budget sweep draws a seed's loops once,
+    at the first value the model accepts, and re-budgets that scenario for
+    each later value: budgets consume no randomness, so every row equals a
+    fresh draw's.  A ``sigma_v2`` sweep draws once per (seed, value).  The
+    first scheme's ``wall_ms`` includes building the value's scenario.
+    """
+    per_seed = [_seed_rows(sweep, seed, base_overrides, config) for seed in sweep.seeds]
+    return [rows[cell] for cell in range(len(sweep.values) * len(sweep.schemes)) for rows in per_seed]
 
 
 def write_csv(rows: list[dict], path: str) -> None:
@@ -411,7 +449,24 @@ def write_csv(rows: list[dict], path: str) -> None:
 # entry point
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output path in a missing directory before any work runs."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise BadConfig(f"cannot write {path}: no directory {directory}")
+
+
+@contextlib.contextmanager
+def _write_errors(path: str):
+    """Re-raise an OSError while writing path as BadConfig."""
+    try:
+        yield
+    except OSError as exc:
+        raise BadConfig(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_solve(args) -> int:
+    _check_out_dir(args.out)
     scenario = load_scenario(args.config)
     config = SolverConfig(epsilon=args.eps) if args.eps else SolverConfig()
     try:
@@ -427,7 +482,7 @@ def _cmd_solve(args) -> int:
         "converged": trace.converged,
         "epsilon": trace.epsilon,
     }
-    with open(args.out, "w") as fh:
+    with _write_errors(args.out), open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(
         f"sum LQR {alloc.sum_lqr:.6g} after {len(trace.iterations) - 1} iterations"
@@ -437,6 +492,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out_dir(args.out)
     sweep = SweepSpec.from_dict(_read_json(args.sweep))
     data = _read_json(args.config)
     if "loops" in data:
@@ -444,7 +500,8 @@ def _cmd_sweep(args) -> int:
         return 1
     base = data.get("overrides", {})
     rows = run_sweep(sweep, base)
-    write_csv(rows, args.out)
+    with _write_errors(args.out):
+        write_csv(rows, args.out)
     print(f"{len(rows)} sweep cells -> {args.out}")
     return 0
 

@@ -50,4 +50,5 @@ class BadOverride(Sc3Error):
 
 
 class BadConfig(Sc3Error):
-    """A scenario or allocation file holds a malformed or out-of-range value."""
+    """An input file holds a malformed or out-of-range value, or a file
+    cannot be read or written."""

@@ -395,8 +395,10 @@ def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.nd
     """Power start that stabilizes every loop with a common entropy margin.
 
     Bisects the margin to the largest value the power budget affords, then
-    scales the result to spend the whole budget.  Raises Infeasible with a
-    per-loop report when no margin works.
+    scales the result to spend the whole budget.  The bisection ends at the
+    first step that moves neither end (every later step would repeat it), at
+    most 200 steps in.  Raises Infeasible with a per-loop report when no
+    margin works.
     """
     p_max = data.scenario.budgets.p_max_w
     dead = t_commu <= 0.0
@@ -425,8 +427,12 @@ def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.nd
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if float(_stabilizing_power(data, t_commu, mid).sum()) <= p_max:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     p = _stabilizing_power(data, t_commu, lo)
     total = float(p.sum())

@@ -1,11 +1,26 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
-from sc3opt import BadConfig, BadOverride, SweepSpec, generate_scenario, run_sweep
+import sc3opt.cli
+from sc3opt import (
+    BadConfig,
+    BadOverride,
+    Infeasible,
+    Sc3Error,
+    SweepSpec,
+    communication_oriented,
+    evaluate_allocation,
+    generate_scenario,
+    power_only_closed_loop,
+    run_sweep,
+    sca_solve,
+)
 from sc3opt.cli import (
+    SCHEMES,
     allocation_from_dict,
     allocation_to_dict,
     db_to_linear,
@@ -131,6 +146,94 @@ def test_run_sweep_serial_runs_agree():
         {k: v for k, v in r.items() if k != "wall_ms"} for r in rows
     ]
     assert strip(run_sweep(sweep)) == strip(run_sweep(sweep))
+
+
+def reference_run_sweep(sweep, base_overrides=None, config=None):
+    """run_sweep as it was before cells shared scenarios: every
+    (value, scheme, seed) cell generates its own scenario."""
+    rows = []
+    for value in sweep.values:
+        for scheme in sweep.schemes:
+            for seed in sweep.seeds:
+                start = time.perf_counter()
+                iterations = 0
+                try:
+                    scenario = generate_scenario(seed, {**(base_overrides or {}), sweep.parameter: value})
+                    if scheme == "sca":
+                        alloc, trace = sca_solve(scenario, config)
+                        iterations = len(trace.iterations) - 1
+                    elif scheme == "power_only":
+                        alloc = power_only_closed_loop(scenario, config)
+                    else:
+                        alloc = communication_oriented(scenario, config)
+                    total = evaluate_allocation(scenario, alloc)
+                    status = "ok" if math.isfinite(total) else "unstable"
+                except Infeasible:
+                    total, status = math.inf, "infeasible"
+                except Sc3Error as exc:
+                    total, status = math.inf, f"error:{type(exc).__name__}"
+                rows.append(
+                    {
+                        "param_value": value,
+                        "scheme": scheme,
+                        "seed": seed,
+                        "sum_lqr": total,
+                        "status": status,
+                        "iterations": iterations,
+                        "wall_ms": round((time.perf_counter() - start) * 1e3, 3),
+                    }
+                )
+    return rows
+
+
+def _without_wall_ms(rows):
+    return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+
+
+BASELINES = ("power_only", "comm_oriented")
+
+
+@pytest.mark.parametrize(
+    "sweep, statuses",
+    [
+        (
+            SweepSpec("p_max_dbw", tuple(2.5 * i for i in range(9)), BASELINES, tuple(range(6))),
+            {"ok", "infeasible", "unstable"},
+        ),
+        (
+            SweepSpec("f_max_ghz", (-1.0, 0.5, 5.0), SCHEMES, (0, 1)),
+            {"error:BadConfig", "infeasible", "ok"},
+        ),
+        (SweepSpec("r_max_mbps", (5.0, 50.0, 500.0), BASELINES, (0, 1, 2)), {"ok", "infeasible", "unstable"}),
+        (SweepSpec("sigma_v2", (0.005, 0.05), ("sca", "power_only"), (0,)), {"ok"}),
+        (
+            SweepSpec("p_max_dbw", (10.0, 2.0, 10.0), ("power_only", "comm_oriented", "power_only"), (1, 0, 1)),
+            {"ok", "infeasible", "unstable"},
+        ),
+    ],
+    ids=["p_max", "f_max_rejected_first", "r_max", "sigma_v2_sca", "repeated_values_and_seeds"],
+)
+def test_run_sweep_matches_per_cell_reference(sweep, statuses):
+    rows = run_sweep(sweep)
+    assert _without_wall_ms(rows) == _without_wall_ms(reference_run_sweep(sweep))
+    assert len(rows) == len(sweep.values) * len(sweep.schemes) * len(sweep.seeds)
+    assert statuses <= {r["status"] for r in rows}
+
+
+@pytest.mark.parametrize(
+    "parameter, values, draws", [("p_max_dbw", (4.0, 10.0, 16.0), 2), ("sigma_v2", (0.005, 0.01, 0.05), 6)]
+)
+def test_run_sweep_draws_each_seed_once_per_budget_sweep(monkeypatch, parameter, values, draws):
+    calls = []
+
+    def counted(seed, overrides=None):
+        calls.append(seed)
+        return generate_scenario(seed, overrides)
+
+    monkeypatch.setattr(sc3opt.cli, "generate_scenario", counted)
+    rows = run_sweep(SweepSpec(parameter, values, BASELINES, (0, 1)))
+    assert len(rows) == 12
+    assert len(calls) == draws
 
 
 def test_allocation_roundtrip():
@@ -306,3 +409,35 @@ def test_cli_missing_file_ends_in_error_line(tmp_path, capsys, missing):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(paths[missing]) in err
+
+
+def _unwritable_out(tmp_path, where, name):
+    """An output path in a missing directory, or one naming a directory."""
+    if where == "missing_dir":
+        return tmp_path / "nodir" / name
+    (tmp_path / name).mkdir()
+    return tmp_path / name
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "is_a_directory"])
+def test_cli_solve_unwritable_out_ends_in_error_line(tmp_path, capsys, monkeypatch, where):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "overrides": {"k_loops": 2}}))
+    out = _unwritable_out(tmp_path, where, "alloc.json")
+    if where == "missing_dir":  # refused before the solve runs
+        monkeypatch.setattr(sc3opt.cli, "sca_solve", None)
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "is_a_directory"])
+def test_cli_sweep_unwritable_out_ends_in_error_line(tmp_path, capsys, monkeypatch, where):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "overrides": {"k_loops": 2}}))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"parameter": "p_max_dbw", "values": [10.0], "schemes": ["power_only"]}))
+    out = _unwritable_out(tmp_path, where, "rows.csv")
+    if where == "missing_dir":  # refused before the sweep runs
+        monkeypatch.setattr(sc3opt.cli, "run_sweep", None)
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")

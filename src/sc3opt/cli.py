@@ -36,7 +36,7 @@ from .solver import (
     check_allocation,
     sca_solve,
 )
-from .surrogate import SurrogateAnchor, convex_compute_time
+from .surrogate import MajorantCoefficients, SurrogateAnchor, surrogate_batch
 
 BUDGET_PARAMETERS = ("p_max_dbw", "f_max_ghz", "r_max_mbps")
 SWEEP_PARAMETERS = BUDGET_PARAMETERS + ("sigma_v2",)
@@ -82,15 +82,16 @@ def dbw_to_watts(dbw: float) -> float:
 
 
 def _rejects_bad_values(parse):
-    """Re-raise the ValueError a malformed or out-of-range value causes
-    while reading or building a scenario (a bad number, non-finite input,
-    invalid JSON, a budget the model rejects) as BadConfig."""
+    """Re-raise the ValueError or OverflowError a malformed or out-of-range
+    value causes while reading or building a scenario (a bad number,
+    non-finite input, invalid JSON, a budget the model rejects, a dB value
+    too large for a float) as BadConfig."""
 
     @functools.wraps(parse)
     def wrapper(*args, **kwargs):
         try:
             return parse(*args, **kwargs)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise BadConfig(str(exc)) from exc
 
     return wrapper
@@ -144,11 +145,8 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
         mags = cfg["a_mag_low"] + (cfg["a_mag_high"] - cfg["a_mag_low"]) * rng.random(n)
         signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         control = LoopControlSpec(
-            a=np.diag(mags * signs),
-            b_in=np.eye(n),
-            c_obs=np.eye(n),
-            q_w=np.eye(n),
-            r_w=np.zeros((n, n)),
+            a=mags * signs,
+            b=np.ones(n),
             sigma_v2=float(cfg["sigma_v2"]),
             sigma_w2=float(cfg["sigma_w2"]),
         )
@@ -203,8 +201,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         }
         if loop.control is not None:
             entry["control"] = {
-                "a_diag": np.diagonal(loop.control.a).tolist(),
-                "b_diag": np.diagonal(loop.control.b_in).tolist(),
+                "a_diag": loop.control.a.tolist(),
+                "b_diag": loop.control.b.tolist(),
                 "sigma_v2": loop.control.sigma_v2,
                 "sigma_w2": loop.control.sigma_w2,
             }
@@ -235,15 +233,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     for entry in data["loops"]:
         control = None
         if "control" in entry:
-            a_diag = np.asarray(entry["control"]["a_diag"], dtype=float)
-            b_diag = np.asarray(entry["control"]["b_diag"], dtype=float)
-            m = a_diag.size
             control = LoopControlSpec(
-                a=np.diag(a_diag),
-                b_in=np.diag(b_diag),
-                c_obs=np.eye(m),
-                q_w=np.eye(m),
-                r_w=np.zeros((m, m)),
+                a=entry["control"]["a_diag"],
+                b=entry["control"]["b_diag"],
                 sigma_v2=float(entry["control"]["sigma_v2"]),
                 sigma_w2=float(entry["control"]["sigma_w2"]),
             )
@@ -300,14 +292,30 @@ def allocation_from_dict(data: dict) -> Allocation:
 
 
 @_rejects_bad_values
-def _read_json(path: str):
-    """The JSON document in the file at path; an unreadable file is a
-    BadConfig like a malformed one."""
+def _read_json(path: str) -> dict:
+    """The JSON object in the file at path; an unreadable file, or one that
+    holds another JSON value, is a BadConfig like a malformed one."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise BadConfig(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if not isinstance(data, dict):
+        raise BadConfig(f"{path} does not hold a JSON object")
+    return data
+
+
+@_rejects_bad_values
+def _generation_config(data: dict) -> tuple[int, dict]:
+    """The seed and overrides of a generation config, which holds no other
+    key; a sweep reads only the overrides."""
+    unknown = set(data) - {"seed", "overrides"}
+    if unknown:
+        raise BadOverride(f"unknown config keys {sorted(unknown)}")
+    overrides = data.get("overrides")
+    if overrides is not None and not isinstance(overrides, dict):
+        raise BadConfig("overrides must be a JSON object")
+    return int(data.get("seed", 0)), overrides
 
 
 @_rejects_bad_values
@@ -315,10 +323,7 @@ def load_scenario(path: str) -> Scenario:
     data = _read_json(path)
     if "loops" in data:
         return scenario_from_dict(data)
-    unknown = set(data) - {"seed", "overrides"}
-    if unknown:
-        raise BadOverride(f"unknown config keys {sorted(unknown)}")
-    return generate_scenario(int(data.get("seed", 0)), data.get("overrides"))
+    return generate_scenario(*_generation_config(data))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +503,7 @@ def _cmd_sweep(args) -> int:
     if "loops" in data:
         print("sweeps need a generated scenario config (seed/overrides)", file=sys.stderr)
         return 1
-    base = data.get("overrides", {})
+    _, base = _generation_config(data)
     rows = run_sweep(sweep, base)
     with _write_errors(args.out):
         write_csv(rows, args.out)
@@ -531,14 +536,9 @@ def _cmd_oracle(args) -> int:
         return 0
     if args.mode == "mc":
         loop = scenario.loops[0]
-        if loop.control is None or loop.control.n > 4:
-            a = np.array([[2.0]])
-            control = LoopControlSpec(
-                a=a, b_in=np.eye(1), c_obs=np.eye(1), q_w=np.eye(1),
-                r_w=np.zeros((1, 1)), sigma_v2=0.01, sigma_w2=0.0,
-            )
-        else:
-            control = loop.control
+        control = loop.control
+        if control is None or control.n > 4:
+            control = LoopControlSpec(a=[2.0], b=[1.0], sigma_v2=0.01, sigma_w2=0.0)
         h = intrinsic_entropy(control.a)
         for mult in (0.9, 1.1, 2.0, 10.0):
             res = monte_carlo_loop(control, mult * h, 10_000, args.seed)
@@ -556,9 +556,8 @@ def _cmd_oracle(args) -> int:
         scenario.budgets.f_max_cycles / 2, scenario.budgets.r_max_bits / 2,
         loop.data_bits, scenario.compute,
     )
-    fn = lambda z: float(  # noqa: E731
-        convex_compute_time(z[0], z[1], anchor, loop.data_bits, scenario.compute)
-    )
+    coef = MajorantCoefficients.from_anchors([anchor], np.array([loop.data_bits]), scenario.compute)
+    fn = lambda z: float(surrogate_batch(z[:1], z[1:], coef)[0][0])  # noqa: E731
     box = [
         (1e-3 * scenario.budgets.f_max_cycles, scenario.budgets.f_max_cycles),
         (1e-3 * scenario.budgets.r_max_bits, scenario.budgets.r_max_bits),

@@ -47,64 +47,60 @@ class EntropyParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("state dimension must be at least 1")
+        if not all(map(math.isfinite, (self.h, self.l_min, self.c))):
+            raise ValueError("h, l_min and c must be finite")
         if self.l_min < 0.0:
             raise ValueError("l_min must be nonnegative")
         if self.c <= 0.0:
             raise ValueError("c must be positive")
-        if not math.isfinite(self.h):
-            raise ValueError("h must be finite")
 
 
 @dataclass(frozen=True, eq=False)
 class LoopControlSpec:
-    """Linear plant, sensing model and LQR weights of one loop.
+    """Diagonal linear plant and sensing model of one loop.
 
-    State evolves as x' = A x + B u + v with sensing y = C x + w, where v
-    and w are zero-mean Gaussian with covariances sigma_v2 * I and
-    sigma_w2 * I.  Q_w and R_w weight state deviation and control energy.
+    Mode i evolves as x_i' = a_i x_i + b_i u_i + v_i and is read as
+    y_i = x_i + w_i, where v and w are zero-mean Gaussian with variances
+    sigma_v2 and sigma_w2.  The LQR cost weights every mode's state by one
+    and the control by zero (C = I, Q = I, R = 0).  ``a`` and ``b`` are the
+    diagonals of A and B, 1-D arrays of one length, the state dimension.
     """
 
     a: np.ndarray
-    b_in: np.ndarray
-    c_obs: np.ndarray
-    q_w: np.ndarray
-    r_w: np.ndarray
+    b: np.ndarray
     sigma_v2: float
     sigma_w2: float
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        n = a.shape[0]
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b_in", np.atleast_2d(np.asarray(self.b_in, dtype=float)))
-        object.__setattr__(self, "c_obs", np.atleast_2d(np.asarray(self.c_obs, dtype=float)))
-        object.__setattr__(self, "q_w", np.atleast_2d(np.asarray(self.q_w, dtype=float)))
-        object.__setattr__(self, "r_w", np.atleast_2d(np.asarray(self.r_w, dtype=float)))
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("state matrix must be square")
-        if self.b_in.shape[0] != n or self.c_obs.shape[1] != n or self.q_w.shape != (n, n):
-            raise ValueError("inconsistent model dimensions")
-        if self.sigma_v2 <= 0.0:
-            raise ValueError("sigma_v2 must be positive")
-        if self.sigma_w2 < 0.0:
-            raise ValueError("sigma_w2 must be nonnegative")
+        object.__setattr__(self, "b", b)
+        if a.ndim != 1 or a.size < 1 or b.shape != a.shape:
+            raise ValueError("a and b must be 1-D arrays of one length, at least 1")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("a and b must be finite")
+        if not (math.isfinite(self.sigma_v2) and self.sigma_v2 > 0.0):
+            raise ValueError("sigma_v2 must be positive and finite")
+        if not (math.isfinite(self.sigma_w2) and self.sigma_w2 >= 0.0):
+            raise ValueError("sigma_w2 must be nonnegative and finite")
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return self.a.size
 
 
 def intrinsic_entropy(a) -> float:
-    """Intrinsic entropy rate of a plant, log2|det A| in bits per cycle."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    """Intrinsic entropy rate of a plant, log2|det A| in bits per cycle.
+
+    A 1-D ``a`` holds the diagonal of A.
+    """
+    a = np.asarray(a, dtype=float)
+    a = np.diag(a) if a.ndim == 1 else np.atleast_2d(a)
     sign, logabsdet = np.linalg.slogdet(a)
     if sign == 0.0:
         raise SingularStateMatrix("state matrix has zero determinant")
     return float(logabsdet / LN2)
-
-
-def _is_diagonal(m: np.ndarray) -> bool:
-    return np.count_nonzero(m - np.diag(np.diagonal(m))) == 0
 
 
 def _fixed_point(step, x0: np.ndarray, what: str) -> np.ndarray:
@@ -130,39 +126,27 @@ def riccati_diagonal(a, b, q, r) -> np.ndarray:
 def build_entropy_params(plant: LoopControlSpec) -> EntropyParams:
     """Derive EntropyParams from a diagonal plant description.
 
-    Supported structure: diagonal A with nonzero diagonal B, C = I,
-    Q_w = I and R_w = 0 (everything then decouples per state dimension).
-    Per dimension the cost matrix s comes from the Riccati recursion
-    s <- q + a^2 s - (a b s)^2 / (r + b^2 s), the steady filtering error
-    sigma from the scalar Kalman recursion, and the curve constants are
+    The plant decouples per state dimension; every input gain b must be
+    nonzero.  Per dimension the cost matrix s comes from the Riccati
+    recursion s <- q + a^2 s - (a b s)^2 / (r + b^2 s) with q = 1 and r = 0,
+    the steady filtering error sigma from the scalar Kalman recursion, and
+    the curve constants are
 
         l_min = sum(sigma_v2 * s + sigma * a^2 * m)
         c     = n * geometric_mean(p * m),  p = a^2 sigma + sigma_v2
 
-    with m = s b (r + b^2 s)^-1 b s the estimation-penalty weight and p
-    the one-step prediction error covariance.  Plants outside this
-    structure must supply EntropyParams directly.
+    with m = s b (b^2 s)^-1 b s the estimation-penalty weight and p the
+    one-step prediction error covariance.  Other plants must supply
+    EntropyParams directly.
     """
     n = plant.n
-    if not _is_diagonal(plant.a):
-        raise UnsupportedStructure("builder requires a diagonal state matrix")
-    if plant.b_in.shape != (n, n) or not _is_diagonal(plant.b_in):
-        raise UnsupportedStructure("builder requires a diagonal input matrix")
-    if not np.array_equal(plant.c_obs, np.eye(n)):
-        raise UnsupportedStructure("builder requires identity observation")
-    if not np.array_equal(plant.q_w, np.eye(n)):
-        raise UnsupportedStructure("builder requires identity state weight")
-    if np.any(plant.r_w != 0.0):
-        raise UnsupportedStructure("builder requires zero control weight")
-
-    a = np.diagonal(plant.a).astype(float)
-    b = np.diagonal(plant.b_in).astype(float)
+    a, b = plant.a, plant.b
     if np.any(b == 0.0):
         raise UnsupportedStructure("builder requires nonzero input gains")
-    h = intrinsic_entropy(plant.a)
+    h = intrinsic_entropy(a)
 
     s = riccati_diagonal(a, b, np.ones(n), 0.0)
-    m = s * b / (b * b * s) * b * s  # r_w = 0 throughout
+    m = s * b / (b * b * s) * b * s
 
     def kalman_step(sig):
         pred = a * a * sig + plant.sigma_v2

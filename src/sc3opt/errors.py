@@ -18,7 +18,7 @@ class SingularStateMatrix(Sc3Error):
 
 
 class UnsupportedStructure(Sc3Error):
-    """The entropy-parameter builder only handles the diagonal configuration."""
+    """A plant mode has a zero input gain, so no control can reach it."""
 
 
 class NoConvergence(Sc3Error):

@@ -106,10 +106,11 @@ def monte_carlo_loop(
     times the reconstruction.  The range follows a worst-case containment
     recursion, L <- |a| L / levels + 4 sigma_v, re-inflating whenever a
     reading escapes it; fractional bit budgets time-share neighboring
-    power-of-two level counts.  Diagonal plants run one scalar loop per
+    power-of-two level counts.  The plant runs one scalar loop per
     dimension with the bit budget split proportionally to each dimension's
-    entropy rate.  Divergence (state beyond the overflow bound) is reported
-    in the result, not raised, and ends the run.
+    entropy rate, and the cost is the mean squared state summed over the
+    dimensions (Q = I, R = 0).  Divergence (state beyond the overflow
+    bound) is reported in the result, not raised, and ends the run.
 
     Results are reproducible from ``seed``: one generator feeds the
     dimensions in order, each taking one block of 1 + per * n_cycles
@@ -124,17 +125,12 @@ def monte_carlo_loop(
     if n_cycles < 1:
         raise ValueError("the run needs at least one cycle")
     n = loop.n
-    a_diag = np.diagonal(loop.a).astype(float)
-    if np.count_nonzero(loop.a - np.diag(a_diag)) != 0:
-        raise UnsupportedStructure("the simulator needs a scalar or diagonal plant")
-    b_diag = np.diagonal(loop.b_in).astype(float) if loop.b_in.shape == (n, n) else np.ones(n)
+    a_diag, b_diag = loop.a, loop.b
     if np.any(b_diag == 0.0):
         raise UnsupportedStructure("the simulator needs nonzero input gains")
-    q_diag = np.diagonal(loop.q_w).astype(float)
-    r_diag = np.diagonal(loop.r_w).astype(float) if loop.r_w.shape == (n, n) else np.zeros(n)
 
-    s = riccati_diagonal(a_diag, b_diag, q_diag, r_diag)
-    gains = a_diag * b_diag * s / (r_diag + b_diag * b_diag * s)
+    s = riccati_diagonal(a_diag, b_diag, np.ones(n), 0.0)
+    gains = a_diag * b_diag * s / (b_diag * b_diag * s)
     h_dims = np.abs(np.log2(np.abs(a_diag)))
     weights = h_dims / h_dims.sum() if h_dims.sum() > 0 else np.full(n, 1.0 / n)
     rng = np.random.default_rng(seed)
@@ -151,7 +147,6 @@ def monte_carlo_loop(
     for dim in range(n):
         a, b = float(a_diag[dim]), float(b_diag[dim])
         abs_a = abs(a)
-        q, r = float(q_diag[dim]), float(r_diag[dim])
         gain = float(gains[dim])
         bits = bits_per_cycle * float(weights[dim])
         slack = 4.0 * (sigma_v + abs_a * sigma_w)  # noise allowance per cycle
@@ -187,7 +182,7 @@ def monte_carlo_loop(
                 x_hat = 0.0
             u = -gain * x_hat
             if t >= warmup:
-                dim_cost += q * x * x + r * u * u
+                dim_cost += x * x
                 dim_cycles += 1
             x = a * x + b * u + process[t]
             span = abs_a * span / levels + slack

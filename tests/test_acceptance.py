@@ -290,15 +290,7 @@ def test_criterion_9_exact_roundtrips():
 
 
 def test_criterion_10_monte_carlo_floor_and_divergence():
-    plant = LoopControlSpec(
-        a=np.array([[2.0]]),
-        b_in=np.eye(1),
-        c_obs=np.eye(1),
-        q_w=np.eye(1),
-        r_w=np.zeros((1, 1)),
-        sigma_v2=0.01,
-        sigma_w2=0.0,
-    )
+    plant = LoopControlSpec(a=[2.0], b=[1.0], sigma_v2=0.01, sigma_w2=0.0)
     floor = build_entropy_params(plant).l_min
     h = 1.0
     averages = []

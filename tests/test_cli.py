@@ -370,6 +370,87 @@ def test_cli_sweep_records_rejected_value_and_continues(tmp_path):
     assert rows[0]["sum_lqr"] == "inf"
 
 
+@pytest.mark.parametrize("key", ["p_max_dbw", "gamma0_db", "noise_dbm"])
+def test_cli_overflowing_db_value_ends_in_error_line(tmp_path, capsys, key):
+    # 10 ** 400 does not fit in a float
+    with pytest.raises(BadConfig):
+        generate_scenario(0, {key: 4000.0})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "overrides": {key: 4000.0}}))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("values", [[10.0, 4000.0], [4000.0, 10.0]], ids=["overflow_second", "overflow_first"])
+def test_cli_sweep_records_overflowing_value_and_continues(tmp_path, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "overrides": {"k_loops": 2}}))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"parameter": "p_max_dbw", "values": values, "schemes": ["power_only"]}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(out)]) == 0
+    with open(out) as fh:
+        statuses = {float(row["param_value"]): row["status"] for row in csv.DictReader(fh)}
+    assert statuses == {10.0: "ok", 4000.0: "error:BadConfig"}
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        ("entropy", "l_min", math.nan),
+        ("entropy", "c", math.inf),
+        ("control", "sigma_w2", math.nan),
+        ("control", "sigma_v2", math.nan),
+        ("control", "a_diag", [math.inf]),
+    ],
+    ids=["nan_l_min", "inf_c", "nan_sigma_w2", "nan_sigma_v2", "inf_a"],
+)
+def test_cli_non_finite_loop_value_ends_in_error_line(tmp_path, capsys, where, key, value):
+    data = scenario_to_dict(generate_scenario(0, {"n_state": 1}))
+    data["loops"][0][where][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    with pytest.raises(BadConfig):
+        load_scenario(str(config))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"seed": 0, "overides": {"k_loops": 2}}),
+        json.dumps({"seed": 0, "overrides": [["k_loops", 2]]}),
+    ],
+    ids=["misspelled_key", "overrides_not_object"],
+)
+def test_cli_sweep_rejects_malformed_generation_config(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"parameter": "p_max_dbw", "values": [10.0], "schemes": ["power_only"]}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")]) == 1
+
+
+def test_cli_convexity_probe_runs_the_solver_kernel(tmp_path, monkeypatch):
+    calls = []
+    kernel = sc3opt.cli.surrogate_batch
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(sc3opt.cli, "surrogate_batch", counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "overrides": {"k_loops": 2}}))
+    assert main(["oracle", "--config", str(config), "--mode", "convexity"]) == 0
+    assert len(calls) >= 500
+
+
 @pytest.mark.parametrize("broken", ["sweep", "config", "alloc"])
 def test_cli_truncated_json_ends_in_error_line(tmp_path, capsys, broken):
     files = {
@@ -388,6 +469,23 @@ def test_cli_truncated_json_ends_in_error_line(tmp_path, capsys, broken):
         argv = ["validate", "--config", str(paths["config"]), "--alloc", str(paths["alloc"])]
     else:
         argv = ["sweep", "--config", str(paths["config"]), "--sweep", str(paths["sweep"]), "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "validate"])
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"seed"'], ids=["number", "list", "string"])
+def test_cli_non_object_json_ends_in_error_line(tmp_path, capsys, command, text):
+    # the file the command reads last holds a JSON value that is not an object
+    config = tmp_path / "config.json"
+    config.write_text(text if command == "solve" else json.dumps({"seed": 0}))
+    other = tmp_path / "other.json"
+    other.write_text(text)
+    argv = {
+        "solve": ["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")],
+        "sweep": ["sweep", "--config", str(config), "--sweep", str(other), "--out", str(tmp_path / "rows.csv")],
+        "validate": ["validate", "--config", str(config), "--alloc", str(other)],
+    }[command]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
 

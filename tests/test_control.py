@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from sc3opt import (
     UnsupportedStructure,
     Unstabilizable,
     build_entropy_params,
+    generate_scenario,
     intrinsic_entropy,
     lqr_from_entropy,
     min_entropy,
@@ -19,15 +21,7 @@ from sc3opt import (
 
 
 def scalar_spec(a=2.0, sigma_v2=0.01, sigma_w2=0.0):
-    return LoopControlSpec(
-        a=np.array([[a]]),
-        b_in=np.eye(1),
-        c_obs=np.eye(1),
-        q_w=np.eye(1),
-        r_w=np.zeros((1, 1)),
-        sigma_v2=sigma_v2,
-        sigma_w2=sigma_w2,
-    )
+    return LoopControlSpec(a=[a], b=[1.0], sigma_v2=sigma_v2, sigma_w2=sigma_w2)
 
 
 def test_intrinsic_entropy_examples():
@@ -55,11 +49,8 @@ def test_builder_diagonal_entropy_positive():
     rng = np.random.default_rng(3)
     mags = rng.uniform(1.5, 9.0, size=8)
     spec = LoopControlSpec(
-        a=np.diag(mags * np.where(rng.random(8) < 0.5, -1, 1)),
-        b_in=np.eye(8),
-        c_obs=np.eye(8),
-        q_w=np.eye(8),
-        r_w=np.zeros((8, 8)),
+        a=mags * np.where(rng.random(8) < 0.5, -1, 1),
+        b=np.ones(8),
         sigma_v2=0.01,
         sigma_w2=0.001,
     )
@@ -75,24 +66,58 @@ def test_builder_noisy_sensing_raises_floor():
 
 
 def test_builder_rejects_unsupported_structure():
-    spec = scalar_spec()
-    full = LoopControlSpec(
-        a=np.array([[2.0, 0.1], [0.0, 3.0]]),
-        b_in=np.eye(2),
-        c_obs=np.eye(2),
-        q_w=np.eye(2),
-        r_w=np.zeros((2, 2)),
-        sigma_v2=0.01,
-        sigma_w2=0.0,
-    )
+    # a zero input gain leaves its mode uncontrollable; non-diagonal and
+    # weighted plants cannot be written as a spec at all
+    uncontrolled = LoopControlSpec(a=[2.0, 3.0], b=[1.0, 0.0], sigma_v2=0.01, sigma_w2=0.0)
     with pytest.raises(UnsupportedStructure):
-        build_entropy_params(full)
-    weighted = LoopControlSpec(
-        a=spec.a, b_in=spec.b_in, c_obs=spec.c_obs, q_w=spec.q_w,
-        r_w=np.eye(1), sigma_v2=0.01, sigma_w2=0.0,
-    )
-    with pytest.raises(UnsupportedStructure):
-        build_entropy_params(weighted)
+        build_entropy_params(uncontrolled)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(np.diag([2.0, 3.0]), np.ones(2)), ([2.0, 3.0], np.eye(2)), ([2.0, 3.0], [1.0]), ([], []), (2.0, 1.0)],
+    ids=["2d_a", "2d_b", "mismatched_lengths", "empty", "scalars"],
+)
+def test_spec_takes_one_diagonal_per_matrix(a, b):
+    with pytest.raises(ValueError):
+        LoopControlSpec(a=a, b=b, sigma_v2=0.01, sigma_w2=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("a", [2.0, math.inf]),
+        ("a", [math.nan, 3.0]),
+        ("b", [1.0, math.nan]),
+        ("sigma_v2", math.nan),
+        ("sigma_v2", math.inf),
+        ("sigma_w2", math.nan),
+        ("sigma_w2", math.inf),
+    ],
+    ids=["inf_a", "nan_a", "nan_b", "nan_sigma_v2", "inf_sigma_v2", "nan_sigma_w2", "inf_sigma_w2"],
+)
+def test_spec_rejects_non_finite_values(field, value):
+    values = {"a": [2.0, 3.0], "b": [1.0, 1.0], "sigma_v2": 0.01, "sigma_w2": 0.001}
+    values[field] = value
+    with pytest.raises(ValueError):
+        LoopControlSpec(**values)
+
+
+def test_generated_spec_holds_only_diagonals():
+    # n = 50 dense matrices would hold 2500 floats each
+    n = 50
+    for loop in generate_scenario(0, {"k_loops": 5, "n_state": n}).loops:
+        arrays = [getattr(loop.control, f.name) for f in dataclasses.fields(loop.control)]
+        floats = sum(np.size(x) for x in arrays if isinstance(x, np.ndarray))
+        assert floats <= 2 * n
+        assert all(x.base is None for x in arrays if isinstance(x, np.ndarray))
+
+
+def test_intrinsic_entropy_of_a_diagonal_matches_its_matrix():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 50):
+        v = rng.uniform(1.0, 10.0, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        assert intrinsic_entropy(v) == intrinsic_entropy(np.diag(v))
 
 
 def test_min_entropy_examples():
@@ -169,6 +194,18 @@ def test_entropy_params_validation():
         EntropyParams(n=1, h=1.0, l_min=0.0, c=0.0)
     with pytest.raises(ValueError):
         EntropyParams(n=1, h=math.inf, l_min=0.0, c=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("h", math.nan), ("l_min", math.nan), ("l_min", math.inf), ("c", math.nan), ("c", math.inf)],
+    ids=["nan_h", "nan_l_min", "inf_l_min", "nan_c", "inf_c"],
+)
+def test_entropy_params_rejects_non_finite_values(field, value):
+    values = {"n": 1, "h": 1.0, "l_min": 0.5, "c": 1.0}
+    values[field] = value
+    with pytest.raises(ValueError):
+        EntropyParams(**values)
 
 
 def test_riccati_diagonal_solves_the_scalar_equation():

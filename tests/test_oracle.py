@@ -26,15 +26,7 @@ from conftest import symmetric_two_loop_scenario, tight_single_loop_scenario
 
 
 def scalar_plant(a=2.0, sigma_v2=0.01, sigma_w2=0.0):
-    return LoopControlSpec(
-        a=np.array([[a]]),
-        b_in=np.eye(1),
-        c_obs=np.eye(1),
-        q_w=np.eye(1),
-        r_w=np.zeros((1, 1)),
-        sigma_v2=sigma_v2,
-        sigma_w2=sigma_w2,
-    )
+    return LoopControlSpec(a=[a], b=[1.0], sigma_v2=sigma_v2, sigma_w2=sigma_w2)
 
 
 def test_grid_matches_solver_single_loop():
@@ -122,10 +114,7 @@ def test_monte_carlo_rejects_bad_budget(bits, n_cycles):
 
 
 def test_monte_carlo_rejects_zero_input_gain():
-    plant = LoopControlSpec(
-        a=np.array([[2.0]]), b_in=np.zeros((1, 1)), c_obs=np.eye(1), q_w=np.eye(1),
-        r_w=np.eye(1), sigma_v2=0.01, sigma_w2=0.0,
-    )
+    plant = LoopControlSpec(a=[2.0], b=[0.0], sigma_v2=0.01, sigma_w2=0.0)
     with pytest.raises(UnsupportedStructure):
         monte_carlo_loop(plant, 4.0, 100, 0)
 
@@ -201,10 +190,8 @@ def reference_monte_carlo(loop, bits_per_cycle, n_cycles, seed):
     """The Monte-Carlo loop drawing each noise sample with its own
     ``rng.normal`` call, kept as the reference for the block-drawn one."""
     n = loop.n
-    a_diag = np.diagonal(loop.a).astype(float)
-    b_diag = np.diagonal(loop.b_in).astype(float) if loop.b_in.shape == (n, n) else np.ones(n)
-    q_diag = np.diagonal(loop.q_w).astype(float)
-    r_diag = np.diagonal(loop.r_w).astype(float) if loop.r_w.shape == (n, n) else np.zeros(n)
+    a_diag, b_diag = loop.a, loop.b
+    q_diag, r_diag = np.ones(n), np.zeros(n)  # Q = I, R = 0
     s = riccati_diagonal(a_diag, b_diag, q_diag, r_diag)
     gains = a_diag * b_diag * s / (r_diag + b_diag * b_diag * s)
     h_dims = np.abs(np.log2(np.abs(a_diag)))
@@ -261,10 +248,7 @@ def reference_monte_carlo(loop, bits_per_cycle, n_cycles, seed):
 
 def _second_mode_unstable():
     # mode 0 is stable and never diverges; mode 1 gets too few bits
-    return LoopControlSpec(
-        a=np.diag([0.5, -6.0]), b_in=np.diag([1.0, 0.5]), c_obs=np.eye(2), q_w=np.eye(2),
-        r_w=np.diag([0.0, 0.3]), sigma_v2=0.01, sigma_w2=0.001,
-    )
+    return LoopControlSpec(a=[0.5, -6.0], b=[1.0, 0.5], sigma_v2=0.01, sigma_w2=0.001)
 
 
 @pytest.mark.parametrize(

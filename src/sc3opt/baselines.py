@@ -55,21 +55,22 @@ def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
 
 
 def _power_objective(data: LoopData, t_commu: np.ndarray):
-    """Reduced objective in normalized power only, windows held fixed."""
+    """Reduced objective in normalized power only, windows held fixed, as
+    the (value, gradient function) pair ``spg`` takes."""
     b = data.scenario.budgets
     bw_t = data.bandwidth * t_commu
     inf_grad = np.zeros(data.k)
+    inf_gradient = lambda: inf_grad  # noqa: E731
 
-    def value_grad(x):
+    def fun(x):
         snr = data.gamma * (x * b.p_max_w)
         e = bw_t * data.spectral(snr)
         if not (e > data.h).all():
-            return math.inf, inf_grad
+            return math.inf, inf_gradient
         l, dl = data.lqr_terms(e)
-        de_dp = bw_t * data.gamma / ((1.0 + snr) * LN2)
-        return float(l.sum()), dl * de_dp * b.p_max_w
+        return float(l.sum()), lambda: dl() * (bw_t * data.gamma / ((1.0 + snr) * LN2)) * b.p_max_w
 
-    return value_grad
+    return fun
 
 
 def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:
@@ -89,15 +90,17 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
 
 
 def _sum_time_objective(data: LoopData, r_eq: float):
-    """Total true computation time as a function of normalized compute."""
+    """Total true computation time as a function of normalized compute, as
+    the (value, gradient function) pair ``spg`` takes."""
     params = data.scenario.compute
     f_max = data.scenario.budgets.f_max_cycles
 
-    def value_grad(x):
+    def fun(x):
         t, dt_df, _ = min_compute_time_grad(x * f_max, r_eq, data.d_bits, params)
-        return float(t.cumsum()[-1]), dt_df * f_max  # cumsum adds in loop order, sum() pairwise
+        # cumsum adds in loop order, sum() pairwise
+        return float(t.cumsum()[-1]), lambda: dt_df * f_max
 
-    return value_grad
+    return fun
 
 
 def communication_oriented(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:

@@ -74,6 +74,10 @@ class Loop:
             raise ValueError("loop sizes, cycle time and distance must be finite")
         if self.data_bits <= 0.0 or self.cycle_seconds <= 0.0 or self.distance_m <= 0.0:
             raise ValueError("loop sizes, cycle time and distance must be positive")
+        if self.control is not None and self.control.n != self.entropy.n:
+            raise ValueError(
+                f"control plant has {self.control.n} modes, entropy constants are for {self.entropy.n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -192,14 +196,14 @@ class LoopData:
         # x.reshape(3, k) * budget_col turns normalized x into rows p, f, r
         self.budget_col = np.array([[b.p_max_w], [b.f_max_cycles], [b.r_max_bits]])
 
-    def lqr_terms(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-loop cost and its derivative in delivered entropy (e > h)."""
+    def lqr_terms(self, e: np.ndarray):
+        """Per-loop cost at delivered entropy e (> h), and a function that
+        returns its derivative in e from the same intermediates."""
         w = 2.0 * (e - self.h) / self.n
         zinv = np.exp2(-w)
         denom = -np.expm1(-w * LN2)  # 1 - 2^-w, accurate for small w
         l = self.l_min + self.c * zinv / denom
-        dl = self.dl_scale * zinv / (denom * denom)
-        return l, dl
+        return l, lambda: self.dl_scale * zinv / (denom * denom)
 
     def spectral(self, snr: np.ndarray) -> np.ndarray:
         """Per-loop spectral efficiency (bits/s/Hz) at SNR gamma * p."""
@@ -288,8 +292,15 @@ _SPG_STEP_FLOOR = 1e-9  # below this the projected direction is rounding noise
 _SPG_STALL_EVALS = 100
 
 
-def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: str):
+def spg(fun, project, x0: np.ndarray, tol: float, max_iters: int, what: str):
     """Monotone spectral projected gradient on a convex set.
+
+    ``fun(x)`` returns ``(value, gradient)``, where ``gradient`` is a
+    zero-argument function that builds the gradient at x from that
+    evaluation's intermediates.  spg calls it only at the start point and at
+    accepted trials, never at a rejected Armijo trial.  ``project`` maps
+    each row of a 2-D array onto the set; each step projects the
+    prox-residual point and the trial point together, in one call.
 
     Searches along the projected-arc direction with Armijo backtracking and
     a Barzilai-Borwein trial step.  Stops when the prox residual of the
@@ -297,23 +308,29 @@ def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: s
     evaluations without a decrease beyond float64 resolution (the measured
     residual then sits at its numerical floor; it is still returned for
     inspection).  Returns (x, value, gradient, iterations, residual,
-    evaluations), the last counting every call of value_grad.
+    evaluations), the last counting every call of fun.
     """
     x = project(np.array(x0, dtype=float))
-    val, grad = value_grad(x)
+    val, gradient = fun(x)
     evals = 1
     if not math.isfinite(val):
         raise InfeasibleSubproblem(f"{what}: start point is infeasible")
+    grad = gradient()
     val_floor = 8.0 * np.finfo(float).eps
     step = 1.0
     stall = 0  # objective evaluations since the last real decrease
     resid = math.inf
     for it in range(max_iters):
         scale = max(abs(val), 1e-300)
-        resid = float(np.max(np.abs(x - project(x - grad / scale))))
+        # row 0: the prox-residual point; row 1: the trial point
+        pair = np.empty((2, x.size))
+        np.subtract(x, grad / scale, out=pair[0])
+        np.subtract(x, step * grad, out=pair[1])
+        prox, trial = project(pair)
+        resid = float(np.abs(x - prox).max())
         if resid <= tol or stall >= _SPG_STALL_EVALS:
             return x, val, grad, it, resid, evals
-        d = project(x - step * grad) - x
+        d = trial - x
         slope = float(grad @ d)
         if slope >= 0.0 or not d.any():
             step = max(step * 0.25, _SPG_STEP_FLOOR)
@@ -323,7 +340,7 @@ def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: s
         tries = 0
         while lam >= 1e-20:
             x_try = x + lam * d
-            val_try, grad_try = value_grad(x_try)
+            val_try, gradient = fun(x_try)
             tries += 1
             if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
                 moved = True
@@ -335,6 +352,7 @@ def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: s
             stall += tries
             continue
         stall = stall + tries if val - val_try <= val_floor * abs(val) else 0
+        grad_try = gradient()
         s_vec = x_try - x
         y_vec = grad_try - grad
         sy = float(s_vec @ y_vec)
@@ -349,37 +367,44 @@ def spg(value_grad, project, x0: np.ndarray, tol: float, max_iters: int, what: s
 
 
 def _joint_objective(data: LoopData, majorant: MajorantCoefficients):
-    """Surrogate-tight reduced objective over normalized (p, f, r)."""
+    """Surrogate-tight reduced objective over normalized (p, f, r), as the
+    (value, gradient function) pair ``spg`` takes.  Outside the domain the
+    value is inf; float warnings must be silenced around it."""
     k = data.k
     bw = data.bandwidth
     budget_col = data.budget_col
     inf_grad = np.zeros(3 * k)
+    inf_gradient = lambda: inf_grad  # noqa: E731
 
-    def value_grad(x):
+    def fun(x):
         p, f, r = x.reshape(3, k) * budget_col
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tbar, dtf, dtr = surrogate_batch(f, r, majorant)
-            t_commu = data.t_cycle - tbar
-            if not (t_commu > 0.0).all():
-                return math.inf, inf_grad
-            snr = data.gamma * p
-            se = data.spectral(snr)
-            bw_t = bw * t_commu
-            e = bw_t * se
-            if not (e > data.h).all():
-                return math.inf, inf_grad
-            l, dl = data.lqr_terms(e)
+        tbar, partials = surrogate_batch(f, r, majorant)
+        t_commu = data.t_cycle - tbar
+        if not (t_commu > 0.0).all():
+            return math.inf, inf_gradient
+        snr = data.gamma * p
+        se = data.spectral(snr)
+        bw_t = bw * t_commu
+        e = bw_t * se
+        if not (e > data.h).all():
+            return math.inf, inf_gradient
+        l, dl = data.lqr_terms(e)
+
+        def gradient():
+            dtf, dtr = partials()
             # rows: de/dp, de/df, de/dr, then chained through dl and the budgets
             grad = np.empty((3, k))
             np.divide(bw_t * data.gamma, (1.0 + snr) * LN2, out=grad[0])
             neg_bw_se = -bw * se
             np.multiply(neg_bw_se, dtf, out=grad[1])
             np.multiply(neg_bw_se, dtr, out=grad[2])
-            grad *= dl
+            grad *= dl()
             grad *= budget_col
-        return float(l.sum()), grad.reshape(-1)
+            return grad.reshape(-1)
 
-    return value_grad
+        return float(l.sum()), gradient
+
+    return fun
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +511,10 @@ def closed_form_lqr(
 def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConfig, x0: np.ndarray):
     fun = _joint_objective(data, majorant)
     k = data.k
-    # one call projects the power, compute and backhaul blocks together
-    project = lambda x: project_budget_simplex(x.reshape(3, k), 1.0).reshape(-1)  # noqa: E731
-    return spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "inner problem")
+    # one call projects the power, compute and backhaul blocks of every row
+    project = lambda x: project_budget_simplex(x.reshape(-1, k), 1.0).reshape(x.shape)  # noqa: E731
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "inner problem")
 
 
 def _extrapolate(data: LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: float):
@@ -536,7 +562,7 @@ def solve_inner(
     if x0 is None:
         f = majorant.f0
         r = np.array([an.r0 for an in anchors])
-        tbar, _, _ = surrogate_batch(f, r, majorant)
+        tbar, _ = surrogate_batch(f, r, majorant)
         try:
             p = feasible_power_init(data, data.t_cycle - tbar, "inner problem")
         except Infeasible as exc:
@@ -565,7 +591,9 @@ def sca_solve(
     sequence never increases.  The loop stops when the MM step's relative
     decrease falls below epsilon, returning that round's MM point as is.
     Raises Infeasible (with a per-loop report) when the initial split cannot
-    stabilize every loop.
+    stabilize every loop.  An explicit ``init`` (p, f, r) must hold three
+    arrays of K finite, nonnegative entries within every budget (up to
+    rounding); anything else raises ValueError.
     """
     cfg = config or SolverConfig()
     data = LoopData(scenario)
@@ -577,7 +605,14 @@ def sca_solve(
         p = feasible_power_init(data, data.t_cycle - data.true_min_times(f, r), "initialization")
     else:
         p, f, r = (np.asarray(v, dtype=float) for v in init)
+        if not p.shape == f.shape == r.shape == (k,):
+            raise ValueError(f"init needs three arrays of {k} entries, one per loop")
     x = _pack(p, f, r, b)
+    if init is not None:
+        if not (np.isfinite(x).all() and x.min() >= 0.0):
+            raise ValueError("init entries must be finite and nonnegative")
+        if x.reshape(3, k).sum(1).max() > 1.0 + _BUDGET_SLACK:
+            raise ValueError("init exceeds a budget")
     obj = data.true_objective(p, f, r)
     if not math.isfinite(obj):
         raise Infeasible("initial allocation does not stabilize every loop")

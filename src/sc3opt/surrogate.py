@@ -158,26 +158,33 @@ class MajorantCoefficients:
         )
 
 
-def surrogate_batch(
-    f: np.ndarray, r: np.ndarray, coef: MajorantCoefficients
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value and partial derivatives of the majorant for a vector of loops.
+def surrogate_batch(f: np.ndarray, r: np.ndarray, coef: MajorantCoefficients):
+    """Value of the majorant for a vector of loops, and a function that
+    returns its partials (d/df, d/dr) at the same points.
 
     One kernel for every regime, on constants built once per anchor set
-    (see ``MajorantCoefficients``).  Used by the solver, which needs
-    gradients; every f must be positive.
+    (see ``MajorantCoefficients``).  The partials function forms them from
+    this call's intermediates only when called, so a caller that needs only
+    the value (a rejected line-search trial) never pays for them; its
+    results are the bits an eager computation gives.  Every f must be
+    positive.
     """
     w = coef.cf * f + coef.cr * r
-    ww = w * w
     val = coef.num / w + coef.const - coef.slope * (3.0 - coef.f0 / f - w / coef.w0)
-    dfv = coef.gf / ww - coef.slope * (coef.f0 / (f * f) - coef.cf_w0)
-    drv = coef.gr / ww + coef.hr
     if coef.any_s12:
         den = coef.beta * r + coef.one_minus_rho * f
         t1 = coef.s1_num / den + coef.delay
         use1 = coef.s12 & (t1 >= val)
-        dd = den * den
         val = np.where(use1, t1, val)
-        dfv = np.where(use1, coef.s1_gf / dd, dfv)
-        drv = np.where(use1, coef.s1_gr / dd, drv)
-    return val, dfv, drv
+
+    def partials():
+        ww = w * w
+        dfv = coef.gf / ww - coef.slope * (coef.f0 / (f * f) - coef.cf_w0)
+        drv = coef.gr / ww + coef.hr
+        if coef.any_s12:
+            dd = den * den
+            dfv = np.where(use1, coef.s1_gf / dd, dfv)
+            drv = np.where(use1, coef.s1_gr / dd, drv)
+        return dfv, drv
+
+    return val, partials

@@ -416,6 +416,18 @@ def test_cli_non_finite_loop_value_ends_in_error_line(tmp_path, capsys, where, k
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_control_plant_of_another_dimension_ends_in_error_line(tmp_path, capsys):
+    data = scenario_to_dict(generate_scenario(0, {"n_state": 4, "k_loops": 2}))
+    data["loops"][0]["control"]["a_diag"] = [3.0]
+    data["loops"][0]["control"]["b_diag"] = [1.0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    with pytest.raises(BadConfig):
+        load_scenario(str(config))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "text",
     [

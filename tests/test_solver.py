@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import sc3opt.solver
+
 from sc3opt import (
     Allocation,
     Budgets,
@@ -187,6 +189,63 @@ def test_warm_start_converges_immediately():
     assert len(trace.iterations) - 1 <= 2
     first, last = trace.objectives[0], trace.objectives[-1]
     assert (first - last) / first < 5e-5
+
+
+def _equal_split_init(sc):
+    k = sc.k
+    b = sc.budgets
+    return [np.full(k, b.p_max_w / k), np.full(k, b.f_max_cycles / k), np.full(k, b.r_max_bits / k)]
+
+
+@pytest.mark.parametrize(
+    "blocks, edit",
+    [
+        ((0, 1, 2), lambda v: v[:4]),
+        ((1,), lambda v: v[None, :]),
+        ((0,), lambda v: np.where(np.arange(v.size) == 0, math.nan, v)),
+        ((2,), lambda v: np.where(np.arange(v.size) == 1, math.inf, v)),
+        ((1,), lambda v: np.where(np.arange(v.size) == 2, -1.0, v)),
+        ((0,), lambda v: 2.5 * v),
+        ((1,), lambda v: 1.01 * v),
+        ((2,), lambda v: 1.01 * v),
+    ],
+    ids=[
+        "short",
+        "two_dimensional",
+        "nan_power",
+        "inf_rate",
+        "negative_compute",
+        "power_over_budget",
+        "compute_over_budget",
+        "rate_over_budget",
+    ],
+)
+def test_sca_solve_rejects_bad_init(blocks, edit):
+    sc = generate_scenario(0)
+    init = _equal_split_init(sc)
+    sca_solve(sc, init=tuple(init))  # the unedited split is a valid start
+    for j in blocks:
+        init[j] = edit(init[j])
+    with pytest.raises(ValueError):
+        sca_solve(sc, init=tuple(init))
+
+
+def test_inner_solve_call_counts(monkeypatch):
+    """Every objective evaluation calls ``surrogate_batch`` through this
+    module's global once (the benchmark's tracer wraps that name), and SPG
+    projects once at the start and once per step, plus the step that stops."""
+    calls = {"surrogate_batch": 0, "project_budget_simplex": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(sc3opt.solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sc3opt.solver, name, counted)
+    _, trace = sca_solve(generate_scenario(10))
+    rounds = trace.iterations[1:]
+    assert calls["surrogate_batch"] == sum(rec.inner_evaluations for rec in rounds)
+    assert calls["project_budget_simplex"] == sum(rec.inner_iterations + 2 for rec in rounds)
 
 
 def test_solve_inner_feasible_under_true_latency():

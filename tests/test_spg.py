@@ -87,7 +87,8 @@ def reference_joint_objective(data, majorant):
     def value_grad(x):
         p, f, r = x[:k] * b.p_max_w, x[k : 2 * k] * b.f_max_cycles, x[2 * k :] * b.r_max_bits
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tbar, dtf, dtr = surrogate_batch(f, r, majorant)
+            tbar, partials = surrogate_batch(f, r, majorant)
+            dtf, dtr = partials()
             t_commu = data.t_cycle - tbar
             if not np.all(t_commu > 0.0):
                 return math.inf, inf_grad
@@ -115,13 +116,24 @@ def _bits(v) -> bytes:
     return np.asarray(v, dtype=float).tobytes()
 
 
+def _eager(fun):
+    """An objective under spg's contract as the references take it: the
+    value and the gradient array, built at every evaluation."""
+
+    def value_grad(x):
+        val, gradient = fun(x)
+        return val, gradient()
+
+    return value_grad
+
+
 def _twin_spg(outcomes: list):
     """spg that reruns each call ending at tolerance through the reference
     and records (new result, reference result); stall exits record None."""
 
     def run(value_grad, project, x0, tol, max_iters, what):
         got = spg(value_grad, project, x0, tol, max_iters, what)
-        ref = reference_spg(value_grad, project, x0, tol, max_iters, what) if got[4] <= tol else None
+        ref = reference_spg(_eager(value_grad), project, x0, tol, max_iters, what) if got[4] <= tol else None
         outcomes.append((got, ref))
         return got
 
@@ -173,12 +185,12 @@ def test_joint_objective_matches_reference(monkeypatch, seed):
         ref = reference_joint_objective(data, majorant)
 
         def value_grad(x):
-            val, grad = fun(x)
+            val, gradient = fun(x)
             ref_val, ref_grad = ref(x)
             assert _bits(val) == _bits(ref_val)
-            assert _bits(grad) == _bits(ref_grad)
+            assert _bits(gradient()) == _bits(ref_grad)
             evaluated.append(math.isfinite(val))
-            return val, grad
+            return val, gradient
 
         return value_grad
 
@@ -205,7 +217,7 @@ def _kink_problem():
         q2 = float((x - c2) @ (x - c2))
         val, grad = (1.0 + q1, 2.0 * (x - c1)) if q1 >= q2 else (1.0 + q2, 2.0 * (x - c2))
         log.append(val)
-        return val, grad
+        return val, lambda: grad
 
     return value_grad, log
 
@@ -229,7 +241,7 @@ def test_kink_stall_exit_is_counted_in_evaluations():
     fun, log = _kink_problem()
     x, val, _, iters, resid, evals = spg(fun, project, x0, tol, max_iters, "kink")
     ref_fun, ref_log = _kink_problem()
-    ref_val = reference_spg(ref_fun, project, x0, tol, max_iters, "kink")[1]
+    ref_val = reference_spg(_eager(ref_fun), project, x0, tol, max_iters, "kink")[1]
 
     assert evals == len(log)
     assert resid > tol and iters < max_iters  # the stall exit, not tolerance or the cap
@@ -238,3 +250,36 @@ def test_kink_stall_exit_is_counted_in_evaluations():
     assert _evals_after_last_decrease(ref_log) > 100 + LINE_SEARCH_EVALS
     # both stop on gains below float64 resolution, so their values agree to it
     assert val <= ref_val + VAL_FLOOR * abs(ref_val)
+
+
+def test_gradient_built_only_at_start_and_accepted_steps():
+    """On an ill-conditioned quadratic over the simplex some Armijo trials
+    are rejected.  spg builds the gradient once at the start point and once
+    per accepted step, each time for the evaluation just made."""
+    center = np.array([0.6, 0.5, -0.2, 0.3])
+    weights = np.array([1.0, 10.0, 100.0, 0.5])
+    log = []
+
+    def fun(x):
+        z = x - center
+        log.append(("value", x.copy()))
+
+        def gradient():
+            log.append(("gradient", x.copy()))
+            return 2.0 * weights * z
+
+        return 1.0 + float(z @ (weights * z)), gradient
+
+    project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
+    x, _, _, iters, resid, evals = spg(fun, project, np.full(4, 0.25), 1e-10, 10_000, "quadratic")
+
+    kinds = [kind for kind, _ in log]
+    assert resid <= 1e-10
+    assert kinds.count("value") == evals
+    # on a smooth objective every step's line search ends in an accepted trial
+    assert kinds.count("gradient") == iters + 1
+    assert evals > iters + 1  # so some trials were rejected, without a gradient
+    for i, (kind, at) in enumerate(log):
+        if kind == "gradient":
+            assert log[i - 1][0] == "value" and _bits(log[i - 1][1]) == _bits(at)
+    assert log[-1][0] == "gradient" and _bits(log[-1][1]) == _bits(x)

@@ -1,10 +1,11 @@
 """Comparison schemes and a shared allocation evaluator.
 
 ``power_only_closed_loop`` keeps the equal compute/backhaul split and only
-optimizes transmit power for the sum cost.  ``communication_oriented``
-ignores control altogether: it splits compute to minimize total computation
-time and water-fills power for throughput, so at low power budgets distant
-loops routinely end up unstabilizable.
+optimizes transmit power for the sum cost, by Newton on the KKT system of
+its one budget constraint.  ``communication_oriented`` ignores control
+altogether: it splits compute to minimize total computation time and
+water-fills power for throughput, so at low power budgets distant loops
+routinely end up unstabilizable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 # more; they stay attributes of this module because bench/tracer.py wraps them
 # by module and name
 from .compute import classify_region, min_compute_time, min_compute_time_grad, optimal_split  # noqa: F401
-from .control import LN2
 from .errors import NoConvergence
 from .solver import (
     Allocation,
@@ -54,27 +54,56 @@ def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
     return p
 
 
-def _power_objective(data: LoopData, t_commu: np.ndarray):
-    """Reduced objective in normalized power only, windows held fixed, as
-    the (value, gradient function) pair ``spg`` takes."""
-    b = data.scenario.budgets
-    bw_t = data.bandwidth * t_commu
-    inf_grad = np.zeros(data.k)
-    inf_gradient = lambda: inf_grad  # noqa: E731
+def _power_terms(data: LoopData, t_commu: np.ndarray):
+    """Sum cost in the powers, windows held fixed: ``fun(p)`` returns the
+    value and a function that builds each loop's gradient and curvature
+    from that evaluation's intermediates.  Outside the domain (a loop's
+    entropy at or below its intrinsic rate, or a power at or below zero)
+    the value is inf; float warnings must be silenced around it."""
+    # e > 0 exactly when p > 0, so one comparison also keeps powers positive
+    e_floor = np.maximum(data.h, 0.0)
 
-    def fun(x):
-        snr = data.gamma * (x * b.p_max_w)
-        e = bw_t * data.spectral(snr)
-        if not (e > data.h).all():
-            return math.inf, inf_gradient
-        l, dl = data.lqr_terms(e)
-        return float(l.sum()), lambda: dl() * (bw_t * data.gamma / ((1.0 + snr) * LN2)) * b.p_max_w
+    def fun(p):
+        e, e_derivatives = data.entropy_terms(p, t_commu)
+        if not (e > e_floor).all():
+            return math.inf, None
+        l, dl, d2l = data.lqr_terms(e)
+
+        def newton_terms():
+            de, d2e = e_derivatives()
+            dl_e = dl()
+            # the cost falls and is convex in e, and e is concave in p, so
+            # both curvature terms are positive
+            return dl_e * de, d2l() * de * de + dl_e * d2e
+
+        return float(l.sum()), newton_terms
 
     return fun
 
 
 def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:
-    """Equal compute/backhaul split; power alone optimized for the sum cost."""
+    """Equal compute/backhaul split; power alone optimized for the sum cost.
+
+    With the windows fixed, min sum_k l_k(e_k(p_k)) subject to
+    sum(p) = p_max is smooth, strictly convex and separable by loop; the
+    budget is tight because every loop's cost falls in its power.  Damped
+    Newton solves its KKT system.  Every loop's curvature H_k is positive,
+    so each step is closed form: dp_k = -(g_k + mu) / H_k, the multiplier
+    mu making the step restore sum(p) = p_max.  Step lengths halve from 1
+    until the Armijo condition holds at a point where every loop's entropy
+    exceeds its intrinsic rate.  The start is ``feasible_power_init``, which
+    raises Infeasible when no power split stabilizes every loop.
+
+    Stops once a full Newton step can no longer lower the sum beyond
+    float64 resolution: its predicted decrease, half the squared Newton
+    decrement sum_k (g_k + mu)^2 / H_k, is at most 8 eps |sum|, the rule
+    ``spg`` applies to its steps.  That last step is still taken unless it
+    leaves the domain: it moves the sum only by rounding but squares the
+    KKT residual, so the relative prox residual ``spg`` would measure ends
+    far below ``inner_tol``.  Reads only ``config.inner_max_iters``: that
+    many steps without stopping, or a line search that finds no decrease,
+    raise NoConvergence.
+    """
     cfg = config or SolverConfig()
     data = LoopData(scenario)
     k = data.k
@@ -82,11 +111,33 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
     f = np.full(k, b.f_max_cycles / k)
     r = np.full(k, b.r_max_bits / k)
     t_commu = data.t_cycle - data.true_min_times(f, r)
-    p0 = feasible_power_init(data, t_commu, "power-only baseline")
-    fun = _power_objective(data, t_commu)
-    project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
-    x = spg(fun, project, p0 / b.p_max_w, cfg.inner_tol, cfg.inner_max_iters, "power-only baseline")[0]
-    return data.allocation(x * b.p_max_w, f, r, t_commu)
+    p = feasible_power_init(data, t_commu, "power-only baseline")
+    fun = _power_terms(data, t_commu)
+    val_floor = 8.0 * np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        val, newton_terms = fun(p)
+        for _ in range(cfg.inner_max_iters):
+            g, curv = newton_terms()
+            inv = 1.0 / curv
+            mu = -(b.p_max_w - p.sum() + g @ inv) / inv.sum()
+            kkt = g + mu
+            dp = -kkt * inv
+            if float(kkt @ dp) >= -2.0 * val_floor * abs(val):
+                if math.isfinite(fun(p + dp)[0]):
+                    p = p + dp
+                return data.allocation(p, f, r, t_commu)
+            slope = float(g @ dp)
+            lam = 1.0
+            while lam >= 1e-20:
+                p_try = p + lam * dp
+                val_try, terms_try = fun(p_try)
+                if val_try <= val + 1e-4 * lam * slope:
+                    break
+                lam *= 0.5
+            else:
+                raise NoConvergence("power-only baseline: Newton line search found no decrease")
+            p, val, newton_terms = p_try, val_try, terms_try
+    raise NoConvergence(f"power-only baseline: Newton exceeded {cfg.inner_max_iters} steps")
 
 
 def _sum_time_objective(data: LoopData, r_eq: float):
@@ -133,8 +184,11 @@ def evaluate_allocation(scenario: Scenario, alloc: Allocation) -> float:
     time at each loop's (f, r), gives the loop the full cycle remainder to
     communicate, and inverts the entropy curve.  Infinite when any loop
     cannot be stabilized.  On a solver or baseline output it reproduces
-    ``sum_lqr`` bit for bit.
+    ``sum_lqr`` bit for bit.  Raises ValueError when the allocation has more
+    or fewer loops than the scenario.
     """
+    if len(alloc.loops) != scenario.k:
+        raise ValueError(f"allocation has {len(alloc.loops)} loops, the scenario {scenario.k}")
     p = np.array([max(la.p_w, 0.0) for la in alloc.loops])
     f = np.array([la.f_cycles for la in alloc.loops])
     r = np.array([la.r_bits for la in alloc.loops])

@@ -103,7 +103,8 @@ class Scenario:
 class SolverConfig:
     """Tolerances: epsilon stops the outer loop on relative objective
     decrease; inner_tol bounds the projected-gradient stationarity residual
-    of the convex subproblem."""
+    of the convex subproblem; inner_max_iters caps the iterations of each
+    SPG run and the Newton steps of the power-only baseline."""
 
     epsilon: float = 5e-5
     max_outer_iters: int = 30
@@ -190,6 +191,8 @@ class LoopData:
         self.c = np.array([lp.entropy.c for lp in loops])
         self.l_min = np.array([lp.entropy.l_min for lp in loops])
         self.dl_scale = -(2.0 * LN2 / self.n) * self.c  # dl = dl_scale 2^-w / (1 - 2^-w)^2
+        # d2l = d2l_scale 2^-w (1 + 2^-w) / (1 - 2^-w)^3
+        self.d2l_scale = -(2.0 * LN2 / self.n) * self.dl_scale
         self.d_bits = np.array([lp.data_bits for lp in loops])
         self.t_cycle = np.array([lp.cycle_seconds for lp in loops])
         b = scenario.budgets
@@ -197,17 +200,34 @@ class LoopData:
         self.budget_col = np.array([[b.p_max_w], [b.f_max_cycles], [b.r_max_bits]])
 
     def lqr_terms(self, e: np.ndarray):
-        """Per-loop cost at delivered entropy e (> h), and a function that
-        returns its derivative in e from the same intermediates."""
+        """Per-loop cost at delivered entropy e (> h), and two functions that
+        return its first and second derivatives in e from the same
+        intermediates."""
         w = 2.0 * (e - self.h) / self.n
         zinv = np.exp2(-w)
         denom = -np.expm1(-w * LN2)  # 1 - 2^-w, accurate for small w
         l = self.l_min + self.c * zinv / denom
-        return l, lambda: self.dl_scale * zinv / (denom * denom)
+        dl = lambda: self.dl_scale * zinv / (denom * denom)  # noqa: E731
+        d2l = lambda: self.d2l_scale * zinv * (1.0 + zinv) / (denom * denom * denom)  # noqa: E731
+        return l, dl, d2l
 
     def spectral(self, snr: np.ndarray) -> np.ndarray:
         """Per-loop spectral efficiency (bits/s/Hz) at SNR gamma * p."""
         return np.log1p(snr) / LN2
+
+    def entropy_terms(self, p: np.ndarray, t_commu: np.ndarray):
+        """Per-loop entropy delivered at power p in window t_commu, and a
+        function that returns its first and second derivatives in p."""
+        snr = self.gamma * p
+        bw_t = self.bandwidth * t_commu
+        e = bw_t * self.spectral(snr)
+
+        def derivatives():
+            q = self.gamma / (1.0 + snr)  # d log(1 + snr) / dp
+            de = bw_t * q / LN2
+            return de, -de * q
+
+        return e, derivatives
 
     def true_min_times(self, f: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.array(
@@ -221,8 +241,8 @@ class LoopData:
         """Per-loop cost at power p and communication window t_commu;
         infinite for a loop whose entropy does not exceed its intrinsic rate."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e = self.bandwidth * t_commu * self.spectral(self.gamma * p)
-            l, _ = self.lqr_terms(e)
+            e = self.entropy_terms(p, t_commu)[0]
+            l = self.lqr_terms(e)[0]
         return np.where((t_commu > 0.0) & (e > self.h), l, math.inf)
 
     def true_objective(self, p: np.ndarray, f: np.ndarray, r: np.ndarray) -> float:
@@ -388,7 +408,7 @@ def _joint_objective(data: LoopData, majorant: MajorantCoefficients):
         e = bw_t * se
         if not (e > data.h).all():
             return math.inf, inf_gradient
-        l, dl = data.lqr_terms(e)
+        l, dl, _ = data.lqr_terms(e)
 
         def gradient():
             dtf, dtr = partials()
@@ -657,11 +677,15 @@ def sca_solve(
 def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     """Verify every constraint of the full problem against the true
     piecewise latency; reports normalized slacks instead of raising.  Every
-    comparison is written so that a NaN slack counts as a violation."""
+    comparison is written so that a NaN slack counts as a violation, and an
+    allocation with more or fewer loops than the scenario is one too; the
+    per-loop checks then cover the loops both have."""
     tol = -1e-6
     b = scenario.budgets
     violations: list[str] = []
     slacks: dict = {}
+    if len(alloc.loops) != scenario.k:
+        violations.append(f"allocation has {len(alloc.loops)} loops, the scenario {scenario.k}")
 
     p_sum = sum(la.p_w for la in alloc.loops)
     f_sum = sum(la.f_cycles for la in alloc.loops)

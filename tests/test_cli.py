@@ -357,6 +357,21 @@ def test_cli_validate_rejects_non_finite_allocation(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_validate_rejects_wrong_loop_count(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0}))
+    alloc = tmp_path / "alloc.json"
+    main(["solve", "--config", str(config), "--out", str(alloc)])
+    payload = json.loads(alloc.read_text())
+    payload["loops"] = payload["loops"][:3]
+    alloc.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config), "--alloc", str(alloc)]) == 2
+    out = capsys.readouterr().out
+    assert "VIOLATION: allocation has 3 loops, the scenario 5" in out
+    assert "allocation is feasible" not in out
+
+
 def test_cli_sweep_records_rejected_value_and_continues(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 0}))

@@ -3,9 +3,15 @@
 The majorant kernel ``surrogate_batch`` is checked against the true minimal
 computation time on up to three loops at a time, with random offload
 constants, anchors and query points drawn over the ranges the example
-tests use.  Examples are derandomized and kept few, so the suite's time
-stays flat and every run checks the same cases.
+tests use.  The entropy/cost curve is checked as the power-only baseline's
+Newton solve uses it: ``min_entropy`` and ``lqr_from_entropy`` invert each
+other, and ``LoopData``'s derivatives of the cost in entropy and of the
+entropy in power match central differences.  Examples are derandomized and
+kept few, so the suite's time stays flat and every run checks the same
+cases.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +20,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sc3opt import ComputeParams, RegionLabel, min_compute_time, region_time  # noqa: E402
+from sc3opt import (  # noqa: E402
+    Budgets,
+    ComputeParams,
+    EntropyParams,
+    LinkParams,
+    Loop,
+    RegionLabel,
+    Scenario,
+    lqr_from_entropy,
+    min_compute_time,
+    min_entropy,
+    region_time,
+)
+from sc3opt.control import LN2  # noqa: E402
+from sc3opt.solver import LoopData  # noqa: E402
 from sc3opt.surrogate import (  # noqa: E402
     MajorantCoefficients,
     SurrogateAnchor,
@@ -115,3 +135,125 @@ def test_majorant_partials_match_central_differences(case):
         # central differences carry a rounding error of about eps * val / h
         assert dfv[i] == pytest.approx(num_df[i], rel=1e-4, abs=1e-8 * val[i] / f[i])
         assert drv[i] == pytest.approx(num_dr[i], rel=1e-4, abs=1e-8 * val[i] / r[i])
+
+
+# ---------------------------------------------------------------------------
+# the entropy / cost curve
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def entropy_params(draw):
+    return EntropyParams(
+        n=draw(st.integers(1, 100)),
+        h=draw(st.floats(0.0, 300.0)),
+        l_min=draw(st.floats(0.0, 10.0)),
+        c=draw(_log_uniform(-2.0, 2.0)),
+    )
+
+
+def _excess_bits(draw, n):
+    """Entropy above the intrinsic rate, drawn as w = 2 (e - h) / n
+    log-uniform from 1e-6 to 30: at 30 the cost excess c / (2^w - 1) is
+    about 1e-9 c, short of where it drops below the floor's rounding and
+    the cost is l_min itself."""
+    return 0.5 * n * draw(_log_uniform(-6.0, math.log10(30.0)))
+
+
+def _cost_slope(l, params):
+    """|dl/de| at cost l: with u = (l - l_min) / c the curve has
+    dl/de = -(2 ln2 / n) c u (1 + u)."""
+    u = (l - params.l_min) / params.c
+    return 2.0 * LN2 / params.n * params.c * u * (1.0 + u)
+
+
+@PROPERTY
+@given(entropy_params(), st.data())
+def test_min_entropy_inverts_lqr_from_entropy(params, data):
+    e = params.h + _excess_bits(data.draw, params.n)
+    l = lqr_from_entropy(e, params)
+    # exact to the curve's conditioning: a few ulps of e, plus the ulps of
+    # l carried back through the slope
+    assert abs(min_entropy(l, params) - e) <= 8.0 * EPS * (e + l / _cost_slope(l, params))
+
+
+@PROPERTY
+@given(entropy_params(), _log_uniform(-9.0, 9.0))
+def test_lqr_from_entropy_inverts_min_entropy(params, u):
+    l = params.l_min + params.c * u
+    e = min_entropy(l, params)
+    assert abs(lqr_from_entropy(e, params) - l) <= 8.0 * EPS * (l + _cost_slope(l, params) * e)
+
+
+LINK = LinkParams(bandwidth_hz=5000.0, gamma0=1e-6, noise_power_w=1e-14, uav_height_m=100.0)
+
+
+@st.composite
+def curve_cases(draw):
+    """LoopData of K <= 3 loops with random curve constants and distances."""
+    k = draw(st.integers(1, 3))
+    loops = tuple(
+        Loop(
+            entropy=draw(entropy_params()),
+            data_bits=1e6,
+            cycle_seconds=0.07,
+            distance_m=draw(st.floats(100.0, 5000.0)),
+        )
+        for _ in range(k)
+    )
+    scenario = Scenario(
+        loops=loops,
+        compute=ComputeParams(alpha=100.0, beta=50.0, rho=0.25, tau=5e-3),
+        link=LINK,
+        budgets=Budgets(p_max_w=10.0, f_max_cycles=5e9, r_max_bits=5e7),
+    )
+    return LoopData(scenario)
+
+
+def _differences(fun, x, step):
+    """Central first and second differences of fun at x, over the stencil
+    x - step, x, x + step as rounded; the spacings are exact differences of
+    the rounded points, so the rounding of the stencil itself cancels."""
+    up, down = x + step, x - step
+    dx_up, dx_down = up - x, x - down
+    f0, f_up, f_down = fun(x), fun(up), fun(down)
+    first = (f_up - f_down) / (up - down)
+    second = 2.0 * ((f_up - f0) / dx_up - (f0 - f_down) / dx_down) / (up - down)
+    return first, second
+
+
+def _assert_close(got, want, rtol, atol):
+    """Elementwise |got - want| <= rtol |want| + atol, atol per loop."""
+    assert (np.abs(got - want) <= rtol * np.abs(want) + atol).all(), (got, want)
+
+
+@PROPERTY
+@given(curve_cases(), st.data())
+def test_cost_derivatives_match_central_differences(data, draw_data):
+    excess = np.array([_excess_bits(draw_data.draw, n) for n in data.n])
+    e = data.h + excess
+    l, dl, d2l = data.lqr_terms(e)
+    # the curve varies on the scale of the excess, or of n / (2 ln2) bits
+    # once the cost nears its floor
+    step = 1e-4 * np.minimum(excess, data.n / (2.0 * LN2))
+    first, second = _differences(lambda v: data.lqr_terms(v)[0], e, step)
+    # central differences carry a rounding error of about eps l / step
+    # (first) and eps l / step^2 (second)
+    _assert_close(dl(), first, 1e-6, 64.0 * EPS * l / step)
+    _assert_close(d2l(), second, 1e-5, 64.0 * EPS * l / step**2)
+
+
+@PROPERTY
+@given(curve_cases(), st.data())
+def test_entropy_derivatives_match_central_differences(data, draw_data):
+    k = data.k
+    p = np.array([draw_data.draw(_log_uniform(-3.0, 2.0)) for _ in range(k)])
+    t_commu = np.array([draw_data.draw(st.floats(1e-3, 0.07)) for _ in range(k)])
+    e, derivatives = data.entropy_terms(p, t_commu)
+    de, d2e = derivatives()
+    # e(p) bends on the scale p + 1/gamma, never below p
+    step = 1e-4 * p
+    first, second = _differences(lambda v: data.entropy_terms(v, t_commu)[0], p, step)
+    _assert_close(de, first, 1e-6, 64.0 * EPS * e / step)
+    _assert_close(d2e, second, 1e-5, 64.0 * EPS * e / step**2)

@@ -404,6 +404,19 @@ def test_check_allocation_fails_nan(field):
     assert not check_allocation(sc, Allocation(loops=loops, sum_lqr=alloc.sum_lqr)).ok
 
 
+@pytest.mark.parametrize("count", [3, 6])
+def test_wrong_loop_count_is_rejected(count):
+    sc = generate_scenario(0)
+    alloc, _ = sca_solve(sc)
+    # the first `count` loops of the solve output, repeated as needed
+    wrong = Allocation(loops=(alloc.loops * 2)[:count], sum_lqr=alloc.sum_lqr)
+    rep = check_allocation(sc, wrong)
+    assert not rep.ok
+    assert f"allocation has {count} loops, the scenario 5" in rep.violations
+    with pytest.raises(ValueError, match=f"allocation has {count} loops, the scenario 5"):
+        evaluate_allocation(sc, wrong)
+
+
 @pytest.mark.parametrize(
     "seed, overrides",
     [(10, {}), (0, {"k_loops": 50, "p_max_dbw": 20.0, "f_max_ghz": 50.0, "r_max_mbps": 500.0})],

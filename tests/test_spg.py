@@ -10,6 +10,7 @@ float64 resolution.  The reduced objective only regrouped its arithmetic,
 so it must return the reference's bits at every point a solve evaluates.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,9 +168,34 @@ def test_baseline_runs_at_tolerance_match_reference(monkeypatch, seed):
     outcomes = []
     monkeypatch.setattr(sc3opt.baselines, "spg", _twin_spg(outcomes))
     sc = generate_scenario(seed)
-    power_only_closed_loop(sc)
+    power_only_closed_loop(sc)  # solved by Newton, without spg
     communication_oriented(sc)
-    assert len(outcomes) == 2
+    assert len(outcomes) == 1
+    _assert_bit_identical(outcomes)
+
+
+def _unequal_data(seed):
+    """Generated scenario ``seed`` with each loop's data size scaled by a
+    factor drawn log-uniformly within half a decade.  Generated loops all
+    carry the same data size, which makes the equal compute split
+    stationary, so communication_oriented's spg stops before its first
+    step; unequal sizes make it step."""
+    scenario = generate_scenario(seed)
+    rng = np.random.default_rng(seed)
+    loops = tuple(
+        dataclasses.replace(lp, data_bits=lp.data_bits * 10.0 ** rng.uniform(-0.5, 0.5))
+        for lp in scenario.loops
+    )
+    return dataclasses.replace(scenario, loops=loops)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compute_split_steps_match_reference(monkeypatch, seed):
+    outcomes = []
+    monkeypatch.setattr(sc3opt.baselines, "spg", _twin_spg(outcomes))
+    communication_oriented(_unequal_data(seed))
+    assert len(outcomes) == 1
+    assert outcomes[0][0][3] > 0  # iterations
     _assert_bit_identical(outcomes)
 
 

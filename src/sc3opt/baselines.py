@@ -58,14 +58,13 @@ def _power_terms(data: LoopData, t_commu: np.ndarray):
     """Sum cost in the powers, windows held fixed: ``fun(p)`` returns the
     value and a function that builds each loop's gradient and curvature
     from that evaluation's intermediates.  Outside the domain (a loop's
-    entropy at or below its intrinsic rate, or a power at or below zero)
-    the value is inf; float warnings must be silenced around it."""
-    # e > 0 exactly when p > 0, so one comparison also keeps powers positive
-    e_floor = np.maximum(data.h, 0.0)
+    entropy at or below its intrinsic rate) the value is inf; float
+    warnings must be silenced around it.  The Newton steps never take a
+    power below zero, so the domain check is on the entropy alone."""
 
     def fun(p):
         e, e_derivatives = data.entropy_terms(p, t_commu)
-        if not (e > e_floor).all():
+        if not (e > data.h).all():
             return math.inf, None
         l, dl, d2l = data.lqr_terms(e)
 
@@ -73,7 +72,7 @@ def _power_terms(data: LoopData, t_commu: np.ndarray):
             de, d2e = e_derivatives()
             dl_e = dl()
             # the cost falls and is convex in e, and e is concave in p, so
-            # both curvature terms are positive
+            # both curvature terms are nonnegative
             return dl_e * de, d2l() * de * de + dl_e * d2e
 
         return float(l.sum()), newton_terms
@@ -81,28 +80,73 @@ def _power_terms(data: LoopData, t_commu: np.ndarray):
     return fun
 
 
+# below this a loop's curvature H_k is subnormal or nearly so: float64 no
+# longer resolves its gradient or its Newton weight 1/H_k, and its cost
+# sits at l_min to float64
+_FLAT_CURVATURE = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _newton_step(p: np.ndarray, g: np.ndarray, curv: np.ndarray, residual: float):
+    """Newton step for min sum_k f_k(p_k) s.t. sum(p) = p_max, p >= 0, from
+    each loop's gradient g_k and curvature H_k and the budget residual
+    p_max - sum(p): dp_k = max(-(g_k + mu) / H_k, -p_k), the multiplier mu
+    making sum(dp) equal the residual.  Returns dp and the KKT residual
+    g + mu.
+
+    Loops the step would take below zero are fixed there and mu is solved
+    again over the rest; each fix raises mu, so a fixed loop stays fixed
+    and at most k rounds run.  A loop with H_k below ``_FLAT_CURVATURE``
+    takes the limit H_k -> 0: its weight 1/H_k outgrows every other, so mu
+    is its -g_k, zero to float64, and such loops share equally what the
+    others leave of the residual.
+    """
+    inv = 1.0 / curv
+    flat = ~(curv >= _FLAT_CURVATURE)
+    fixed = np.zeros(p.size, dtype=bool)
+    while True:
+        free = ~fixed
+        absorb = flat & free
+        if absorb.any():
+            mu = 0.0
+            dp = np.where(absorb, 0.0, -g * inv)
+            dp[fixed] = -p[fixed]
+            dp[absorb] = (residual - dp.sum()) / np.count_nonzero(absorb)
+        else:
+            mu = -(residual + p[fixed].sum() + g[free] @ inv[free]) / inv[free].sum()
+            dp = -(g + mu) * inv
+            dp[fixed] = -p[fixed]
+        low = free & (dp < -p)
+        if not low.any():
+            return dp, g + mu
+        fixed |= low
+
+
 def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:
     """Equal compute/backhaul split; power alone optimized for the sum cost.
 
     With the windows fixed, min sum_k l_k(e_k(p_k)) subject to
-    sum(p) = p_max is smooth, strictly convex and separable by loop; the
+    sum(p) = p_max and p >= 0 is smooth, convex and separable by loop; the
     budget is tight because every loop's cost falls in its power.  Damped
     Newton solves its KKT system.  Every loop's curvature H_k is positive,
-    so each step is closed form: dp_k = -(g_k + mu) / H_k, the multiplier
-    mu making the step restore sum(p) = p_max.  Step lengths halve from 1
-    until the Armijo condition holds at a point where every loop's entropy
-    exceeds its intrinsic rate.  The start is ``feasible_power_init``, which
-    raises Infeasible when no power split stabilizes every loop.
+    so each step is closed form: dp_k = max(-(g_k + mu) / H_k, -p_k), the
+    multiplier mu making the step restore sum(p) = p_max (see
+    ``_newton_step``, which also covers curvatures too small for float64).
+    At the optimum the bound p_k >= 0 can bind only for a loop with a
+    negative intrinsic rate, whose cost stays finite at zero power.  Step
+    lengths halve from 1 until the Armijo condition holds, with ``spg``'s
+    rounding slack, at a point where every loop's entropy exceeds its
+    intrinsic rate.  The start is ``feasible_power_init``, which raises
+    Infeasible when no power split stabilizes every loop.
 
     Stops once a full Newton step can no longer lower the sum beyond
-    float64 resolution: its predicted decrease, half the squared Newton
-    decrement sum_k (g_k + mu)^2 / H_k, is at most 8 eps |sum|, the rule
-    ``spg`` applies to its steps.  That last step is still taken unless it
-    leaves the domain: it moves the sum only by rounding but squares the
-    KKT residual, so the relative prox residual ``spg`` would measure ends
-    far below ``inner_tol``.  Reads only ``config.inner_max_iters``: that
-    many steps without stopping, or a line search that finds no decrease,
-    raise NoConvergence.
+    float64 resolution: its decrement -sum_k (g_k + mu) dp_k, twice the
+    predicted decrease when no bound binds, is at most 16 eps |sum|, the
+    rule ``spg`` applies to its steps.  That last step is still taken
+    unless it leaves the domain: it moves the sum only by rounding but
+    squares the KKT residual, so the relative prox residual ``spg`` would
+    measure ends far below ``inner_tol``.  Reads only
+    ``config.inner_max_iters``: that many steps without stopping, or a
+    line search that finds no decrease, raise NoConvergence.
     """
     cfg = config or SolverConfig()
     data = LoopData(scenario)
@@ -118,10 +162,7 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
         val, newton_terms = fun(p)
         for _ in range(cfg.inner_max_iters):
             g, curv = newton_terms()
-            inv = 1.0 / curv
-            mu = -(b.p_max_w - p.sum() + g @ inv) / inv.sum()
-            kkt = g + mu
-            dp = -kkt * inv
+            dp, kkt = _newton_step(p, g, curv, b.p_max_w - p.sum())
             if float(kkt @ dp) >= -2.0 * val_floor * abs(val):
                 if math.isfinite(fun(p + dp)[0]):
                     p = p + dp
@@ -131,7 +172,7 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
             while lam >= 1e-20:
                 p_try = p + lam * dp
                 val_try, terms_try = fun(p_try)
-                if val_try <= val + 1e-4 * lam * slope:
+                if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
                     break
                 lam *= 0.5
             else:

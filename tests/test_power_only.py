@@ -10,6 +10,7 @@ low to rounding, spend the whole budget and carry a prox residual within
 ``inner_tol``, measured the way ``spg`` measures it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -82,22 +83,51 @@ def _outcome(solve, scenario):
         return None
 
 
+def _scenario(seed, overrides, entropy0):
+    """The generated scenario, with loop 0's entropy constants replaced by
+    those ``entropy0`` names, if any, as an explicit scenario gives them:
+    without a control plant."""
+    scenario = generate_scenario(seed, overrides)
+    if not entropy0:
+        return scenario
+    loops = list(scenario.loops)
+    entropy = dataclasses.replace(loops[0].entropy, **entropy0)
+    loops[0] = dataclasses.replace(loops[0], entropy=entropy, control=None)
+    return dataclasses.replace(scenario, loops=tuple(loops))
+
+
 def _cases():
     for seed in range(16):
         for dbw in P_MAX_DBW:
-            yield f"seed{seed}-{dbw}dBW", seed, {"p_max_dbw": dbw}
-    yield "k1", 0, {"k_loops": 1}
-    yield "k2", 1, {"k_loops": 2}
+            yield f"seed{seed}-{dbw}dBW", seed, {"p_max_dbw": dbw}, None
+    yield "k1", 0, {"k_loops": 1}, None
+    yield "k2", 1, {"k_loops": 2}, None
     # the K=50 budgets of the benchmark's solve_k50 pool
-    yield "k50", 0, {"k_loops": 50, "p_max_dbw": 20.0, "f_max_ghz": 50.0, "r_max_mbps": 500.0}
+    yield "k50", 0, {"k_loops": 50, "p_max_dbw": 20.0, "f_max_ghz": 50.0, "r_max_mbps": 500.0}, None
+    # few state dimensions: at 30 dBW and above every loop's cost sits at
+    # l_min and its curvature underflows
+    for n in (1, 2):
+        for dbw in P_MAX_DBW + [30.0, 40.0]:
+            yield f"n{n}-{dbw}dBW", 0, {"n_state": n, "p_max_dbw": dbw}, None
+    # a stable plant (h < 0) in loop 0 on tight budgets: its cost stays
+    # finite at zero power, where the optimum often puts it
+    for seed in (0, 3):
+        for entropy0 in ({"h": -1000.0}, {"h": -100.0}, {"h": -30.0, "n": 4}):
+            for dbw in (0.0, 5.0, 10.0):
+                label = "stable-" + "-".join(f"{key}{value}" for key, value in entropy0.items())
+                yield f"{label}-seed{seed}-{dbw}dBW", seed, {"k_loops": 4, "p_max_dbw": dbw}, entropy0
+    # the same with one state dimension: loop 0's curvature underflows at
+    # every power while the others' does not
+    for dbw in (0.0, 10.0):
+        yield f"stable-n1-{dbw}dBW", 0, {"k_loops": 4, "p_max_dbw": dbw}, {"h": -1000.0, "n": 1}
 
 
 CASES = list(_cases())
 
 
-@pytest.mark.parametrize("seed, overrides", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_newton_matches_spg_reference(seed, overrides):
-    scenario = generate_scenario(seed, overrides)
+@pytest.mark.parametrize("seed, overrides, entropy0", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_newton_matches_spg_reference(seed, overrides, entropy0):
+    scenario = _scenario(seed, overrides, entropy0)
     got = _outcome(power_only_closed_loop, scenario)
     ref = _outcome(reference_power_only, scenario)
     assert (got is None) == (ref is None)
@@ -107,19 +137,41 @@ def test_newton_matches_spg_reference(seed, overrides):
     assert got.sum_lqr >= ref.sum_lqr * (1.0 - 1e-9)
     p_max = scenario.budgets.p_max_w
     assert sum(la.p_w for la in got.loops) == pytest.approx(p_max, rel=1e-13)
+    assert min(la.p_w for la in got.loops) >= 0.0
     assert _prox_residual(scenario, got) <= SolverConfig().inner_tol
 
 
 def test_cases_cover_both_outcomes():
     """The comparison above covers both outcomes of feasible_power_init,
-    and every scenario shape beyond the grid is solved."""
+    and every scenario shape beyond the budget grid is solved."""
     infeasible = {
         label
-        for label, seed, overrides in CASES
-        if _outcome(power_only_closed_loop, generate_scenario(seed, overrides)) is None
+        for label, seed, overrides, entropy0 in CASES
+        if _outcome(power_only_closed_loop, _scenario(seed, overrides, entropy0)) is None
     }
     assert infeasible and len(infeasible) < len(CASES)
-    assert not infeasible & {"k1", "k2", "k50"}
+    assert all(label.startswith("seed") for label in infeasible)
+
+
+def test_stable_loop_reaches_zero_power():
+    """On the stable-plant cases Newton puts loop 0 at exactly zero power
+    where SPG's projection does, including a cell where the start gives it
+    power, so the bound is reached by steps rather than kept from the
+    start."""
+    zero_got, zero_ref, from_positive = set(), set(), set()
+    for label, seed, overrides, entropy0 in CASES:
+        if not label.startswith("stable"):
+            continue
+        scenario = _scenario(seed, overrides, entropy0)
+        if power_only_closed_loop(scenario).loops[0].p_w == 0.0:
+            zero_got.add(label)
+            data = LoopData(scenario)
+            if feasible_power_init(data, _equal_split(data)[2], "start")[0] > 0.0:
+                from_positive.add(label)
+        if reference_power_only(scenario).loops[0].p_w == 0.0:
+            zero_ref.add(label)
+    assert zero_got == zero_ref
+    assert from_positive
 
 
 def test_newton_calls_neither_spg_nor_projection(monkeypatch):

@@ -19,15 +19,8 @@ import numpy as np
 # by module and name
 from .compute import classify_region, min_compute_time, min_compute_time_grad, optimal_split  # noqa: F401
 from .errors import NoConvergence
-from .solver import (
-    Allocation,
-    LoopData,
-    Scenario,
-    SolverConfig,
-    feasible_power_init,
-    project_budget_simplex,
-    spg,
-)
+from .optim import newton_kkt_step, project_budget_simplex, spg
+from .solver import Allocation, LoopData, Scenario, SolverConfig, feasible_power_init
 
 
 def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
@@ -80,47 +73,6 @@ def _power_terms(data: LoopData, t_commu: np.ndarray):
     return fun
 
 
-# below this a loop's curvature H_k is subnormal or nearly so: float64 no
-# longer resolves its gradient or its Newton weight 1/H_k, and its cost
-# sits at l_min to float64
-_FLAT_CURVATURE = np.finfo(float).tiny / np.finfo(float).eps
-
-
-def _newton_step(p: np.ndarray, g: np.ndarray, curv: np.ndarray, residual: float):
-    """Newton step for min sum_k f_k(p_k) s.t. sum(p) = p_max, p >= 0, from
-    each loop's gradient g_k and curvature H_k and the budget residual
-    p_max - sum(p): dp_k = max(-(g_k + mu) / H_k, -p_k), the multiplier mu
-    making sum(dp) equal the residual.  Returns dp and the KKT residual
-    g + mu.
-
-    Loops the step would take below zero are fixed there and mu is solved
-    again over the rest; each fix raises mu, so a fixed loop stays fixed
-    and at most k rounds run.  A loop with H_k below ``_FLAT_CURVATURE``
-    takes the limit H_k -> 0: its weight 1/H_k outgrows every other, so mu
-    is its -g_k, zero to float64, and such loops share equally what the
-    others leave of the residual.
-    """
-    inv = 1.0 / curv
-    flat = ~(curv >= _FLAT_CURVATURE)
-    fixed = np.zeros(p.size, dtype=bool)
-    while True:
-        free = ~fixed
-        absorb = flat & free
-        if absorb.any():
-            mu = 0.0
-            dp = np.where(absorb, 0.0, -g * inv)
-            dp[fixed] = -p[fixed]
-            dp[absorb] = (residual - dp.sum()) / np.count_nonzero(absorb)
-        else:
-            mu = -(residual + p[fixed].sum() + g[free] @ inv[free]) / inv[free].sum()
-            dp = -(g + mu) * inv
-            dp[fixed] = -p[fixed]
-        low = free & (dp < -p)
-        if not low.any():
-            return dp, g + mu
-        fixed |= low
-
-
 def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:
     """Equal compute/backhaul split; power alone optimized for the sum cost.
 
@@ -130,7 +82,8 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
     Newton solves its KKT system.  Every loop's curvature H_k is positive,
     so each step is closed form: dp_k = max(-(g_k + mu) / H_k, -p_k), the
     multiplier mu making the step restore sum(p) = p_max (see
-    ``_newton_step``, which also covers curvatures too small for float64).
+    ``newton_kkt_step`` with one budget row, which also covers curvatures
+    too small for float64).
     At the optimum the bound p_k >= 0 can bind only for a loop with a
     negative intrinsic rate, whose cost stays finite at zero power.  Step
     lengths halve from 1 until the Armijo condition holds, with ``spg``'s
@@ -162,7 +115,8 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
         val, newton_terms = fun(p)
         for _ in range(cfg.inner_max_iters):
             g, curv = newton_terms()
-            dp, kkt = _newton_step(p, g, curv, b.p_max_w - p.sum())
+            dp, kkt, _ = newton_kkt_step(p[:, None], g[:, None], curv[:, None, None], np.array([b.p_max_w - p.sum()]))
+            dp, kkt = dp[:, 0], kkt[:, 0]
             if float(kkt @ dp) >= -2.0 * val_floor * abs(val):
                 if math.isfinite(fun(p + dp)[0]):
                     p = p + dp
@@ -228,9 +182,10 @@ def evaluate_allocation(scenario: Scenario, alloc: Allocation) -> float:
     ``sum_lqr`` bit for bit.  Raises ValueError when the allocation has more
     or fewer loops than the scenario.
     """
-    if len(alloc.loops) != scenario.k:
-        raise ValueError(f"allocation has {len(alloc.loops)} loops, the scenario {scenario.k}")
-    p = np.array([max(la.p_w, 0.0) for la in alloc.loops])
-    f = np.array([la.f_cycles for la in alloc.loops])
-    r = np.array([la.r_bits for la in alloc.loops])
+    loops = tuple(alloc.loops)
+    if len(loops) != scenario.k:
+        raise ValueError(f"allocation has {len(loops)} loops, the scenario {scenario.k}")
+    p = np.array([max(la.p_w, 0.0) for la in loops])
+    f = np.array([la.f_cycles for la in loops])
+    r = np.array([la.r_bits for la in loops])
     return LoopData(scenario).true_objective(p, f, r)

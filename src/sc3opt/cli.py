@@ -489,10 +489,10 @@ def _cmd_solve(args) -> int:
     }
     with _write_errors(args.out), open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
-    print(
-        f"sum LQR {alloc.sum_lqr:.6g} after {len(trace.iterations) - 1} iterations"
-        f" (converged={trace.converged}) -> {args.out}"
-    )
+    rounds = len(trace.iterations) - 1
+    print(f"sum LQR {alloc.sum_lqr:.6g} after {rounds} iterations (converged={trace.converged}) -> {args.out}")
+    if not trace.converged:
+        print(f"warning: not converged after {rounds} rounds", file=sys.stderr)
     return 0
 
 

@@ -7,21 +7,27 @@ previous solution and solves the resulting convex problem.  Two variables
 are eliminated first because their constraints are tight at any optimum:
 the communication window equals the cycle time minus the (surrogate)
 computation time, and each loop's cost is the best cost its delivered
-entropy allows.  What remains is a smooth convex objective over the product
-of three capped simplexes, solved by spectral projected gradient.  The
-outer objective never increases because each majorant touches the true
-latency at its anchor.  After each such majorize-minimize (MM) step the
-outer loop extrapolates along it, keeping a longer step only while the true
-objective keeps falling; the stop rule still judges the plain MM step.
+entropy allows.  What remains is a convex objective over the product of
+three capped simplexes, separable by loop: each loop's (p, f, r) enters
+only its own cost, so its curvature is one 3 x 3 block per loop and the
+loops meet only in the three budget rows.  Damped Newton solves its KKT
+system (``newton_kkt_step``), with the majorant's S1/S2 kink held as a
+per-loop active-set equality.  The outer objective never increases
+because each majorant touches the true latency at its anchor.  After each
+such majorize-minimize (MM) step the outer loop extrapolates along it,
+keeping a longer step only while the true objective keeps falling; the
+stop rule still judges the plain MM step.
 
 Decision variables are normalized by their budgets before optimization;
 resources here span ten orders of magnitude and raw gradients would be
-hopelessly ill-conditioned.
+hopelessly ill-conditioned.  ``spg``, spectral projected gradient, serves
+the communication-oriented baseline's compute split, which is not convex.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +35,9 @@ import numpy as np
 from .channel import LinkParams, channel_gain, entropy_per_cycle
 from .compute import ComputeParams, SplitPlan, min_compute_time, optimal_split
 from .control import LN2, EntropyParams, LoopControlSpec, lqr_from_entropy, min_entropy
-from .errors import Infeasible, InfeasibleSubproblem, NoConvergence, Unstabilizable
+from .errors import Infeasible, InfeasibleSubproblem, Unstabilizable
+# spg is not called here; callers that import it from this module still can
+from .optim import kink_step, project_budget_simplex, spg  # noqa: F401
 from .surrogate import MajorantCoefficients, SurrogateAnchor, surrogate_batch
 
 # anchors with a dead component are pushed up to this fraction of the budget
@@ -103,8 +111,9 @@ class Scenario:
 class SolverConfig:
     """Tolerances: epsilon stops the outer loop on relative objective
     decrease; inner_tol bounds the projected-gradient stationarity residual
-    of the convex subproblem; inner_max_iters caps the iterations of each
-    SPG run and the Newton steps of the power-only baseline."""
+    of an ``spg`` run (the communication-oriented compute split);
+    inner_max_iters caps the Newton steps of each inner solve and of the
+    power-only baseline, and the iterations of each ``spg`` run."""
 
     epsilon: float = 5e-5
     max_outer_iters: int = 30
@@ -133,20 +142,82 @@ class LoopAllocation:
 
 @dataclass(frozen=True)
 class Allocation:
+    # a tuple of LoopAllocation, or a LoopTable that reads as one
     loops: tuple[LoopAllocation, ...]
     sum_lqr: float
 
 
-@dataclass(frozen=True)
+class LoopTable(Sequence):
+    """The loops of a computed allocation, stored as columns.
+
+    Reads as the tuple of ``LoopAllocation`` it stands for (indexing,
+    iteration, slicing to a tuple, comparison, ``repr``), building each
+    loop, with its split from ``optimal_split``, when asked for.  A loop
+    held as objects takes about 350 bytes, twelve Python floats and two
+    instances; as a column entry it takes 40.  Iterate once where a loop is
+    read more than once.
+    """
+
+    __slots__ = ("_cols", "_scenario")
+
+    def __init__(self, p, f, r, t_commu, lqr, scenario: Scenario):
+        self._cols = np.stack([p, f, r, t_commu, lqr])
+        self._scenario = scenario
+
+    def __len__(self) -> int:
+        return self._cols.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        p, f, r, t, lqr = self._cols[:, i].tolist()
+        loop = self._scenario.loops[i]
+        split = optimal_split(f, r, loop.data_bits, self._scenario.compute)
+        return LoopAllocation(p_w=p, f_cycles=f, r_bits=r, t_commu_s=t, lqr_cost=lqr, split=split)
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, LoopTable) else other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        return tuple(self) + other
+
+    def __radd__(self, other):
+        return other + tuple(self)
+
+    def __mul__(self, n):
+        return tuple(self) * n
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     objective: float
-    anchors: tuple[tuple[float, float], ...]
+    # each loop's anchor (f0, r0) as float64 pairs, packed: a trace holds
+    # one set per round, and Python floats in tuples take five times the
+    # room (``anchors`` unpacks them)
+    anchor_bits: bytes
+    # Newton steps of the round's inner solve (0: no inner solve)
     inner_iterations: int
+    # relative prox residual of the inner problem at the round's MM point,
+    # measured as spg measures it (nan: no inner solve)
     inner_residual: float
     # accepted multiple of the round's majorize-minimize step (1.0: the MM point)
     step_scale: float = 1.0
-    # objective evaluations in the round's SPG run (0: no inner solve)
+    # surrogate_batch calls in the round's inner solve (0: no inner solve)
     inner_evaluations: int = 0
+    # why the inner solve stopped: "kkt" (a full Newton step no longer lowers
+    # the objective beyond float64 resolution), "stall" (a line search found
+    # no decrease) or "cap" (inner_max_iters steps); None: no inner solve
+    inner_stop: str | None = None
+
+    @property
+    def anchors(self) -> tuple[tuple[float, float], ...]:
+        return tuple(map(tuple, np.frombuffer(self.anchor_bits).reshape(-1, 2).tolist()))
 
 
 @dataclass(frozen=True)
@@ -256,17 +327,7 @@ class LoopData:
         if t_commu is None:
             t_commu = self.t_cycle - self.true_min_times(f, r)
         l = self.costs(p, t_commu)
-        loops = tuple(
-            LoopAllocation(
-                p_w=float(p[i]),
-                f_cycles=float(f[i]),
-                r_bits=float(r[i]),
-                t_commu_s=max(float(t_commu[i]), 0.0),
-                lqr_cost=float(l[i]),
-                split=optimal_split(float(f[i]), float(r[i]), float(self.d_bits[i]), self.scenario.compute),
-            )
-            for i in range(self.k)
-        )
+        loops = LoopTable(p, f, r, np.maximum(t_commu, 0.0), l, self.scenario)
         return Allocation(loops=loops, sum_lqr=float(l.sum()))
 
 
@@ -275,154 +336,81 @@ def _pack(p, f, r, b: Budgets) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# projections and the projected-gradient core
+# the inner problem
 
 
-def project_budget_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= total}, of a vector or
-    of each row of a 2-D array.
-
-    Sort-based (Duchi et al., ICML 2008): the threshold comes from the last
-    sorted position whose entry stays above it.  A row of a 2-D array gets
-    exactly the bits the 1-D call gives for that row.
-    """
-    w = np.maximum(v, 0.0)
-    inside = w.sum(-1) <= total
-    # truth-testing a scalar or a list costs far less than a numpy reduction
-    if inside if v.ndim == 1 else all(inside.tolist()):
-        return w
-    n = v.shape[-1]
-    u = np.sort(v)[..., ::-1]
-    css = u.cumsum(-1) - total
-    ratio = css / np.arange(1, n + 1)
-    last = n - 1 - (u > ratio)[..., ::-1].argmax(-1)
-    if v.ndim == 1:
-        theta = ratio[last]
-    else:
-        theta = ratio[np.arange(v.shape[0]), last]
-        theta[inside] = 0.0  # max(v - 0, 0) is the clipped row itself
-        theta = theta[:, None]
-    return np.maximum(v - theta, 0.0)
-
-
-_SPG_STEP_FLOOR = 1e-9  # below this the projected direction is rounding noise
-# objective evaluations without a decrease beyond float64 resolution before
-# SPG gives up; counting evaluations rather than steps keeps a run parked on
-# a kink from spending dozens of Armijo halvings per fruitless step
-_SPG_STALL_EVALS = 100
-
-
-def spg(fun, project, x0: np.ndarray, tol: float, max_iters: int, what: str):
-    """Monotone spectral projected gradient on a convex set.
-
-    ``fun(x)`` returns ``(value, gradient)``, where ``gradient`` is a
-    zero-argument function that builds the gradient at x from that
-    evaluation's intermediates.  spg calls it only at the start point and at
-    accepted trials, never at a rejected Armijo trial.  ``project`` maps
-    each row of a 2-D array onto the set; each step projects the
-    prox-residual point and the trial point together, in one call.
-
-    Searches along the projected-arc direction with Armijo backtracking and
-    a Barzilai-Borwein trial step.  Stops when the prox residual of the
-    relative-scaled gradient drops below tol, or after 100 objective
-    evaluations without a decrease beyond float64 resolution (the measured
-    residual then sits at its numerical floor; it is still returned for
-    inspection).  Returns (x, value, gradient, iterations, residual,
-    evaluations), the last counting every call of fun.
-    """
-    x = project(np.array(x0, dtype=float))
-    val, gradient = fun(x)
-    evals = 1
-    if not math.isfinite(val):
-        raise InfeasibleSubproblem(f"{what}: start point is infeasible")
-    grad = gradient()
-    val_floor = 8.0 * np.finfo(float).eps
-    step = 1.0
-    stall = 0  # objective evaluations since the last real decrease
-    resid = math.inf
-    for it in range(max_iters):
-        scale = max(abs(val), 1e-300)
-        # row 0: the prox-residual point; row 1: the trial point
-        pair = np.empty((2, x.size))
-        np.subtract(x, grad / scale, out=pair[0])
-        np.subtract(x, step * grad, out=pair[1])
-        prox, trial = project(pair)
-        resid = float(np.abs(x - prox).max())
-        if resid <= tol or stall >= _SPG_STALL_EVALS:
-            return x, val, grad, it, resid, evals
-        d = trial - x
-        slope = float(grad @ d)
-        if slope >= 0.0 or not d.any():
-            step = max(step * 0.25, _SPG_STEP_FLOOR)
-            stall += 1
-            continue
-        lam, moved = 1.0, False
-        tries = 0
-        while lam >= 1e-20:
-            x_try = x + lam * d
-            val_try, gradient = fun(x_try)
-            tries += 1
-            if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
-                moved = True
-                break
-            lam *= 0.5
-        evals += tries
-        if not moved:
-            step = max(step * 0.25, _SPG_STEP_FLOOR)
-            stall += tries
-            continue
-        stall = stall + tries if val - val_try <= val_floor * abs(val) else 0
-        grad_try = gradient()
-        s_vec = x_try - x
-        y_vec = grad_try - grad
-        sy = float(s_vec @ y_vec)
-        step = min(float(s_vec @ s_vec) / sy, 1e10) if sy > 1e-300 else min(step * 2.0, 1e10)
-        step = max(step, _SPG_STEP_FLOOR)
-        x, val, grad = x_try, val_try, grad_try
-    raise NoConvergence(f"{what}: projected gradient exceeded {max_iters} iterations")
-
-
-# ---------------------------------------------------------------------------
-# objectives
-
-
-def _joint_objective(data: LoopData, majorant: MajorantCoefficients):
-    """Surrogate-tight reduced objective over normalized (p, f, r), as the
-    (value, gradient function) pair ``spg`` takes.  Outside the domain the
-    value is inf; float warnings must be silenced around it."""
+def _round_objective(data: LoopData, majorant: MajorantCoefficients):
+    """Majorized cost over normalized z of shape (K, 3), each window tight
+    against the majorant.  ``fun(z)`` returns the value and a function that
+    builds, from that evaluation's intermediates, ``(blocks, gap, normal,
+    psi)``: ``blocks(weight)`` gives the gradient (K, 3), the curvature
+    blocks (K, 3, 3) and each loop's flat direction (K, 3), with each loop
+    anchored in S1 or S2 weighting its S1 branch by ``weight``; for those
+    loops ``gap`` is t_S1 - t_smooth, ``normal`` its gradient and ``psi``
+    the cost's derivative in the latency (all None when no anchor lies in
+    S1 or S2).  Outside the domain
+    the value is inf; float warnings must be silenced around it."""
+    budget = data.budget_col[:, 0]
+    scale2 = budget[:, None] * budget[None, :]
     k = data.k
-    bw = data.bandwidth
-    budget_col = data.budget_col
-    inf_grad = np.zeros(3 * k)
-    inf_gradient = lambda: inf_grad  # noqa: E731
+    s12 = majorant.s12
+    ones, zeros = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
+    # directions of zero curvature and zero gradient: an S4 loop's latency
+    # ignores r, and the S1 latency sees (f, r) only through
+    # (1 - rho) f + beta r
+    s4_flat = np.where((majorant.cr == 0.0)[:, None], [0.0, 0.0, 1.0], 0.0)
+    s1_dir = np.array([0.0, majorant.beta * budget[2], -majorant.one_minus_rho * budget[1]])
+    s1_dir /= np.sqrt(s1_dir @ s1_dir)
 
-    def fun(x):
-        p, f, r = x.reshape(3, k) * budget_col
+    def fun(z):
+        p, f, r = (z * budget).T
         tbar, partials = surrogate_batch(f, r, majorant)
-        t_commu = data.t_cycle - tbar
-        if not (t_commu > 0.0).all():
-            return math.inf, inf_gradient
-        snr = data.gamma * p
-        se = data.spectral(snr)
-        bw_t = bw * t_commu
-        e = bw_t * se
+        u = data.t_cycle - tbar
+        if not (u > 0.0).all():
+            return math.inf, None
+        e, e_derivatives = data.entropy_terms(p, u)
         if not (e > data.h).all():
-            return math.inf, inf_gradient
-        l, dl, _ = data.lqr_terms(e)
+            return math.inf, None
+        l, dl, d2l = data.lqr_terms(e)
 
-        def gradient():
-            dtf, dtr = partials()
-            # rows: de/dp, de/df, de/dr, then chained through dl and the budgets
-            grad = np.empty((3, k))
-            np.divide(bw_t * data.gamma, (1.0 + snr) * LN2, out=grad[0])
-            neg_bw_se = -bw * se
-            np.multiply(neg_bw_se, dtf, out=grad[1])
-            np.multiply(neg_bw_se, dtr, out=grad[2])
-            grad *= dl()
-            grad *= budget_col
-            return grad.reshape(-1)
+        def terms():
+            de_p, d2e_p = e_derivatives()
+            dl1, dl2 = dl(), d2l()
+            e_u = e / u  # -de/dt: the entropy falls as the latency grows
+            ep_u = de_p / u
+            if majorant.any_s12:
+                one, smooth = partials(ones), partials(zeros)
+            else:
+                one = smooth = partials()
 
-        return float(l.sum()), gradient
+            def blocks(weight):
+                flat = s4_flat
+                if majorant.any_s12:
+                    th = np.where(s12, weight, 0.0)
+                    _, tf, tr, tff, tfr, trr = (th * a + (1.0 - th) * b for a, b in zip(one, smooth))
+                    flat = np.where((th == 1.0)[:, None], s1_dir, flat)
+                else:
+                    _, tf, tr, tff, tfr, trr = smooth
+                de = np.stack([de_p, -e_u * tf, -e_u * tr], axis=1)
+                d2e = np.empty((k, 3, 3))
+                d2e[:, 0, 0] = d2e_p
+                d2e[:, 0, 1] = d2e[:, 1, 0] = -ep_u * tf
+                d2e[:, 0, 2] = d2e[:, 2, 0] = -ep_u * tr
+                d2e[:, 1, 1] = -e_u * tff
+                d2e[:, 1, 2] = d2e[:, 2, 1] = -e_u * tfr
+                d2e[:, 2, 2] = -e_u * trr
+                d2e *= dl1[:, None, None]
+                d2e += dl2[:, None, None] * de[:, :, None] * de[:, None, :]
+                return (dl1[:, None] * de) * budget, d2e * scale2, flat
+
+            if not majorant.any_s12:
+                return blocks, None, None, None
+            normal = np.zeros((k, 3))
+            normal[:, 1] = (one[1] - smooth[1]) * budget[1]
+            normal[:, 2] = (one[2] - smooth[2]) * budget[2]
+            return blocks, one[0] - smooth[0], normal, -dl1 * e_u
+
+        return float(l.sum()), terms
 
     return fun
 
@@ -528,13 +516,87 @@ def closed_form_lqr(
     return lqr_from_entropy(e, loop.entropy)
 
 
+# a Newton decrement below this fraction of the objective ends the inner
+# solve with one last full step: the majorant's cancelling terms leave the
+# objective's rounding near 1e-14 of it, so a line search can no longer
+# see the step's gain, while the step still squares the KKT residual
+_FINAL_DECREMENT = 1e-12
+
+
 def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConfig, x0: np.ndarray):
-    fun = _joint_objective(data, majorant)
+    """Damped Newton on the KKT system of the round's convex problem.
+
+    Starts from x0 (normalized, flat (p, f, r) blocks).  Step lengths halve
+    from 1 until the Armijo condition holds, with ``spg``'s rounding slack,
+    inside the domain.  Stops once the Newton decrement falls below
+    ``_FINAL_DECREMENT`` of the objective, taking that last step unless it
+    raises the objective by more than that ("kkt"); when a line search, or
+    that last step, finds no decrease beyond float64 resolution ("stall"); or after ``cfg.inner_max_iters`` steps
+    ("cap").  Returns
+    (x, value, steps, residual, evaluations, stop): the residual is
+    ``spg``'s relative prox residual at x, each loop on the kink taking the
+    subgradient its branch weight gives, and evaluations count
+    ``surrogate_batch`` calls.
+    """
     k = data.k
-    # one call projects the power, compute and backhaul blocks of every row
-    project = lambda x: project_budget_simplex(x.reshape(-1, k), 1.0).reshape(x.shape)  # noqa: E731
+    fun = _round_objective(data, majorant)
+    s12 = majorant.s12
+    z = x0.reshape(3, k).T.copy()
+    kink = np.zeros(k, dtype=bool)
+    theta = np.zeros(k)
+    val_floor = 8.0 * np.finfo(float).eps
+    stop, steps = "cap", cfg.inner_max_iters
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "inner problem")
+        val, terms = fun(z)
+        evals = 1
+        if not math.isfinite(val):
+            raise InfeasibleSubproblem("inner problem: start point is infeasible")
+        for it in range(cfg.inner_max_iters):
+            dz, kkt, g, kink, theta, correct = kink_step(z, terms(), s12, kink, theta)
+            if float((kkt * dz).sum()) >= -_FINAL_DECREMENT * abs(val):
+                val_try, terms_try = fun(z + dz)
+                evals += 1
+                stop, steps = "kkt", it
+                # the step may gain or lose only rounding; more means the
+                # model has broken down (an active set gone wrong)
+                if val_try <= val + _FINAL_DECREMENT * abs(val):
+                    z, val, terms = z + dz, val_try, terms_try
+                else:
+                    stop = "stall"
+                break
+            slope = float((g * dz).sum())
+            lam = 1.0
+            while lam >= 1e-20:
+                z_try = z + lam * dz
+                val_try, terms_try = fun(z_try)
+                evals += 1
+                if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
+                    break
+                if correct is not None and lam == 1.0 and math.isfinite(val_try):
+                    # a full step rejected across the kink: its gap there is
+                    # of second order, and aiming at it restores the full step
+                    z_soc = z + correct(terms_try()[1])
+                    if (z_soc >= 0.0).all():
+                        val_soc, terms_soc = fun(z_soc)
+                        evals += 1
+                        if val_soc <= val + 1e-4 * slope + 4e-16 * abs(val):
+                            z_try, val_try, terms_try = z_soc, val_soc, terms_soc
+                            break
+                lam *= 0.5
+            else:
+                stop, steps = "stall", it
+                break
+            stalled = val - val_try <= val_floor * abs(val)
+            z, val, terms = z_try, val_try, terms_try
+            if stalled:  # a step that gains nothing beyond float64 resolution
+                stop, steps = "stall", it + 1
+                break
+        blocks, gap, _, _ = terms()
+        weight = None if gap is None else np.where(kink, np.clip(theta, 0.0, 1.0), gap >= 0.0)
+        grad = blocks(weight)[0].T
+        prox = project_budget_simplex(z.T - grad / max(abs(val), 1e-300), 1.0)
+        resid = float(np.abs(z.T - prox).max())
+    return z.T.reshape(-1), val, steps, resid, evals, stop
 
 
 def _extrapolate(data: LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: float):
@@ -639,7 +701,7 @@ def sca_solve(
     records = [
         IterationRecord(
             objective=obj,
-            anchors=tuple((float(f[i]), float(r[i])) for i in range(k)),
+            anchor_bits=np.stack([f, r], axis=1).tobytes(),
             inner_iterations=0,
             inner_residual=math.nan,
         )
@@ -648,7 +710,7 @@ def sca_solve(
     for _ in range(cfg.max_outer_iters):
         anchors = make_anchors(scenario, f, r)
         majorant = MajorantCoefficients.from_anchors(anchors, data.d_bits, scenario.compute)
-        x_mm, _, _, iters, resid, evals = _inner_solve(data, majorant, cfg, x)
+        x_mm, _, iters, resid, evals, stop = _inner_solve(data, majorant, cfg, x)
         mm_obj = data.true_objective(*x_mm.reshape(3, k) * data.budget_col)
         # the stop rule judges the plain MM step; its point is returned as is
         converged = (obj - mm_obj) / obj < cfg.epsilon
@@ -660,11 +722,12 @@ def sca_solve(
         records.append(
             IterationRecord(
                 objective=obj,
-                anchors=tuple((an.f0, an.r0) for an in anchors),
+                anchor_bits=np.array([(an.f0, an.r0) for an in anchors]).tobytes(),
                 inner_iterations=iters,
                 inner_residual=resid,
                 step_scale=scale,
                 inner_evaluations=evals,
+                inner_stop=stop,
             )
         )
         if converged:
@@ -687,9 +750,10 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     if len(alloc.loops) != scenario.k:
         violations.append(f"allocation has {len(alloc.loops)} loops, the scenario {scenario.k}")
 
-    p_sum = sum(la.p_w for la in alloc.loops)
-    f_sum = sum(la.f_cycles for la in alloc.loops)
-    r_sum = sum(la.r_bits for la in alloc.loops)
+    loops = tuple(alloc.loops)
+    p_sum = sum(la.p_w for la in loops)
+    f_sum = sum(la.f_cycles for la in loops)
+    r_sum = sum(la.r_bits for la in loops)
     slacks["power"] = (b.p_max_w - p_sum) / b.p_max_w
     slacks["compute"] = (b.f_max_cycles - f_sum) / b.f_max_cycles
     slacks["rate"] = (b.r_max_bits - r_sum) / b.r_max_bits
@@ -698,7 +762,7 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
             violations.append(f"{name} budget exceeded (slack {slacks[name]:.3e})")
 
     time_slack, entropy_slack, split_gap = [], [], []
-    for i, (loop, la) in enumerate(zip(scenario.loops, alloc.loops)):
+    for i, (loop, la) in enumerate(zip(scenario.loops, loops)):
         t_comp = min_compute_time(la.f_cycles, la.r_bits, loop.data_bits, scenario.compute)
         ts = (loop.cycle_seconds - t_comp - la.t_commu_s) / loop.cycle_seconds
         time_slack.append(ts)

@@ -160,31 +160,50 @@ class MajorantCoefficients:
 
 def surrogate_batch(f: np.ndarray, r: np.ndarray, coef: MajorantCoefficients):
     """Value of the majorant for a vector of loops, and a function that
-    returns its partials (d/df, d/dr) at the same points.
+    returns one branch's value and partials at the same points.
 
     One kernel for every regime, on constants built once per anchor set
-    (see ``MajorantCoefficients``).  The partials function forms them from
-    this call's intermediates only when called, so a caller that needs only
-    the value (a rejected line-search trial) never pays for them; its
-    results are the bits an eager computation gives.  Every f must be
-    positive.
+    (see ``MajorantCoefficients``).  ``partials(s1=None)`` returns
+    ``(t, d/df, d/dr, d2/df2, d2/dfdr, d2/dr2)`` of the branch ``s1`` picks
+    per loop: the exact S1 latency where ``s1`` is true and the anchor lies
+    in S1 or S2, the smooth majorant elsewhere.  By default it picks the
+    branch the max takes, so ``t`` is the value itself.  The second partials
+    are 2A c c^T / w^3 + diag(2K f0 / f^3, 0) on the smooth branch, with
+    c = (c_f, c_r), and 2 beta d c1 c1^T / den^3 on the S1 branch, with
+    c1 = (1 - rho, beta).  They are formed from this call's intermediates
+    only when asked for, so a caller that needs only the value (a rejected
+    line-search trial) never pays for them.  Every f must be positive.
     """
     w = coef.cf * f + coef.cr * r
     val = coef.num / w + coef.const - coef.slope * (3.0 - coef.f0 / f - w / coef.w0)
+    smooth = val
     if coef.any_s12:
         den = coef.beta * r + coef.one_minus_rho * f
         t1 = coef.s1_num / den + coef.delay
         use1 = coef.s12 & (t1 >= val)
         val = np.where(use1, t1, val)
 
-    def partials():
+    def partials(s1=None):
         ww = w * w
         dfv = coef.gf / ww - coef.slope * (coef.f0 / (f * f) - coef.cf_w0)
         drv = coef.gr / ww + coef.hr
-        if coef.any_s12:
-            dd = den * den
-            dfv = np.where(use1, coef.s1_gf / dd, dfv)
-            drv = np.where(use1, coef.s1_gr / dd, drv)
-        return dfv, drv
+        # -gf = A c_f, -gr = A c_r, so 2 A c c^T / w^3 = 2 g g^T / (A w^3)
+        cw = -2.0 / (ww * w)
+        dfr = cw * coef.gf * coef.cr
+        terms = (smooth, dfv, drv, cw * coef.gf * coef.cf + 2.0 * coef.slope * coef.f0 / (f * f * f), dfr, cw * coef.gr * coef.cr)
+        if not coef.any_s12:
+            return terms
+        pick = use1 if s1 is None else coef.s12 & s1
+        dd = den * den
+        cd = -2.0 / (dd * den)
+        s1_terms = (
+            t1,
+            coef.s1_gf / dd,
+            coef.s1_gr / dd,
+            cd * coef.s1_gf * coef.one_minus_rho,
+            cd * coef.s1_gf * coef.beta,
+            cd * coef.s1_gr * coef.beta,
+        )
+        return tuple(np.where(pick, a, b) for a, b in zip(s1_terms, terms))
 
     return val, partials

@@ -11,6 +11,7 @@ from sc3opt import (
     BadOverride,
     Infeasible,
     Sc3Error,
+    SolverConfig,
     SweepSpec,
     communication_oriented,
     evaluate_allocation,
@@ -254,6 +255,22 @@ def test_cli_solve_validate_cycle(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["trace"]["converged"]
     assert main(["validate", "--config", str(config), "--alloc", str(out)]) == 0
+
+
+def test_cli_solve_warns_when_not_converged(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1}))
+    out = tmp_path / "alloc.json"
+    # every round on seed 1 still lowers the objective by more than 1e-12
+    # of it, so the solve runs into the round cap
+    assert main(["solve", "--config", str(config), "--out", str(out), "--eps", "1e-12"]) == 0
+    payload = json.loads(out.read_text())
+    assert not payload["trace"]["converged"]
+    rounds = len(payload["trace"]["objectives"]) - 1
+    assert rounds == SolverConfig().max_outer_iters
+    assert f"warning: not converged after {rounds} rounds" in capsys.readouterr().err
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_cli_solve_infeasible_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 """Source-level rules for the package layout."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import sc3opt
@@ -17,3 +18,24 @@ def test_no_private_cross_module_imports():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_benchmark_tracer_targets_exist():
+    """bench/tracer.py wraps each (module, attribute) in its TARGETS by
+    replacing the module attribute, so each must exist there; read without
+    importing the tracer, which only the benchmark runs."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    pairs = [(ast.unparse(entry.elts[0]), ast.literal_eval(entry.elts[1])) for entry in targets.elts]
+    assert len(pairs) > 20
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in pairs
+        if not module.startswith("sc3opt") or not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

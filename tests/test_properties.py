@@ -3,7 +3,9 @@
 The majorant kernel ``surrogate_batch`` is checked against the true minimal
 computation time on up to three loops at a time, with random offload
 constants, anchors and query points drawn over the ranges the example
-tests use.  The entropy/cost curve is checked as the power-only baseline's
+tests use, and its first and second partials against central differences.
+The closed-form latency is checked against the grid oracle and against the
+split ``optimal_split`` recovers.  The entropy/cost curve is checked as the power-only baseline's
 Newton solve uses it: ``min_entropy`` and ``lqr_from_entropy`` invert each
 other, and ``LoopData``'s derivatives of the cost in entropy and of the
 entropy in power match central differences.  Examples are derandomized and
@@ -28,9 +30,12 @@ from sc3opt import (  # noqa: E402
     Loop,
     RegionLabel,
     Scenario,
+    brute_force_min_time,
     lqr_from_entropy,
     min_compute_time,
     min_entropy,
+    optimal_split,
+    realized_latency,
     region_time,
 )
 from sc3opt.control import LN2  # noqa: E402
@@ -119,7 +124,7 @@ def test_majorant_partials_match_central_differences(case):
     params, d, anchors, f, r = case
     coef = _majorant(params, d, anchors)
     val, partials = surrogate_batch(f, r, coef)
-    dfv, drv = partials()
+    _, dfv, drv = partials()[:3]
     hf, hr = 1e-6 * f, 1e-6 * r
     stencil = [(f + hf, r), (f - hf, r), (f, r + hr), (f, r - hr)]
     for i, anchor in enumerate(anchors):
@@ -135,6 +140,70 @@ def test_majorant_partials_match_central_differences(case):
         # central differences carry a rounding error of about eps * val / h
         assert dfv[i] == pytest.approx(num_df[i], rel=1e-4, abs=1e-8 * val[i] / f[i])
         assert drv[i] == pytest.approx(num_dr[i], rel=1e-4, abs=1e-8 * val[i] / r[i])
+
+
+@PROPERTY
+@given(majorant_cases())
+def test_majorant_second_partials_match_central_differences(case):
+    """The second partials ``partials()`` returns match central differences
+    of its first partials, on the branch the max takes, wherever the
+    stencil stays off the S1/S2 kink; the branch value is the value."""
+    params, d, anchors, f, r = case
+    coef = _majorant(params, d, anchors)
+    val, partials = surrogate_batch(f, r, coef)
+    t, dfv, drv, dff, dfr, drr = partials()
+    assert np.array_equal(t, val)
+    hf, hr = 1e-6 * f, 1e-6 * r
+    stencil = [(f + hf, r), (f - hf, r), (f, r + hr), (f, r - hr)]
+    for i, anchor in enumerate(anchors):
+        here = _branch(f[i], r[i], anchor, d[i], params)
+        assume(here != "tie")
+        assume(all(_branch(fs[i], rs[i], anchor, d[i], params) == here for fs, rs in stencil))
+    up_f, down_f, up_r, down_r = (surrogate_batch(fs, rs, coef)[1]()[1:3] for fs, rs in stencil)
+    d_df = [(up_f[j] - down_f[j]) / (2.0 * hf) for j in range(2)]  # d/df of (d/df, d/dr)
+    d_dr = [(up_r[j] - down_r[j]) / (2.0 * hr) for j in range(2)]  # d/dr of (d/df, d/dr)
+    for i in range(len(anchors)):
+        # the first partials round to about eps * val / f (or / r), and the
+        # differences divide that by h
+        tol_f = 1e-8 * val[i] / (f[i] * f[i])
+        tol_r = 1e-8 * val[i] / (r[i] * r[i])
+        tol_fr = 1e-8 * val[i] / (f[i] * r[i])
+        assert dff[i] == pytest.approx(d_df[0][i], rel=1e-4, abs=tol_f)
+        assert drr[i] == pytest.approx(d_dr[1][i], rel=1e-4, abs=tol_r)
+        assert dfr[i] == pytest.approx(d_dr[0][i], rel=1e-4, abs=tol_fr)
+        assert dfr[i] == pytest.approx(d_df[1][i], rel=1e-4, abs=tol_fr)
+
+
+@st.composite
+def flows(draw):
+    """Offload constants and one flow (f, r, d) over criterion 1's ranges."""
+    return draw(compute_params()), draw(_log_uniform(6.0, 10.0)), draw(_log_uniform(4.0, 8.0)), draw(_log_uniform(5.0, 7.0))
+
+
+@PROPERTY
+@given(flows())
+def test_closed_form_matches_brute_force(flow):
+    """The grid oracle never beats the closed form beyond rounding, and
+    trails it by at most criterion 1's 1%."""
+    params, f, r, d = flow
+    closed = min_compute_time(f, r, d, params)
+    brute = brute_force_min_time(f, r, d, params, grid_n=200)
+    assert brute >= closed * (1.0 - ROUNDING)
+    assert brute <= closed * 1.01
+
+
+@PROPERTY
+@given(flows())
+def test_optimal_split_reproduces_min_compute_time(flow):
+    """The recovered split carries all the data within the loop's compute
+    and rate, and its makespan is the closed-form latency."""
+    params, f, r, d = flow
+    plan = optimal_split(f, r, d, params)
+    assert min(plan.d1, plan.d2, plan.d3, plan.f1, plan.f2, plan.r2, plan.r3) >= 0.0
+    assert plan.d1 + plan.d2 + plan.d3 == pytest.approx(d, rel=1e-9)
+    assert plan.f1 + plan.f2 <= f * (1.0 + 1e-9)
+    assert plan.r2 + plan.r3 <= r * (1.0 + 1e-9)
+    assert realized_latency(plan, params) == pytest.approx(min_compute_time(f, r, d, params), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

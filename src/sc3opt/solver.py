@@ -530,9 +530,9 @@ def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConf
     from 1 until the Armijo condition holds, with ``spg``'s rounding slack,
     inside the domain.  Stops once the Newton decrement falls below
     ``_FINAL_DECREMENT`` of the objective, taking that last step unless it
-    raises the objective by more than that ("kkt"); when a line search, or
-    that last step, finds no decrease beyond float64 resolution ("stall"); or after ``cfg.inner_max_iters`` steps
-    ("cap").  Returns
+    raises the objective by more than that ("kkt"); when a line search, an
+    accepted step or that last step gains nothing beyond float64 resolution
+    ("stall"); or after ``cfg.inner_max_iters`` steps ("cap").  Returns
     (x, value, steps, residual, evaluations, stop): the residual is
     ``spg``'s relative prox residual at x, each loop on the kink taking the
     subgradient its branch weight gives, and evaluations count

@@ -187,10 +187,11 @@ def surrogate_batch(f: np.ndarray, r: np.ndarray, coef: MajorantCoefficients):
         ww = w * w
         dfv = coef.gf / ww - coef.slope * (coef.f0 / (f * f) - coef.cf_w0)
         drv = coef.gr / ww + coef.hr
-        # -gf = A c_f, -gr = A c_r, so 2 A c c^T / w^3 = 2 g g^T / (A w^3)
+        # gf = -A c_f and gr = -A c_r, so 2 A c c^T / w^3 has entries
+        # -2 g c / w^3 (and likewise on the S1 branch below)
         cw = -2.0 / (ww * w)
-        dfr = cw * coef.gf * coef.cr
-        terms = (smooth, dfv, drv, cw * coef.gf * coef.cf + 2.0 * coef.slope * coef.f0 / (f * f * f), dfr, cw * coef.gr * coef.cr)
+        dff = cw * coef.gf * coef.cf + 2.0 * coef.slope * coef.f0 / (f * f * f)
+        terms = (smooth, dfv, drv, dff, cw * coef.gf * coef.cr, cw * coef.gr * coef.cr)
         if not coef.any_s12:
             return terms
         pick = use1 if s1 is None else coef.s12 & s1

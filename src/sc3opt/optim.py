@@ -204,26 +204,28 @@ def _scalar_kkt_step(z, g, curv, residual):
     other, so mu is its -g_k, zero to float64, and flat loops share equally
     what the others leave of the residual.  The one budget row is taken as
     tight: its multiplier is never negative when every g_k is (a cost
-    falling in its resource)."""
-    inv = 1.0 / curv
-    flat = ~(curv >= _FLAT_CURVATURE)
-    fixed = np.zeros(z.size, dtype=bool)
-    while True:
-        free = ~fixed
-        absorb = flat & free
-        if absorb.any():
-            mu = 0.0
-            dz = np.where(absorb, 0.0, -g * inv)
-            dz[fixed] = -z[fixed]
-            dz[absorb] = (residual - dz.sum()) / np.count_nonzero(absorb)
-        else:
-            mu = -(residual + z[fixed].sum() + g[free] @ inv[free]) / inv[free].sum()
-            dz = -(g + mu) * inv
-            dz[fixed] = -z[fixed]
-        low = free & (dz < -z)
-        if not low.any():
-            return dz[:, None], (g + mu)[:, None], np.zeros(z.size)
-        fixed |= low
+    falling in its resource).  Float errors are ignored: a flat loop's 1/H_k
+    is never used, and with every loop held at zero mu is undefined (nan)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = 1.0 / curv
+        flat = ~(curv >= _FLAT_CURVATURE)
+        fixed = np.zeros(z.size, dtype=bool)
+        while True:
+            free = ~fixed
+            absorb = flat & free
+            if absorb.any():
+                mu = 0.0
+                dz = np.where(absorb, 0.0, -g * inv)
+                dz[fixed] = -z[fixed]
+                dz[absorb] = (residual - dz.sum()) / np.count_nonzero(absorb)
+            else:
+                mu = -(residual + z[fixed].sum() + g[free] @ inv[free]) / inv[free].sum()
+                dz = -(g + mu) * inv
+                dz[fixed] = -z[fixed]
+            low = free & (dz < -z)
+            if not low.any():
+                return dz[:, None], (g + mu)[:, None], np.zeros(z.size)
+            fixed |= low
 
 
 def _inverse3(a):

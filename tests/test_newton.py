@@ -25,7 +25,13 @@ FLAT = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def reference_newton_step(p, g, curv, residual):
-    """The power-only baseline's scalar Newton step before the kernel."""
+    """The power-only baseline's scalar Newton step before the kernel; its
+    caller ran it with float errors ignored."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _reference_newton_step(p, g, curv, residual)
+
+
+def _reference_newton_step(p, g, curv, residual):
     inv = 1.0 / curv
     flat = ~(curv >= FLAT)
     fixed = np.zeros(p.size, dtype=bool)

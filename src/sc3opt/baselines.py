@@ -1,8 +1,8 @@
 """Comparison schemes and a shared allocation evaluator.
 
 ``power_only_closed_loop`` keeps the equal compute/backhaul split and only
-optimizes transmit power for the sum cost, by Newton on the KKT system of
-its one budget constraint.  ``communication_oriented`` ignores control
+optimizes transmit power for the sum cost, by damped Newton on the KKT
+system of its one budget constraint.  ``communication_oriented`` ignores control
 altogether: it splits compute to minimize total computation time and
 water-fills power for throughput, so at low power budgets distant loops
 routinely end up unstabilizable.
@@ -19,7 +19,7 @@ import numpy as np
 # by module and name
 from .compute import classify_region, min_compute_time, min_compute_time_grad, optimal_split  # noqa: F401
 from .errors import NoConvergence
-from .optim import newton_kkt_step, project_budget_simplex, spg
+from .optim import newton_descent, newton_kkt_step, project_budget_simplex, spg
 from .solver import Allocation, LoopData, Scenario, SolverConfig, feasible_power_init
 
 
@@ -78,28 +78,21 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
 
     With the windows fixed, min sum_k l_k(e_k(p_k)) subject to
     sum(p) = p_max and p >= 0 is smooth, convex and separable by loop; the
-    budget is tight because every loop's cost falls in its power.  Damped
-    Newton solves its KKT system.  Every loop's curvature H_k is positive,
-    so each step is closed form: dp_k = max(-(g_k + mu) / H_k, -p_k), the
-    multiplier mu making the step restore sum(p) = p_max (see
-    ``newton_kkt_step`` with one budget row, which also covers curvatures
-    too small for float64).
-    At the optimum the bound p_k >= 0 can bind only for a loop with a
-    negative intrinsic rate, whose cost stays finite at zero power.  Step
-    lengths halve from 1 until the Armijo condition holds, with ``spg``'s
-    rounding slack, at a point where every loop's entropy exceeds its
-    intrinsic rate.  The start is ``feasible_power_init``, which raises
-    Infeasible when no power split stabilizes every loop.
+    budget is tight because every loop's cost falls in its power.
+    ``newton_descent`` solves its KKT system from ``feasible_power_init``,
+    which raises Infeasible when no power split stabilizes every loop.
+    Every loop's curvature H_k is positive, so each step is closed form:
+    dp_k = max(-(g_k + mu) / H_k, -p_k), the multiplier mu making the step
+    restore sum(p) = p_max (``newton_kkt_step`` with one budget row).  At
+    the optimum the bound p_k >= 0 can bind only for a loop with a
+    negative intrinsic rate, whose cost stays finite at zero power.
 
-    Stops once a full Newton step can no longer lower the sum beyond
-    float64 resolution: its decrement -sum_k (g_k + mu) dp_k, twice the
-    predicted decrease when no bound binds, is at most 16 eps |sum|, the
-    rule ``spg`` applies to its steps.  That last step is still taken
-    unless it leaves the domain: it moves the sum only by rounding but
+    Stops at a decrement of 16 eps |sum|, the rule ``spg`` applies to its
+    steps: the last full step then moves the sum only by rounding but
     squares the KKT residual, so the relative prox residual ``spg`` would
     measure ends far below ``inner_tol``.  Reads only
-    ``config.inner_max_iters``: that many steps without stopping, or a
-    line search that finds no decrease, raise NoConvergence.
+    ``config.inner_max_iters``: that many steps without stopping raise
+    NoConvergence.
     """
     cfg = config or SolverConfig()
     data = LoopData(scenario)
@@ -108,31 +101,21 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
     f = np.full(k, b.f_max_cycles / k)
     r = np.full(k, b.r_max_bits / k)
     t_commu = data.t_cycle - data.true_min_times(f, r)
-    p = feasible_power_init(data, t_commu, "power-only baseline")
-    fun = _power_terms(data, t_commu)
-    val_floor = 8.0 * np.finfo(float).eps
+    p0 = feasible_power_init(data, t_commu, "power-only baseline")
+
+    def step(p, newton_terms):
+        g, curv = newton_terms()
+        dp, kkt, _ = newton_kkt_step(p[:, None], g[:, None], curv[:, None, None], np.array([b.p_max_w - p.sum()]))
+        return dp[:, 0], kkt[:, 0], g, None
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val, newton_terms = fun(p)
-        for _ in range(cfg.inner_max_iters):
-            g, curv = newton_terms()
-            dp, kkt, _ = newton_kkt_step(p[:, None], g[:, None], curv[:, None, None], np.array([b.p_max_w - p.sum()]))
-            dp, kkt = dp[:, 0], kkt[:, 0]
-            if float(kkt @ dp) >= -2.0 * val_floor * abs(val):
-                if math.isfinite(fun(p + dp)[0]):
-                    p = p + dp
-                return data.allocation(p, f, r, t_commu)
-            slope = float(g @ dp)
-            lam = 1.0
-            while lam >= 1e-20:
-                p_try = p + lam * dp
-                val_try, terms_try = fun(p_try)
-                if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
-                    break
-                lam *= 0.5
-            else:
-                raise NoConvergence("power-only baseline: Newton line search found no decrease")
-            p, val, newton_terms = p_try, val_try, terms_try
-    raise NoConvergence(f"power-only baseline: Newton exceeded {cfg.inner_max_iters} steps")
+        p, *_, stop = newton_descent(
+            _power_terms(data, t_commu), step, p0, 16.0 * np.finfo(float).eps,
+            cfg.inner_max_iters, "power-only baseline",
+        )
+        if stop == "cap":
+            raise NoConvergence(f"power-only baseline: Newton exceeded {cfg.inner_max_iters} steps")
+        return data.allocation(p, f, r, t_commu)
 
 
 def _sum_time_objective(data: LoopData, r_eq: float):

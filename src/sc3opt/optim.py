@@ -4,9 +4,10 @@
 per-loop costs coupled only by budget rows, from per-loop gradients and
 curvature blocks; the power-only baseline takes it with one row and
 ``sca_solve``'s inner problem with three, where ``kink_step`` adds the
-majorant's S1/S2 kink as a per-loop active set.  ``spg``, spectral
-projected gradient over ``project_budget_simplex``, serves the
-communication-oriented compute split, which is not convex.
+majorant's S1/S2 kink as a per-loop active set.  ``newton_descent`` is the
+damped-Newton loop both run those steps in.  ``spg``, spectral projected
+gradient over ``project_budget_simplex``, serves the communication-oriented
+compute split, which is not convex.
 """
 
 from __future__ import annotations
@@ -382,8 +383,8 @@ def kink_step(z, point, s12, kink, theta):
     it still crosses, it rejoins with theta at 0 or 1 and stays for this
     step, so the active set settles.  Returns the step, the KKT residual,
     the gradient it used, the new kink state and, with loops on the kink,
-    a function that re-solves the step against the gap found at the full
-    step (None otherwise)."""
+    a function that re-solves the step against the gap in the terms found
+    at the full step (None otherwise)."""
     blocks, gap, normal, psi = point
     residual = 1.0 - z.sum(0)
     if gap is None:
@@ -419,8 +420,8 @@ def kink_step(z, point, s12, kink, theta):
                 return dz, kkt, g, kink, theta, None
             # second-order correction: the same step, aimed at the kink as
             # the full step found it (the gap there is second order)
-            correct = lambda gap_there: newton_kkt_step(  # noqa: E731
-                z, g, hess, residual, (normal, -gap - gap_there, kink), flat, rigid
+            correct = lambda there: newton_kkt_step(  # noqa: E731
+                z, g, hess, residual, (normal, -gap - there()[1], kink), flat, rigid
             )[0]
             return dz, kkt, g, kink, theta, correct
         hold = cross & left & ~rigid
@@ -430,3 +431,67 @@ def kink_step(z, point, s12, kink, theta):
         stuck |= cross & left
         kink = kink | cross
         theta = np.where(cross, branch, theta)
+
+
+# ---------------------------------------------------------------------------
+# the damped-Newton loop
+
+
+def newton_descent(fun, step, z, decrement, max_iters, what):
+    """Damped Newton on a KKT system from z.
+
+    ``fun(z)`` returns the value (inf outside the domain) and the terms a
+    step is built from; ``step(z, terms)`` returns the Newton step dz, its
+    KKT residual, the gradient and either None or a function that, given
+    the terms at a rejected full step, returns a corrected step aimed by
+    them.  Step lengths halve from 1 until the Armijo condition holds, with
+    ``spg``'s rounding slack; a rejected full step first tries its
+    correction.  Stops once the Newton decrement -kkt . dz falls to
+    ``decrement`` times |value|, taking that last full step unless it
+    raises the value by more than that ("kkt"); when that last step is
+    declined, a line search finds no decrease or an accepted step gains
+    nothing beyond float64 resolution ("stall"); or after ``max_iters``
+    steps ("cap").  Float warnings must be silenced around it.  Returns
+    (z, value, terms, steps, evaluations, stop), evaluations counting every
+    call of fun.
+    """
+    val, terms = fun(z)
+    evals = 1
+    if not math.isfinite(val):
+        raise InfeasibleSubproblem(f"{what}: start point is infeasible")
+    val_floor = 8.0 * np.finfo(float).eps
+    for it in range(max_iters):
+        dz, kkt, g, correct = step(z, terms)
+        if float((kkt * dz).sum()) >= -decrement * abs(val):
+            z_try = z + dz
+            val_try, terms_try = fun(z_try)
+            # the step may gain or lose only rounding; more means the model
+            # has broken down (an active set gone wrong)
+            if val_try <= val + decrement * abs(val):
+                return z_try, val_try, terms_try, it, evals + 1, "kkt"
+            return z, val, terms, it, evals + 1, "stall"
+        slope = float((g * dz).sum())
+        lam = 1.0
+        while lam >= 1e-20:
+            z_try = z + lam * dz
+            val_try, terms_try = fun(z_try)
+            evals += 1
+            if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
+                break
+            if correct is not None and lam == 1.0 and math.isfinite(val_try):
+                # a full step rejected across a kink: its miss there is of
+                # second order, and aiming at it restores the full step
+                z_soc = z + correct(terms_try)
+                if (z_soc >= 0.0).all():
+                    val_soc, terms_soc = fun(z_soc)
+                    evals += 1
+                    if val_soc <= val + 1e-4 * slope + 4e-16 * abs(val):
+                        z_try, val_try, terms_try = z_soc, val_soc, terms_soc
+                        break
+            lam *= 0.5
+        else:
+            return z, val, terms, it, evals, "stall"
+        if val - val_try <= val_floor * abs(val):  # a gain within float64 resolution
+            return z_try, val_try, terms_try, it + 1, evals, "stall"
+        z, val, terms = z_try, val_try, terms_try
+    return z, val, terms, max_iters, evals, "cap"

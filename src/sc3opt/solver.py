@@ -20,13 +20,13 @@ stop rule still judges the plain MM step.
 
 Decision variables are normalized by their budgets before optimization;
 resources here span ten orders of magnitude and raw gradients would be
-hopelessly ill-conditioned.  ``spg``, spectral projected gradient, serves
-the communication-oriented baseline's compute split, which is not convex.
+hopelessly ill-conditioned.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -36,8 +36,7 @@ from .channel import LinkParams, channel_gain, entropy_per_cycle
 from .compute import ComputeParams, SplitPlan, min_compute_time, optimal_split
 from .control import LN2, EntropyParams, LoopControlSpec, lqr_from_entropy, min_entropy
 from .errors import Infeasible, InfeasibleSubproblem, Unstabilizable
-# spg is not called here; callers that import it from this module still can
-from .optim import kink_step, project_budget_simplex, spg  # noqa: F401
+from .optim import kink_step, newton_descent, project_budget_simplex
 from .surrogate import MajorantCoefficients, SurrogateAnchor, surrogate_batch
 
 # anchors with a dead component are pushed up to this fraction of the budget
@@ -121,13 +120,10 @@ class SolverConfig:
     inner_max_iters: int = 100_000
 
     def __post_init__(self):
-        values = (self.epsilon, self.inner_tol, self.max_outer_iters, self.inner_max_iters)
-        if not all(map(math.isfinite, values)):
-            raise ValueError("tolerances and iteration budgets must be finite")
-        if min(self.epsilon, self.inner_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer_iters < 1 or self.inner_max_iters < 1:
-            raise ValueError("iteration budgets must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.epsilon, self.inner_tol)):
+            raise ValueError("tolerances must be finite and positive")
+        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (self.max_outer_iters, self.inner_max_iters)):
+            raise ValueError("iteration budgets must be positive integers")
 
 
 @dataclass(frozen=True)
@@ -210,9 +206,8 @@ class IterationRecord:
     step_scale: float = 1.0
     # surrogate_batch calls in the round's inner solve (0: no inner solve)
     inner_evaluations: int = 0
-    # why the inner solve stopped: "kkt" (a full Newton step no longer lowers
-    # the objective beyond float64 resolution), "stall" (a line search found
-    # no decrease) or "cap" (inner_max_iters steps); None: no inner solve
+    # why the inner solve stopped, as ``newton_descent`` reports it: "kkt",
+    # "stall" or "cap" (inner_max_iters steps); None: no inner solve
     inner_stop: str | None = None
 
     @property
@@ -524,73 +519,25 @@ _FINAL_DECREMENT = 1e-12
 
 
 def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConfig, x0: np.ndarray):
-    """Damped Newton on the KKT system of the round's convex problem.
-
-    Starts from x0 (normalized, flat (p, f, r) blocks).  Step lengths halve
-    from 1 until the Armijo condition holds, with ``spg``'s rounding slack,
-    inside the domain.  Stops once the Newton decrement falls below
-    ``_FINAL_DECREMENT`` of the objective, taking that last step unless it
-    raises the objective by more than that ("kkt"); when a line search, an
-    accepted step or that last step gains nothing beyond float64 resolution
-    ("stall"); or after ``cfg.inner_max_iters`` steps ("cap").  Returns
-    (x, value, steps, residual, evaluations, stop): the residual is
-    ``spg``'s relative prox residual at x, each loop on the kink taking the
-    subgradient its branch weight gives, and evaluations count
-    ``surrogate_batch`` calls.
+    """``newton_descent`` on the round's convex problem from x0 (normalized,
+    flat (p, f, r) blocks), each step a ``kink_step``.  Returns (x, value,
+    steps, residual, evaluations, stop): the residual is ``spg``'s relative
+    prox residual at x, each loop on the kink taking the subgradient its
+    branch weight gives, and evaluations count ``surrogate_batch`` calls.
     """
     k = data.k
-    fun = _round_objective(data, majorant)
-    s12 = majorant.s12
-    z = x0.reshape(3, k).T.copy()
-    kink = np.zeros(k, dtype=bool)
-    theta = np.zeros(k)
-    val_floor = 8.0 * np.finfo(float).eps
-    stop, steps = "cap", cfg.inner_max_iters
+    kink, theta = np.zeros(k, dtype=bool), np.zeros(k)
+
+    def step(z, terms):
+        nonlocal kink, theta
+        dz, kkt, g, kink, theta, correct = kink_step(z, terms(), majorant.s12, kink, theta)
+        return dz, kkt, g, correct
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val, terms = fun(z)
-        evals = 1
-        if not math.isfinite(val):
-            raise InfeasibleSubproblem("inner problem: start point is infeasible")
-        for it in range(cfg.inner_max_iters):
-            dz, kkt, g, kink, theta, correct = kink_step(z, terms(), s12, kink, theta)
-            if float((kkt * dz).sum()) >= -_FINAL_DECREMENT * abs(val):
-                val_try, terms_try = fun(z + dz)
-                evals += 1
-                stop, steps = "kkt", it
-                # the step may gain or lose only rounding; more means the
-                # model has broken down (an active set gone wrong)
-                if val_try <= val + _FINAL_DECREMENT * abs(val):
-                    z, val, terms = z + dz, val_try, terms_try
-                else:
-                    stop = "stall"
-                break
-            slope = float((g * dz).sum())
-            lam = 1.0
-            while lam >= 1e-20:
-                z_try = z + lam * dz
-                val_try, terms_try = fun(z_try)
-                evals += 1
-                if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
-                    break
-                if correct is not None and lam == 1.0 and math.isfinite(val_try):
-                    # a full step rejected across the kink: its gap there is
-                    # of second order, and aiming at it restores the full step
-                    z_soc = z + correct(terms_try()[1])
-                    if (z_soc >= 0.0).all():
-                        val_soc, terms_soc = fun(z_soc)
-                        evals += 1
-                        if val_soc <= val + 1e-4 * slope + 4e-16 * abs(val):
-                            z_try, val_try, terms_try = z_soc, val_soc, terms_soc
-                            break
-                lam *= 0.5
-            else:
-                stop, steps = "stall", it
-                break
-            stalled = val - val_try <= val_floor * abs(val)
-            z, val, terms = z_try, val_try, terms_try
-            if stalled:  # a step that gains nothing beyond float64 resolution
-                stop, steps = "stall", it + 1
-                break
+        z, val, terms, steps, evals, stop = newton_descent(
+            _round_objective(data, majorant), step, x0.reshape(3, k).T.copy(), _FINAL_DECREMENT,
+            cfg.inner_max_iters, "inner problem",
+        )
         blocks, gap, _, _ = terms()
         weight = None if gap is None else np.where(kink, np.clip(theta, 0.0, 1.0), gap >= 0.0)
         grad = blocks(weight)[0].T

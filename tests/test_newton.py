@@ -6,7 +6,8 @@ power-only baseline's former step, kept below as the reference, bit for
 bit.  With three rows it is checked on separable quadratics, where Newton
 from any start must reach the minimizer spg finds to high accuracy, and on
 the rounds of generated solves where the solver meets a flat S1 direction
-and a zero bound.
+and a zero bound.  ``newton_descent``, the damped-Newton loop around it, is
+checked on the water-filling problem, whose minimizer is known exactly.
 """
 
 import math
@@ -16,8 +17,9 @@ import pytest
 
 import sc3opt.baselines
 import sc3opt.solver
-from sc3opt import SolverConfig, generate_scenario, power_only_closed_loop, sca_solve
-from sc3opt.optim import newton_kkt_step, project_budget_simplex, spg
+from sc3opt import InfeasibleSubproblem, SolverConfig, generate_scenario, power_only_closed_loop, sca_solve
+from sc3opt.baselines import water_filling
+from sc3opt.optim import newton_descent, newton_kkt_step, project_budget_simplex, spg
 from sc3opt.surrogate import surrogate_batch
 from test_spg import reference_joint_objective, reference_spg
 
@@ -233,6 +235,57 @@ def test_equality_holds_after_the_step():
     # stationarity of each loop's model: H dz + g + mu + nu normal = 0
     stat = (blocks @ dz[:, :, None])[:, :, 0] + kkt
     np.testing.assert_allclose(stat, 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the damped-Newton loop
+
+EPS16 = 16.0 * np.finfo(float).eps  # the power-only baseline's decrement
+GAINS = np.array([0.5, 2.0, 8.0, 0.05, 30.0])
+
+
+def _throughput_problem(gains):
+    """min -sum_k log(1 + g_k p_k) over the unit power simplex, the problem
+    ``water_filling`` solves exactly, as ``newton_descent`` takes it."""
+
+    def fun(p):
+        snr = 1.0 + gains * p
+        if not (snr > 0.0).all():
+            return math.inf, None
+        return -float(np.log(snr).sum()), lambda: (-gains / snr, (gains / snr) ** 2)
+
+    def step(p, terms):
+        g, curv = terms()
+        dp, kkt, _ = newton_kkt_step(p[:, None], g[:, None], curv[:, None, None], np.array([1.0 - p.sum()]))
+        return dp[:, 0], kkt[:, 0], g, None
+
+    return fun, step
+
+
+def test_descent_reaches_kkt_at_the_water_filling_split():
+    """Channels 0 and 3 lie below the water level: Newton shuts them off
+    exactly and stops at the decrement test."""
+    fun, step = _throughput_problem(GAINS)
+    p, val, _, steps, evals, stop = newton_descent(fun, step, np.full(5, 0.2), EPS16, 100, "throughput")
+    assert stop == "kkt" and 1 <= steps < evals
+    np.testing.assert_allclose(p, water_filling(GAINS, 1.0), rtol=1e-12, atol=1e-15)
+    assert p[0] == p[3] == 0.0
+    assert val == fun(p)[0]
+
+
+def test_descent_stops_at_the_cap():
+    fun, step = _throughput_problem(GAINS)
+    p0 = np.full(5, 0.2)
+    p, val, _, steps, _, stop = newton_descent(fun, step, p0, EPS16, 1, "throughput")
+    assert (stop, steps) == ("cap", 1)
+    assert val < fun(p0)[0]
+    assert not np.array_equal(p, water_filling(GAINS, 1.0))
+
+
+def test_descent_rejects_an_infeasible_start():
+    fun, step = _throughput_problem(np.array([1.0, 2.0]))
+    with pytest.raises(InfeasibleSubproblem, match="throughput: start point is infeasible"):
+        newton_descent(fun, step, np.array([-2.0, 0.5]), EPS16, 10, "throughput")
 
 
 # ---------------------------------------------------------------------------

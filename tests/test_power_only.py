@@ -19,7 +19,8 @@ import pytest
 import sc3opt.baselines
 from sc3opt import Infeasible, SolverConfig, generate_scenario, power_only_closed_loop
 from sc3opt.control import LN2
-from sc3opt.solver import LoopData, feasible_power_init, project_budget_simplex, spg
+from sc3opt.optim import project_budget_simplex, spg
+from sc3opt.solver import LoopData, feasible_power_init
 
 P_MAX_DBW = [2.5 * i for i in range(9)]  # 0, 2.5, ..., 20
 
@@ -101,6 +102,8 @@ def _cases():
         for dbw in P_MAX_DBW:
             yield f"seed{seed}-{dbw}dBW", seed, {"p_max_dbw": dbw}, None
     yield "k1", 0, {"k_loops": 1}, None
+    # a cell whose last full Newton step would raise the sum by rounding
+    yield "seed21-3.0dBW", 21, {"p_max_dbw": 3.0}, None
     yield "k2", 1, {"k_loops": 2}, None
     # the K=50 budgets of the benchmark's solve_k50 pool
     yield "k50", 0, {"k_loops": 50, "p_max_dbw": 20.0, "f_max_ghz": 50.0, "r_max_mbps": 500.0}, None

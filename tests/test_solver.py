@@ -25,7 +25,8 @@ from sc3opt import (
     sca_solve,
     solve_inner,
 )
-from sc3opt.solver import ANCHOR_FLOOR, project_budget_simplex
+from sc3opt.optim import project_budget_simplex
+from sc3opt.solver import ANCHOR_FLOOR
 from conftest import QUICK_SEEDS, make_loop, symmetric_two_loop_scenario, tight_single_loop_scenario
 
 
@@ -371,6 +372,9 @@ def test_solver_config_validation():
 def test_solver_config_rejects_non_finite(field, bad):
     with pytest.raises(ValueError):
         SolverConfig(**{field: bad})
+    if field.endswith("_iters"):  # a non-integral iteration budget
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: 2.5})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

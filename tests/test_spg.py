@@ -31,7 +31,7 @@ from sc3opt import (
     sca_solve,
 )
 from sc3opt.control import LN2
-from sc3opt.solver import project_budget_simplex, spg
+from sc3opt.optim import project_budget_simplex, spg
 from sc3opt.surrogate import surrogate_batch
 
 VAL_FLOOR = 8.0 * np.finfo(float).eps  # spg's "real decrease" threshold, relative

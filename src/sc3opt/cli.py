@@ -82,16 +82,18 @@ def dbw_to_watts(dbw: float) -> float:
 
 
 def _rejects_bad_values(parse):
-    """Re-raise the ValueError or OverflowError a malformed or out-of-range
-    value causes while reading or building a scenario (a bad number,
-    non-finite input, invalid JSON, a budget the model rejects, a dB value
-    too large for a float) as BadConfig."""
+    """Re-raise the error a malformed, missing or out-of-range value causes
+    while reading or building a scenario (a bad number, non-finite input,
+    invalid JSON, a missing key or a value of the wrong type, a budget the
+    model rejects, a dB value too large for a float) as BadConfig."""
 
     @functools.wraps(parse)
     def wrapper(*args, **kwargs):
         try:
             return parse(*args, **kwargs)
-        except (ValueError, OverflowError) as exc:
+        except KeyError as exc:
+            raise BadConfig(f"missing key {exc}") from exc
+        except (ValueError, OverflowError, TypeError) as exc:
             raise BadConfig(str(exc)) from exc
 
     return wrapper
@@ -166,125 +168,79 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
 # serialization
 
 
+def _as_given(value):
+    return value  # a plant's diagonals: LoopControlSpec checks them
+
+
+# JSON key -> (attribute, reader) for each type written to JSON, in the
+# order written
+_FIELDS = {
+    ComputeParams: {
+        "alpha_cycles_per_bit": ("alpha", float),
+        "beta_cycles_per_bit": ("beta", float),
+        "rho": ("rho", float),
+        "tau_s": ("tau", float),
+    },
+    LinkParams: {key: (key, float) for key in ("bandwidth_hz", "gamma0", "noise_power_w", "uav_height_m")},
+    Budgets: {key: (key, float) for key in ("p_max_w", "f_max_cycles", "r_max_bits")},
+    EntropyParams: {"n": ("n", int), "h_bits": ("h", float), "l_min": ("l_min", float), "c": ("c", float)},
+    Loop: {"data_bits": ("data_bits", float), "cycle_s": ("cycle_seconds", float), "distance_m": ("distance_m", float)},
+    LoopControlSpec: {
+        "a_diag": ("a", _as_given),
+        "b_diag": ("b", _as_given),
+        "sigma_v2": ("sigma_v2", float),
+        "sigma_w2": ("sigma_w2", float),
+    },
+    LoopAllocation: {key: (key, float) for key in ("p_w", "f_cycles", "r_bits", "t_commu_s", "lqr_cost")},
+}
+_SECTIONS = (("compute", ComputeParams), ("link", LinkParams), ("budgets", Budgets))
+
+
+def _to_dict(obj) -> dict:
+    """The fields of obj's table under their JSON keys."""
+    values = ((key, getattr(obj, attr)) for key, (attr, _) in _FIELDS[type(obj)].items())
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in values}
+
+
+def _from_dict(cls, data: dict, **more):
+    """cls from its JSON object, each field read by its table's reader, and
+    the fields ``more`` gives."""
+    return cls(**{attr: read(data[key]) for key, (attr, read) in _FIELDS[cls].items()}, **more)
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    out = {
-        "compute": {
-            "alpha_cycles_per_bit": scenario.compute.alpha,
-            "beta_cycles_per_bit": scenario.compute.beta,
-            "rho": scenario.compute.rho,
-            "tau_s": scenario.compute.tau,
-        },
-        "link": {
-            "bandwidth_hz": scenario.link.bandwidth_hz,
-            "gamma0": scenario.link.gamma0,
-            "noise_power_w": scenario.link.noise_power_w,
-            "uav_height_m": scenario.link.uav_height_m,
-        },
-        "budgets": {
-            "p_max_w": scenario.budgets.p_max_w,
-            "f_max_cycles": scenario.budgets.f_max_cycles,
-            "r_max_bits": scenario.budgets.r_max_bits,
-        },
-        "loops": [],
-    }
+    out = {name: _to_dict(getattr(scenario, name)) for name, _ in _SECTIONS}
+    out["loops"] = []
     for loop in scenario.loops:
-        entry = {
-            "entropy": {
-                "n": loop.entropy.n,
-                "h_bits": loop.entropy.h,
-                "l_min": loop.entropy.l_min,
-                "c": loop.entropy.c,
-            },
-            "data_bits": loop.data_bits,
-            "cycle_s": loop.cycle_seconds,
-            "distance_m": loop.distance_m,
-        }
+        entry = {"entropy": _to_dict(loop.entropy), **_to_dict(loop)}
         if loop.control is not None:
-            entry["control"] = {
-                "a_diag": loop.control.a.tolist(),
-                "b_diag": loop.control.b.tolist(),
-                "sigma_v2": loop.control.sigma_v2,
-                "sigma_w2": loop.control.sigma_w2,
-            }
+            entry["control"] = _to_dict(loop.control)
         out["loops"].append(entry)
     return out
 
 
 @_rejects_bad_values
 def scenario_from_dict(data: dict) -> Scenario:
-    compute = ComputeParams(
-        alpha=float(data["compute"]["alpha_cycles_per_bit"]),
-        beta=float(data["compute"]["beta_cycles_per_bit"]),
-        rho=float(data["compute"]["rho"]),
-        tau=float(data["compute"]["tau_s"]),
-    )
-    link = LinkParams(
-        bandwidth_hz=float(data["link"]["bandwidth_hz"]),
-        gamma0=float(data["link"]["gamma0"]),
-        noise_power_w=float(data["link"]["noise_power_w"]),
-        uav_height_m=float(data["link"]["uav_height_m"]),
-    )
-    budgets = Budgets(
-        p_max_w=float(data["budgets"]["p_max_w"]),
-        f_max_cycles=float(data["budgets"]["f_max_cycles"]),
-        r_max_bits=float(data["budgets"]["r_max_bits"]),
-    )
-    loops = []
-    for entry in data["loops"]:
-        control = None
-        if "control" in entry:
-            control = LoopControlSpec(
-                a=entry["control"]["a_diag"],
-                b=entry["control"]["b_diag"],
-                sigma_v2=float(entry["control"]["sigma_v2"]),
-                sigma_w2=float(entry["control"]["sigma_w2"]),
-            )
-        loops.append(
-            Loop(
-                entropy=EntropyParams(
-                    n=int(entry["entropy"]["n"]),
-                    h=float(entry["entropy"]["h_bits"]),
-                    l_min=float(entry["entropy"]["l_min"]),
-                    c=float(entry["entropy"]["c"]),
-                ),
-                data_bits=float(entry["data_bits"]),
-                cycle_seconds=float(entry["cycle_s"]),
-                distance_m=float(entry["distance_m"]),
-                control=control,
-            )
+    sections = {name: _from_dict(cls, data[name]) for name, cls in _SECTIONS}
+    loops = tuple(
+        _from_dict(
+            Loop,
+            entry,
+            entropy=_from_dict(EntropyParams, entry["entropy"]),
+            control=_from_dict(LoopControlSpec, entry["control"]) if "control" in entry else None,
         )
-    return Scenario(loops=tuple(loops), compute=compute, link=link, budgets=budgets)
+        for entry in data["loops"]
+    )
+    return Scenario(loops=loops, **sections)
 
 
 def allocation_to_dict(alloc: Allocation) -> dict:
-    return {
-        "sum_lqr": alloc.sum_lqr,
-        "loops": [
-            {
-                "p_w": la.p_w,
-                "f_cycles": la.f_cycles,
-                "r_bits": la.r_bits,
-                "t_commu_s": la.t_commu_s,
-                "lqr_cost": la.lqr_cost,
-            }
-            for la in alloc.loops
-        ],
-    }
+    return {"sum_lqr": alloc.sum_lqr, "loops": [_to_dict(la) for la in alloc.loops]}
 
 
 @_rejects_bad_values
 def allocation_from_dict(data: dict) -> Allocation:
-    loops = tuple(
-        LoopAllocation(
-            p_w=float(entry["p_w"]),
-            f_cycles=float(entry["f_cycles"]),
-            r_bits=float(entry["r_bits"]),
-            t_commu_s=float(entry["t_commu_s"]),
-            lqr_cost=float(entry["lqr_cost"]),
-            split=None,
-        )
-        for entry in data["loops"]
-    )
+    loops = tuple(_from_dict(LoopAllocation, entry, split=None) for entry in data["loops"])
     resources = [v for la in loops for v in (la.p_w, la.f_cycles, la.r_bits, la.t_commu_s)]
     if not all(map(math.isfinite, resources)):
         raise ValueError("allocation resources and windows must be finite")
@@ -473,7 +429,7 @@ def _write_errors(path: str):
 def _cmd_solve(args) -> int:
     _check_out_dir(args.out)
     scenario = load_scenario(args.config)
-    config = SolverConfig(epsilon=args.eps) if args.eps else SolverConfig()
+    config = SolverConfig(epsilon=args.eps)
     try:
         alloc, trace = sca_solve(scenario, config)
     except Infeasible as exc:
@@ -531,6 +487,8 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.config)
     if args.mode == "grid":
+        if scenario.k > 2:
+            raise BadConfig(f"the grid oracle handles one or two loops, the scenario has {scenario.k}")
         _, objective = grid_search_global(scenario, grid_n=min(args.grid_n, 100))
         print(f"grid optimum {objective:.6g}")
         return 0
@@ -567,6 +525,26 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _epsilon(text: str) -> float:
+    """--eps: an outer tolerance SolverConfig accepts."""
+    try:
+        return SolverConfig(epsilon=float(text)).epsilon
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid epsilon {text!r}: {exc}") from None
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    return integer
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sc3opt",
@@ -577,7 +555,7 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="run the alternating solver on a scenario")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", required=True)
-    p_solve.add_argument("--eps", type=float, default=None)
+    p_solve.add_argument("--eps", type=_epsilon, default=SolverConfig.epsilon)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep and emit CSV")
     p_sweep.add_argument("--config", required=True)
@@ -591,8 +569,8 @@ def main(argv=None) -> int:
     p_oracle = sub.add_parser("oracle", help="run an independent validator")
     p_oracle.add_argument("--config", required=True)
     p_oracle.add_argument("--mode", choices=("grid", "mc", "convexity"), required=True)
-    p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--grid-n", type=int, default=40, dest="grid_n")
+    p_oracle.add_argument("--seed", type=_at_least(0), default=0)
+    p_oracle.add_argument("--grid-n", type=_at_least(1), default=40, dest="grid_n")
 
     args = parser.parse_args(argv)
     try:

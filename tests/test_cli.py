@@ -349,8 +349,10 @@ def _explicit_scenario_text(section, key, value):
         _explicit_scenario_text("link", "bandwidth_hz", math.nan),
         _explicit_scenario_text("budgets", "r_max_bits", "fast"),
         '{"seed": 0,',
+        _explicit_scenario_text("compute", "rho", None),
+        json.dumps({**scenario_to_dict(generate_scenario(0)), "compute": {"rho": 0.25}}),
     ],
-    ids=["inf_override", "negative_override", "nan_link", "text_budget", "truncated_json"],
+    ids=["inf_override", "negative_override", "nan_link", "text_budget", "truncated_json", "null_value", "missing_key"],
 )
 def test_cli_bad_value_ends_in_error_line(tmp_path, capsys, text):
     config = tmp_path / "config.json"
@@ -359,6 +361,36 @@ def test_cli_bad_value_ends_in_error_line(tmp_path, capsys, text):
         load_scenario(str(config))
     assert main(["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "overrides, args, status",
+    [
+        ({}, ["solve", "--eps", "-1"], 2),
+        ({}, ["solve", "--eps", "0"], 2),
+        ({}, ["oracle", "--mode", "mc", "--seed", "-1"], 2),
+        ({"k_loops": 2}, ["oracle", "--mode", "grid", "--grid-n", "-5"], 2),
+        ({}, ["oracle", "--mode", "grid"], 1),
+    ],
+    ids=["negative_eps", "zero_eps", "negative_seed", "negative_grid_n", "grid_on_five_loops"],
+)
+def test_cli_argument_the_model_rejects_ends_without_traceback(tmp_path, capsys, overrides, args, status):
+    """A usage error (exit 2) for an argument argparse can check alone, an
+    ``error:`` line (exit 1) for one that clashes with the scenario."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "overrides": overrides}))
+    argv = [args[0], "--config", str(config), *args[1:]]
+    if args[0] == "solve":
+        argv += ["--out", str(tmp_path / "alloc.json")]
+    if status == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: " in capsys.readouterr().err
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "alloc.json").exists()
 
 
 def test_cli_validate_rejects_non_finite_allocation(tmp_path, capsys):

@@ -2,10 +2,10 @@
 
 ``power_only_closed_loop`` keeps the equal compute/backhaul split and only
 optimizes transmit power for the sum cost, by damped Newton on the KKT
-system of its one budget constraint.  ``communication_oriented`` ignores control
-altogether: it splits compute to minimize total computation time and
-water-fills power for throughput, so at low power budgets distant loops
-routinely end up unstabilizable.
+system of its one budget constraint.  ``communication_oriented`` ignores
+control altogether: it splits compute to minimize total computation time
+and water-fills power for throughput, so at low power budgets distant
+loops routinely end up unstabilizable.
 """
 
 from __future__ import annotations

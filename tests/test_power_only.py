@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import sc3opt.baselines
-from sc3opt import Infeasible, SolverConfig, generate_scenario, power_only_closed_loop
+from sc3opt import Infeasible, NoConvergence, SolverConfig, generate_scenario, power_only_closed_loop
 from sc3opt.control import LN2
 from sc3opt.optim import project_budget_simplex, spg
 from sc3opt.solver import LoopData, feasible_power_init
@@ -175,6 +175,12 @@ def test_stable_loop_reaches_zero_power():
             zero_ref.add(label)
     assert zero_got == zero_ref
     assert from_positive
+
+
+def test_step_cap_raises_no_convergence():
+    """The baseline fails only when its step budget runs out."""
+    with pytest.raises(NoConvergence, match="exceeded 1 steps"):
+        power_only_closed_loop(generate_scenario(0), SolverConfig(inner_max_iters=1))
 
 
 def test_newton_calls_neither_spg_nor_projection(monkeypatch):

@@ -99,6 +99,14 @@ def _rejects_bad_values(parse):
     return wrapper
 
 
+def _integer(value) -> int:
+    """An integral number, 4 or 4.0, as int; anything else is a ValueError."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _budgets(cfg: dict) -> Budgets:
     """The budgets a generation config names, in model units."""
     return Budgets(
@@ -123,8 +131,8 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
             raise BadOverride(f"unknown override {key!r}")
         cfg[key] = value
     rng = np.random.default_rng(seed)
-    k = int(cfg["k_loops"])
-    n = int(cfg["n_state"])
+    k = _integer(cfg["k_loops"])
+    n = _integer(cfg["n_state"])
 
     link = LinkParams(
         bandwidth_hz=float(cfg["bandwidth_hz"]),
@@ -183,7 +191,7 @@ _FIELDS = {
     },
     LinkParams: {key: (key, float) for key in ("bandwidth_hz", "gamma0", "noise_power_w", "uav_height_m")},
     Budgets: {key: (key, float) for key in ("p_max_w", "f_max_cycles", "r_max_bits")},
-    EntropyParams: {"n": ("n", int), "h_bits": ("h", float), "l_min": ("l_min", float), "c": ("c", float)},
+    EntropyParams: {"n": ("n", _integer), "h_bits": ("h", float), "l_min": ("l_min", float), "c": ("c", float)},
     Loop: {"data_bits": ("data_bits", float), "cycle_s": ("cycle_seconds", float), "distance_m": ("distance_m", float)},
     LoopControlSpec: {
         "a_diag": ("a", _as_given),
@@ -271,7 +279,7 @@ def _generation_config(data: dict) -> tuple[int, dict]:
     overrides = data.get("overrides")
     if overrides is not None and not isinstance(overrides, dict):
         raise BadConfig("overrides must be a JSON object")
-    return int(data.get("seed", 0)), overrides
+    return _integer(data.get("seed", 0)), overrides
 
 
 @_rejects_bad_values
@@ -313,7 +321,7 @@ class SweepSpec:
             parameter=data["parameter"],
             values=tuple(float(v) for v in data["values"]),
             schemes=tuple(data.get("schemes", SCHEMES)),
-            seeds=tuple(int(s) for s in data.get("seeds", (0,))),
+            seeds=tuple(map(_integer, data.get("seeds", (0,)))),
         )
 
 
@@ -489,7 +497,7 @@ def _cmd_oracle(args) -> int:
     if args.mode == "grid":
         if scenario.k > 2:
             raise BadConfig(f"the grid oracle handles one or two loops, the scenario has {scenario.k}")
-        _, objective = grid_search_global(scenario, grid_n=min(args.grid_n, 100))
+        _, objective = grid_search_global(scenario, grid_n=args.grid_n)
         print(f"grid optimum {objective:.6g}")
         return 0
     if args.mode == "mc":
@@ -498,6 +506,8 @@ def _cmd_oracle(args) -> int:
         if control is None or control.n > 4:
             control = LoopControlSpec(a=[2.0], b=[1.0], sigma_v2=0.01, sigma_w2=0.0)
         h = intrinsic_entropy(control.a)
+        if h <= 0.0:
+            raise BadConfig(f"the Monte Carlo oracle needs an unstable plant (h > 0), loop 0 has h = {h:.4g}")
         for mult in (0.9, 1.1, 2.0, 10.0):
             res = monte_carlo_loop(control, mult * h, 10_000, args.seed)
             print(
@@ -533,13 +543,13 @@ def _epsilon(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid epsilon {text!r}: {exc}") from None
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+def _between(low: int, high: float = math.inf):
+    """An argparse type: an integer from low to high."""
 
     def integer(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{low}, {high}]")
         return value
 
     return integer
@@ -569,8 +579,8 @@ def main(argv=None) -> int:
     p_oracle = sub.add_parser("oracle", help="run an independent validator")
     p_oracle.add_argument("--config", required=True)
     p_oracle.add_argument("--mode", choices=("grid", "mc", "convexity"), required=True)
-    p_oracle.add_argument("--seed", type=_at_least(0), default=0)
-    p_oracle.add_argument("--grid-n", type=_at_least(1), default=40, dest="grid_n")
+    p_oracle.add_argument("--seed", type=_between(0), default=0)
+    p_oracle.add_argument("--grid-n", type=_between(1, 100), default=40, dest="grid_n")
 
     args = parser.parse_args(argv)
     try:

@@ -45,8 +45,8 @@ class EntropyParams:
     c: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("state dimension must be at least 1")
+        if not (self.n >= 1 and float(self.n).is_integer()):
+            raise ValueError("state dimension must be an integer of at least 1")
         if not all(map(math.isfinite, (self.h, self.l_min, self.c))):
             raise ValueError("h, l_min and c must be finite")
         if self.l_min < 0.0:

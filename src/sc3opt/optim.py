@@ -4,7 +4,9 @@
 per-loop costs coupled only by budget rows, from per-loop gradients and
 curvature blocks; the power-only baseline takes it with one row and
 ``sca_solve``'s inner problem with three, where ``kink_step`` adds the
-majorant's S1/S2 kink as a per-loop active set.  ``newton_descent`` is the
+majorant's S1/S2 kink as a per-loop active set.  The 3 x 3 blocks are
+inverted by cofactors; ``numpy.linalg`` gives a shifted block's eigenvalues
+and the multipliers' least-squares solve.  ``newton_descent`` is the
 damped-Newton loop both run those steps in.  ``spg``, spectral projected
 gradient over ``project_budget_simplex``, serves the communication-oriented
 compute split, which is not convex.
@@ -142,9 +144,8 @@ def newton_kkt_step(z, g, hess, residual, equality=None, flat=None, rigid=None):
     """Newton step for min sum_k phi_k(z_k) s.t. sum_k z_k <= b, z >= 0.
 
     Each of K loops holds an m-vector z_k (m = 1 or 3) with gradient g_k
-    and curvature block H_k (arrays (K, m), (K, m) and (K, m, m)); the
-    loops are coupled
-    only by the m budget rows, whose residual b - sum_k z_k is
+    and curvature block H_k (arrays (K, m), (K, m) and (K, m, m)); the loops
+    are coupled only by the m budget rows, whose residual b - sum_k z_k is
     ``residual`` (shape (m,)).  ``equality``, when given, is
     ``(normal, rhs, on)``: each loop in the mask ``on`` also keeps
     normal_k . dz_k = rhs_k.  Float warnings must be silenced around it.
@@ -250,48 +251,6 @@ def _inverse3(a):
     return inv / det[:, None, None], firm
 
 
-def _smallest_eigenvalue3(a):
-    """Smallest eigenvalue of each symmetric 3 x 3 block, in closed form
-    (the trigonometric solution of the characteristic cubic)."""
-    q = np.trace(a, axis1=1, axis2=2) / 3.0
-    b = a - q[:, None, None] * np.eye(3)
-    p = np.sqrt((b * b).sum((1, 2)) / 6.0)
-    b /= np.where(p > 0.0, p, 1.0)[:, None, None]
-    det = (
-        b[:, 0, 0] * (b[:, 1, 1] * b[:, 2, 2] - b[:, 1, 2] ** 2)
-        - b[:, 0, 1] * (b[:, 0, 1] * b[:, 2, 2] - b[:, 1, 2] * b[:, 0, 2])
-        + b[:, 0, 2] * (b[:, 0, 1] * b[:, 1, 2] - b[:, 1, 1] * b[:, 0, 2])
-    )
-    phi = np.arccos(np.clip(det / 2.0, -1.0, 1.0)) / 3.0
-    return q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-
-
-def _solve_small(a, b):
-    """Solve a few linear equations by Gauss-Jordan elimination with
-    partial pivoting; an unknown whose pivot vanishes (a budget no loop can
-    move) is set to zero."""
-    n = len(b)
-    rows = [row + [v] for row, v in zip(a.tolist(), b.tolist())]
-    tiny = 1e-14 * max((abs(v) for row in rows for v in row[:n]), default=0.0)
-    x = [0.0] * n
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        top = max(range(r, n), key=lambda i: abs(rows[i][col]), default=None)
-        if top is None or abs(rows[top][col]) <= tiny:
-            continue
-        rows[r], rows[top] = rows[top], rows[r]
-        best = rows[r]
-        for i in range(n):
-            factor = rows[i][col] / best[col]
-            if i != r and factor != 0.0:
-                rows[i] = [u - factor * v for u, v in zip(rows[i], best)]
-        pivots.append(col)
-    for row, col in zip(rows, pivots):
-        x[col] = row[n] / row[col]
-    return np.array(x)
-
-
 def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
     """One solve of ``newton_kkt_step`` at a fixed active set, for 3 x 3
     blocks: the step, mu, the KKT residual and nu."""
@@ -325,12 +284,12 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
     live = scale > _FLAT_CURVATURE  # a loop without curvature stays still
     scale = np.where(live, scale, 1.0)[:, None, None]
     block = proj @ hess @ proj + scale * rest
+    # cofactors, as numpy.linalg pays per matrix: 61 us against about 110 us for eigvalsh + inv at K=50
     inv, firm = _inverse3(block)
     if not firm.all():
-        # Levenberg: lift the smallest eigenvalue to its magnitude, and at
-        # least to the floor (negative curvature is rounding or a slightly
-        # nonconvex block; Newton then still descends)
-        low = _smallest_eigenvalue3(block)
+        # Levenberg: lift the smallest eigenvalue to its magnitude, at least to the floor (negative
+        # curvature is rounding or a slightly nonconvex block; Newton then still descends)
+        low = np.linalg.eigvalsh(block)[:, 0]
         lift = np.maximum(np.abs(low), _SHIFT_FLOOR * scale[:, 0, 0]) - low
         inv = _inverse3(block + np.where(firm, 0.0, lift)[:, None, None] * proj)[0]
     weight = np.where(live[:, None, None], proj @ inv @ proj, 0.0)
@@ -355,7 +314,7 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
         system[:n, n + i] = -d[rows]
         system[n + i, :n] = d[rows]
         rhs_all[n + i] = -float((g[idx] @ d).mean())
-    sol = _solve_small(system, rhs_all)
+    sol = np.linalg.lstsq(system, rhs_all)[0]  # minimum norm: an unknown no equation moves is zero
     mu = np.zeros(m)
     mu[rows] = sol[:n]
     kkt = g + mu

@@ -322,9 +322,13 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
 
 
-@pytest.mark.parametrize("values", ["[Infinity]", "[]"], ids=["infinite_value", "no_values"])
-def test_cli_sweep_bad_spec_ends_in_error_line(tmp_path, capsys, values):
-    text = '{"parameter": "p_max_dbw", "values": %s, "schemes": ["power_only"]}' % values
+@pytest.mark.parametrize(
+    "fields",
+    ['"values": [Infinity]', '"values": []', '"values": [1.0], "seeds": [0, 1.5]'],
+    ids=["infinite_value", "no_values", "fractional_seed"],
+)
+def test_cli_sweep_bad_spec_ends_in_error_line(tmp_path, capsys, fields):
+    text = '{"parameter": "p_max_dbw", %s, "schemes": ["power_only"]}' % fields
     with pytest.raises(BadConfig):
         SweepSpec.from_dict(json.loads(text))
     config = tmp_path / "config.json"
@@ -341,6 +345,30 @@ def _explicit_scenario_text(section, key, value):
     return json.dumps(data)
 
 
+def _explicit_state_dimension_text(n):
+    """A one-loop scenario whose entropy block gives state dimension n and
+    no plant."""
+    data = scenario_to_dict(generate_scenario(0, {"k_loops": 1, "n_state": 4}))
+    del data["loops"][0]["control"]
+    data["loops"][0]["entropy"]["n"] = n
+    return json.dumps(data)
+
+
+def test_cli_reads_integral_floats_as_integers(tmp_path):
+    """4.0 loads as 4 wherever an integer is read: the seed, k_loops,
+    n_state, the entropy block's n and the sweep seeds."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 2.0, "overrides": {"k_loops": 3.0, "n_state": 4.0}}))
+    expected = generate_scenario(2, {"k_loops": 3, "n_state": 4})
+    assert scenario_to_dict(load_scenario(str(config))) == scenario_to_dict(expected)
+    for n in (4, 4.0):
+        config.write_text(_explicit_state_dimension_text(n))
+        loaded = load_scenario(str(config)).loops[0].entropy.n
+        assert loaded == 4 and type(loaded) is int
+    spec = SweepSpec.from_dict({"parameter": "p_max_dbw", "values": [1.0], "seeds": [0, 1.0]})
+    assert spec.seeds == (0, 1) and all(type(s) is int for s in spec.seeds)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -351,8 +379,24 @@ def _explicit_scenario_text(section, key, value):
         '{"seed": 0,',
         _explicit_scenario_text("compute", "rho", None),
         json.dumps({**scenario_to_dict(generate_scenario(0)), "compute": {"rho": 0.25}}),
+        _explicit_state_dimension_text(4.9),
+        json.dumps({"seed": 0, "overrides": {"k_loops": 2.5}}),
+        json.dumps({"seed": 0, "overrides": {"n_state": 3.7}}),
+        json.dumps({"seed": 0.5}),
     ],
-    ids=["inf_override", "negative_override", "nan_link", "text_budget", "truncated_json", "null_value", "missing_key"],
+    ids=[
+        "inf_override",
+        "negative_override",
+        "nan_link",
+        "text_budget",
+        "truncated_json",
+        "null_value",
+        "missing_key",
+        "fractional_state_dimension",
+        "fractional_loop_count",
+        "fractional_n_state",
+        "fractional_seed",
+    ],
 )
 def test_cli_bad_value_ends_in_error_line(tmp_path, capsys, text):
     config = tmp_path / "config.json"
@@ -370,9 +414,19 @@ def test_cli_bad_value_ends_in_error_line(tmp_path, capsys, text):
         ({}, ["solve", "--eps", "0"], 2),
         ({}, ["oracle", "--mode", "mc", "--seed", "-1"], 2),
         ({"k_loops": 2}, ["oracle", "--mode", "grid", "--grid-n", "-5"], 2),
+        ({"k_loops": 2}, ["oracle", "--mode", "grid", "--grid-n", "500"], 2),
         ({}, ["oracle", "--mode", "grid"], 1),
+        ({"n_state": 1, "a_mag_low": 0.2, "a_mag_high": 0.5}, ["oracle", "--mode", "mc"], 1),
     ],
-    ids=["negative_eps", "zero_eps", "negative_seed", "negative_grid_n", "grid_on_five_loops"],
+    ids=[
+        "negative_eps",
+        "zero_eps",
+        "negative_seed",
+        "negative_grid_n",
+        "grid_n_above_100",
+        "grid_on_five_loops",
+        "mc_on_stable_plant",
+    ],
 )
 def test_cli_argument_the_model_rejects_ends_without_traceback(tmp_path, capsys, overrides, args, status):
     """A usage error (exit 2) for an argument argparse can check alone, an

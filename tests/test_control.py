@@ -194,6 +194,10 @@ def test_entropy_params_validation():
         EntropyParams(n=1, h=1.0, l_min=0.0, c=0.0)
     with pytest.raises(ValueError):
         EntropyParams(n=1, h=math.inf, l_min=0.0, c=1.0)
+    for n in (2.5, math.inf, math.nan):  # a state dimension is a whole number
+        with pytest.raises(ValueError):
+            EntropyParams(n=n, h=1.0, l_min=0.0, c=1.0)
+    assert EntropyParams(n=2.0, h=1.0, l_min=0.0, c=1.0).n == 2
 
 
 @pytest.mark.parametrize(

@@ -66,3 +66,35 @@ def test_unused_sibling_imports_are_tracer_targets():
         ]
         offenders += [f"{module}.{name}" for name in imported if name not in used and (module, name) not in targets]
     assert offenders == []
+
+
+def _defined_names(node) -> list[str]:
+    """The names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_private_module_name_is_used():
+    """A module-level ``_name`` in the package is read somewhere in it
+    outside its own definition; a helper nothing calls is deleted, not
+    kept."""
+    private = {}  # name -> the statements that define it, by module
+    used = {}  # module-level statement -> the names read inside it
+    for path in sorted(Path(sc3opt.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            used[node] = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+            }
+            for name in _defined_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    private.setdefault(f"{path.stem}.{name}", (name, set()))[1].add(node)
+    orphans = [
+        qualified
+        for qualified, (name, own) in private.items()
+        if not any(name in names for node, names in used.items() if node not in own)
+    ]
+    assert orphans == []

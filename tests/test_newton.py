@@ -4,9 +4,10 @@
 couples the loops only through the budget rows.  With one row it must be the
 power-only baseline's former step, kept below as the reference, bit for
 bit.  With three rows it is checked on separable quadratics, where Newton
-from any start must reach the minimizer spg finds to high accuracy, and on
-the rounds of generated solves where the solver meets a flat S1 direction
-and a zero bound.  ``newton_descent``, the damped-Newton loop around it, is
+from any start must reach the minimizer spg finds to high accuracy, against
+the saddle-point system of blocks given a Levenberg shift, and on the rounds
+of generated solves where the solver meets a flat S1 direction and a zero
+bound.  ``newton_descent``, the damped-Newton loop around it, is
 checked on the water-filling problem, whose minimizer is known exactly.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import sc3opt.baselines
+import sc3opt.optim
 import sc3opt.solver
 from sc3opt import InfeasibleSubproblem, SolverConfig, generate_scenario, power_only_closed_loop, sca_solve
 from sc3opt.baselines import water_filling
@@ -235,6 +237,69 @@ def test_equality_holds_after_the_step():
     # stationarity of each loop's model: H dz + g + mu + nu normal = 0
     stat = (blocks @ dz[:, :, None])[:, :, 0] + kkt
     np.testing.assert_allclose(stat, 0.0, atol=1e-12)
+
+
+U_FR = np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)  # an (f, r) trade, as the S1 branch's flat direction
+
+
+def _block(rng, eigenvalues, last=None):
+    """A symmetric block with these eigenvalues in random directions, the
+    last one along ``last`` when given."""
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    if last is not None:
+        q = np.linalg.qr(np.column_stack([last, rng.normal(size=(3, 2))]))[0][:, [1, 2, 0]]
+    return (q * eigenvalues) @ q.T
+
+
+def _levenberg(block):
+    """The block shifted as ``newton_kkt_step`` documents: its smallest
+    eigenvalue lifted to its magnitude, and at least to the floor times the
+    block's norm."""
+    low = np.linalg.eigvalsh(block)[0]
+    floor = sc3opt.optim._SHIFT_FLOOR * np.sqrt((block * block).sum())
+    return block + (max(abs(low), floor) - low) * np.eye(3)
+
+
+def _saddle_point_step(blocks, g, residual):
+    """dz and mu from the whole KKT system H_k dz_k + mu = -g_k, sum_k dz_k =
+    residual, solved at once."""
+    k = len(blocks)
+    a = np.zeros((3 * k + 3, 3 * k + 3))
+    for i, block in enumerate(blocks):
+        a[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = block
+        a[3 * i : 3 * i + 3, 3 * k :] = a[3 * k :, 3 * i : 3 * i + 3] = np.eye(3)
+    x = np.linalg.solve(a, np.concatenate([-g.reshape(-1), residual]))
+    return x[: 3 * k].reshape(k, 3), x[3 * k :]
+
+
+@pytest.mark.parametrize("case", ["indefinite", "nearly_singular"])
+def test_levenberg_shift_matches_the_shifted_saddle_point(case):
+    """Loop 0's block gets the shift, and the step is the saddle-point
+    solution with that block shifted and the others as given.  Indefinite:
+    eigenvalues 1, 1, -0.5 become 2, 2, 0.5.  Nearly singular: an
+    eigenvalue of 1e-12 is lifted to the floor, 1e-10 of the norm, while
+    loop 1's 1e-9 along the same direction is kept; the two split the
+    residual along it by those weights, so a missing lift shows."""
+    rng = np.random.default_rng(1)
+    spd = [_block(rng, np.array([3.0, 2.0, 1.0])) for _ in range(2)]
+    g = -0.5 + 0.05 * rng.normal(size=(3, 3))
+    if case == "indefinite":
+        hess = np.stack([_block(rng, np.array([1.0, 1.0, -0.5])), *spd])
+    else:
+        weak = [_block(rng, np.array([2.0, 1.0, low]), U_FR) for low in (1e-12, 1e-9)]
+        hess = np.stack([*weak, spd[0]])
+        g[1] += (g[0] - g[1]) @ U_FR * U_FR  # no gradient gap along the weak direction
+    residual = 0.1 * math.sqrt(2.0) * U_FR  # what the weak loops share
+    z = np.full((3, 3), 5.0)  # no bound within reach
+    dz, kkt, nu = newton_kkt_step(z, g, hess, residual)
+    ref_dz, ref_mu = _saddle_point_step([_levenberg(hess[0]), *hess[1:]], g, residual)
+    unshifted_dz, _ = _saddle_point_step(hess, g, residual)
+    scale = np.abs(ref_dz).max()
+    assert (ref_mu > 0.0).all() and not nu.any()  # every budget binds
+    # the weak loops' weights reach 1e10: a few parts in 1e6 are rounding
+    np.testing.assert_allclose(dz, ref_dz, rtol=0.0, atol=1e-4 * scale)
+    np.testing.assert_allclose(kkt, g + ref_mu, rtol=0.0, atol=1e-4 * np.abs(ref_mu).max())
+    assert np.abs(unshifted_dz - ref_dz).max() > 0.01 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import communication_oriented, evaluate_allocation, power_only_closed_loop
+from .baselines import communication_oriented, power_only_closed_loop
+from .baselines import evaluate_allocation  # noqa: F401  unused; bench/tracer.py wraps it in this module
 from .channel import LinkParams
 from .compute import ComputeParams
 from .control import EntropyParams, LoopControlSpec, build_entropy_params, intrinsic_entropy
@@ -329,8 +330,8 @@ CSV_HEADER = ("param_value", "scheme", "seed", "sum_lqr", "status", "iterations"
 
 
 def _run_cell(scenario, value, scheme, seed, config, start):
-    """One row: ``scheme`` on ``scenario``, which may instead be the Sc3Error
-    building it raised; ``wall_ms`` counts from ``start``."""
+    """One row: ``scheme`` on ``scenario``, or the Sc3Error building it raised;
+    ``sum_lqr`` is the allocation's own, ``wall_ms`` counts from ``start``."""
     iterations = 0
     try:
         if isinstance(scenario, Sc3Error):
@@ -342,7 +343,7 @@ def _run_cell(scenario, value, scheme, seed, config, start):
             alloc = power_only_closed_loop(scenario, config)
         else:
             alloc = communication_oriented(scenario, config)
-        total = evaluate_allocation(scenario, alloc)
+        total = alloc.sum_lqr
         status = "ok" if math.isfinite(total) else "unstable"
     except Infeasible:
         total, status = math.inf, "infeasible"

@@ -422,11 +422,10 @@ def _stabilizing_power(data: LoopData, t_commu: np.ndarray, margin_bits: float) 
 def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.ndarray:
     """Power start that stabilizes every loop with a common entropy margin.
 
-    Bisects the margin to the largest value the power budget affords, then
-    scales the result to spend the whole budget.  The bisection ends at the
-    first step that moves neither end (every later step would repeat it), at
-    most 200 steps in.  Raises Infeasible with a per-loop report when no
-    margin works.
+    Newton's method on log sum_k p_k(m) = log p_max finds the margin m, then
+    the powers are scaled to spend the budget.  A step out of the bracket
+    [1e-6, 2^24] or a zero sum (h_k < 0 loops draw power only past -h_k)
+    bisects it.  Raises Infeasible with a per-loop report when none works.
     """
     p_max = data.scenario.budgets.p_max_w
     dead = t_commu <= 0.0
@@ -436,8 +435,10 @@ def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.nd
             for i in np.nonzero(dead)[0]
         ]
         raise Infeasible(f"{what}: computation consumes the whole cycle", report=report)
-    lo = 1e-6
-    if float(_stabilizing_power(data, t_commu, lo).sum()) > p_max:
+    margin = 1e-6
+    p = _stabilizing_power(data, t_commu, margin)
+    total = float(p.sum())
+    if total > p_max:
         e_max = data.bandwidth * t_commu * np.log1p(data.gamma * p_max) / LN2
         report = [
             {
@@ -446,24 +447,22 @@ def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.nd
                 "intrinsic_rate_bits": float(data.h[i]),
             }
             for i in range(data.k)
-            if e_max[i] <= data.h[i] + lo
+            if e_max[i] <= data.h[i] + margin
         ]
         raise Infeasible(f"{what}: power budget cannot stabilize every loop", report=report)
-    hi = 1.0
-    while hi < 1e7 and float(_stabilizing_power(data, t_commu, hi).sum()) <= p_max:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(_stabilizing_power(data, t_commu, mid).sum()) <= p_max:
-            if mid == lo:
+    lo, hi = margin, 2.0**24
+    rate = LN2 / (data.bandwidth * t_commu)  # dp_k/dm = rate_k (p_k + 1/gamma_k) where p_k > 0
+    with np.errstate(over="ignore"):  # a midpoint far past the root sums to inf
+        for _ in range(200):
+            lo, hi = (margin, hi) if total <= p_max else (lo, margin)
+            slope = float(rate @ np.where(p > 0.0, p + 1.0 / data.gamma, 0.0))
+            step = math.log(p_max / total) * total / slope if 0.0 < total < math.inf else math.nan
+            nxt = margin + step if lo < margin + step < hi else 0.5 * (lo + hi)
+            if abs(step) <= 1e-14 * margin or nxt in (lo, hi):  # rounding noise, or a closed bracket
                 break
-            lo = mid
-        else:
-            if mid == hi:
-                break
-            hi = mid
-    p = _stabilizing_power(data, t_commu, lo)
-    total = float(p.sum())
+            margin = nxt
+            p = _stabilizing_power(data, t_commu, margin)
+            total = float(p.sum())
     if total <= 0.0:
         return np.full(data.k, p_max / data.k)
     return p * (p_max / total)

@@ -237,6 +237,22 @@ def test_run_sweep_draws_each_seed_once_per_budget_sweep(monkeypatch, parameter,
     assert len(calls) == draws
 
 
+def test_run_sweep_reports_each_schemes_own_cost(monkeypatch):
+    """Each row's ``sum_lqr`` is the allocation's own; the per-cell
+    reference above checks that it equals ``evaluate_allocation``."""
+    calls = []
+
+    def counted(scenario, alloc):
+        calls.append(alloc)
+        return evaluate_allocation(scenario, alloc)
+
+    monkeypatch.setattr(sc3opt.cli, "evaluate_allocation", counted)
+    rows = run_sweep(SweepSpec("p_max_dbw", (2.0, 12.0), SCHEMES, (0, 1)))
+    assert len(rows) == 12
+    assert {"ok", "infeasible"} <= {r["status"] for r in rows}
+    assert calls == []
+
+
 def test_allocation_roundtrip():
     import sc3opt
 

@@ -25,6 +25,7 @@ throughout; unit conversions belong to the config layer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -322,10 +323,12 @@ def brute_force_min_time(
     pre-processing at beta*d2/(t - delay) (the two deadlines give a
     quadratic in t), while the backhaul must move rho*d2 + d3 bits within
     t - delay.  The split's makespan is the larger of the two bottlenecks;
-    the oracle returns the grid minimum.
+    the oracle returns the grid minimum.  Only the points of the square
+    grid that lie on the simplex, d1 + d2 <= d up to 1e-9 of d, are
+    evaluated.  grid_n must be an integer of at least 100.
     """
-    if grid_n < 100:
-        raise ValueError("grid_n must be at least 100")
+    if not (isinstance(grid_n, numbers.Integral) and grid_n >= 100):
+        raise ValueError("grid_n must be an integer of at least 100")
     _check_flow(f, r, d)
     a, b, rho = params.alpha, params.beta, params.rho
     delay = params.relay_delay
@@ -333,7 +336,7 @@ def brute_force_min_time(
     d1, d2 = np.meshgrid(axis, axis, indexing="ij")
     d3 = d - d1 - d2
     valid = d3 >= -1e-9 * d
-    d3 = np.clip(d3, 0.0, None)
+    d1, d2, d3 = d1[valid], d2[valid], np.clip(d3[valid], 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         quad_b = delay * f + a * d1 + b * d2
         disc = quad_b * quad_b - 4.0 * delay * f * a * d1
@@ -348,5 +351,4 @@ def brute_force_min_time(
         )
         relay_bits = rho * d2 + d3
         t_relay = np.where(relay_bits > 0.0, delay + relay_bits / r, 0.0)
-        total = np.where(valid, np.maximum(t_hub, t_relay), np.inf)
-    return float(np.nanmin(total))
+        return float(np.nanmin(np.maximum(t_hub, t_relay)))

@@ -11,6 +11,7 @@ not its tightness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .control import LN2, LoopControlSpec, riccati_diagonal
 from .errors import UnsupportedStructure
 from .solver import Allocation, LoopAllocation, LoopData, Scenario
 
+# power rows per block of the grid oracle's streamed (p, (f, r)) costs
+GRID_POWER_BLOCK = 8
+
 
 def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation, float]:
     """Exhaustive minimum of the allocation problem for one or two loops.
@@ -27,49 +31,59 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     Grids loop 1's (p, f, r) over the budgets; with two loops the remainder
     of each budget goes to loop 2, since every loop's cost is non-increasing
     in every resource.  Costs use the true minimal computation time.  The
-    latency does not depend on the power, so it is evaluated once per (f, r)
-    grid point and the costs are formed on the (p, (f, r)) outer product,
-    p varying slowest.
+    latency does not depend on the power, so each loop's communication
+    window is evaluated once per (f, r) grid point; the costs then stream
+    over the power axis ``GRID_POWER_BLOCK`` rows at a time, keeping the
+    first minimum in (p, (f, r)) order, p varying slowest.  The result is
+    the argmin over the whole outer product, held in O(grid_n**2) memory.
+    grid_n must be an integer from 1 to 100.
     """
     if scenario.k > 2:
         raise ValueError("the grid oracle only handles one or two loops")
-    if grid_n > 100:
-        raise ValueError("grid_n above 100 is pointlessly slow")
+    if not (isinstance(grid_n, numbers.Integral) and 1 <= grid_n <= 100):
+        raise ValueError("grid_n must be an integer from 1 to 100")
     data = LoopData(scenario)
     b = scenario.budgets
     axis = np.linspace(0.0, 1.0, grid_n + 1)
     fg, rg = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
+    # each loop's power, compute and rate shares of the budgets
+    shares = [(axis, fg, rg), (1.0 - axis, 1.0 - fg, 1.0 - rg)][: scenario.k]
 
-    def loop_costs(i: int, p, f, r):
-        """Loop i's window over the (f, r) points and its cost over
-        (p, (f, r)), one row per power."""
+    def window(i: int, f, r):
+        """Loop i's communication window over the (f, r) points."""
         with np.errstate(all="ignore"):
-            t_commu = data.t_cycle[i] - min_compute_time_batch(
+            return data.t_cycle[i] - min_compute_time_batch(
                 f, r, float(data.d_bits[i]), scenario.compute
             )
+
+    def loop_costs(i: int, p, t_commu):
+        """Loop i's cost over (p, (f, r)), one row per power."""
+        with np.errstate(all="ignore"):
             e = data.bandwidth * t_commu * np.log1p(data.gamma[i] * p)[:, None] / LN2
             good = (t_commu > 0.0) & (e > data.h[i])
             cost = np.full(e.shape, np.inf)
             if good.any():
                 w = 2.0 * (e[good] - data.h[i]) / data.n[i]
                 cost[good] = data.l_min[i] + data.c[i] / np.expm1(w * LN2)
-        return t_commu, cost
+        return cost
 
-    _, total = loop_costs(0, axis * b.p_max_w, fg * b.f_max_cycles, rg * b.r_max_bits)
-    if scenario.k == 2:
-        total = total + loop_costs(
-            1, (1.0 - axis) * b.p_max_w, (1.0 - fg) * b.f_max_cycles, (1.0 - rg) * b.r_max_bits
-        )[1]
-    best = int(np.argmin(total))
-    objective = float(total.flat[best])
+    windows = [
+        window(i, sf * b.f_max_cycles, sr * b.r_max_bits) for i, (_, sf, sr) in enumerate(shares)
+    ]
+    best, objective = 0, math.inf  # an all-inf grid keeps np.argmin's answer, point 0
+    for start in range(0, axis.size, GRID_POWER_BLOCK):
+        rows = slice(start, start + GRID_POWER_BLOCK)
+        total = loop_costs(0, axis[rows] * b.p_max_w, windows[0])
+        if scenario.k == 2:
+            total = total + loop_costs(1, (1.0 - axis[rows]) * b.p_max_w, windows[1])
+        j = int(np.argmin(total))
+        if total.flat[j] < objective:
+            best, objective = start * fg.size + j, float(total.flat[j])
     i_p, i_fr = divmod(best, fg.size)
-    shares = [(axis[i_p], fg[i_fr], rg[i_fr])]
-    if scenario.k == 2:
-        shares.append((1.0 - axis[i_p], 1.0 - fg[i_fr], 1.0 - rg[i_fr]))
     loops = []
     for i, (sp, sf, sr) in enumerate(shares):
-        p_i, f_i, r_i = sp * b.p_max_w, sf * b.f_max_cycles, sr * b.r_max_bits
-        t_commu, cost = loop_costs(i, np.array([p_i]), np.array([f_i]), np.array([r_i]))
+        p_i, f_i, r_i = sp[i_p] * b.p_max_w, sf[i_fr] * b.f_max_cycles, sr[i_fr] * b.r_max_bits
+        t_commu = window(i, np.array([f_i]), np.array([r_i]))
         split = None
         if f_i > 0.0 or r_i > 0.0:
             split = optimal_split(f_i, r_i, float(data.d_bits[i]), scenario.compute)
@@ -79,7 +93,7 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
                 f_cycles=float(f_i),
                 r_bits=float(r_i),
                 t_commu_s=max(float(t_commu[0]), 0.0),
-                lqr_cost=float(cost[0, 0]),
+                lqr_cost=float(loop_costs(i, np.array([p_i]), t_commu)[0, 0]),
                 split=split,
             )
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from sc3opt import (
     communication_oriented,
     evaluate_allocation,
     generate_scenario,
+    min_compute_time,
     power_only_closed_loop,
     sca_solve,
     water_filling,
@@ -136,3 +138,25 @@ def test_evaluate_reproduces_baseline_costs():
         sc = generate_scenario(3, {"p_max_dbw": p_max_dbw})
         for alloc in (power_only_closed_loop(sc), communication_oriented(sc)):
             assert evaluate_allocation(sc, alloc) == alloc.sum_lqr
+
+
+def test_comm_oriented_split_moves_off_equal_start():
+    # unequal data sizes make the equal compute split non-stationary, so the
+    # compute split's SPG has to take steps
+    sc = generate_scenario(0)
+    sizes = (2e5, 5e5, 1e6, 2e6, 4e6)
+    sc = dataclasses.replace(
+        sc, loops=tuple(dataclasses.replace(lp, data_bits=d) for lp, d in zip(sc.loops, sizes))
+    )
+    b = sc.budgets
+    alloc = communication_oriented(sc)
+    f = [la.f_cycles for la in alloc.loops]
+    assert sum(f) == pytest.approx(b.f_max_cycles, rel=1e-9)
+
+    def sum_time(f_cycles):
+        return sum(
+            min_compute_time(f_k, la.r_bits, d, sc.compute)
+            for f_k, la, d in zip(f_cycles, alloc.loops, sizes)
+        )
+
+    assert sum_time(f) < 0.95 * sum_time([b.f_max_cycles / sc.k] * sc.k)

@@ -157,8 +157,51 @@ def test_brute_force_exact_in_local_regime(params):
 
 
 def test_brute_force_grid_validation(params):
-    with pytest.raises(ValueError):
-        brute_force_min_time(1e9, 1e6, 1e6, params, grid_n=50)
+    for grid_n in (50, 99, 0, -1, 150.5, 200.0):
+        with pytest.raises(ValueError, match="grid_n"):
+            brute_force_min_time(1e9, 1e6, 1e6, params, grid_n=grid_n)
+
+
+def reference_brute_force(f, r, d, params, grid_n=200):
+    """The split-grid oracle evaluated on the whole d1 x d2 square, the
+    points off the simplex set to inf, kept as the reference for the
+    simplex-only version."""
+    a, b, rho = params.alpha, params.beta, params.rho
+    delay = params.relay_delay
+    axis = np.linspace(0.0, d, grid_n + 1)
+    d1, d2 = np.meshgrid(axis, axis, indexing="ij")
+    d3 = d - d1 - d2
+    valid = d3 >= -1e-9 * d
+    d3 = np.clip(d3, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad_b = delay * f + a * d1 + b * d2
+        disc = quad_b * quad_b - 4.0 * delay * f * a * d1
+        t_hub = np.where(
+            d2 > 0.0,
+            np.where(
+                d1 > 0.0,
+                (quad_b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * f),
+                delay + b * d2 / f,
+            ),
+            np.where(d1 > 0.0, a * d1 / f, 0.0),
+        )
+        relay_bits = rho * d2 + d3
+        t_relay = np.where(relay_bits > 0.0, delay + relay_bits / r, 0.0)
+        total = np.where(valid, np.maximum(t_hub, t_relay), np.inf)
+    return float(np.nanmin(total))
+
+
+def test_brute_force_matches_full_square_reference(params):
+    rng = np.random.default_rng(2024)  # criterion 1's flows
+    for _ in range(200):
+        p = random_compute_params(rng)
+        f, r, d = random_flow(rng)
+        for flow in ((f, r, d), (0.0, r, d), (f, 0.0, d)):
+            assert brute_force_min_time(*flow, p) == reference_brute_force(*flow, p)
+    for grid_n in (100, 157):
+        assert brute_force_min_time(1e9, 1e6, 1e6, params, grid_n) == reference_brute_force(
+            1e9, 1e6, 1e6, params, grid_n
+        )
 
 
 def test_brute_force_never_beats_closed_form(params):

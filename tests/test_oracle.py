@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sc3opt import (
 )
 from sc3opt import EntropyParams, McResult, UnsupportedStructure
 from sc3opt.control import LN2
+from sc3opt.oracle import GRID_POWER_BLOCK
 from sc3opt.solver import LoopData
 from conftest import symmetric_two_loop_scenario, tight_single_loop_scenario
 
@@ -50,6 +52,22 @@ def test_grid_rejects_large_instances():
     sc = generate_scenario(0)
     with pytest.raises(ValueError):
         grid_search_global(sc)
+    two = generate_scenario(0, {"k_loops": 2})
+    for grid_n in (0, -1, 101, 60.5, 60.0):
+        with pytest.raises(ValueError, match="grid_n"):
+            grid_search_global(two, grid_n=grid_n)
+
+
+def test_grid_search_memory_is_bounded():
+    # the (p, (f, r)) outer product at grid_n = 100 alone would take 8 MB
+    sc = generate_scenario(0, {"k_loops": 2})
+    tracemalloc.start()
+    try:
+        grid_search_global(sc, grid_n=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_convexity_probe_negative_control():
@@ -121,8 +139,8 @@ def test_monte_carlo_rejects_zero_input_gain():
 
 def reference_grid_search(scenario, grid_n):
     """The grid oracle evaluated on the full 3-D (p, f, r) meshgrid, latency
-    included at every point, kept as the reference for the (f, r)-once
-    version."""
+    included at every point, kept as the reference for the version that
+    evaluates the latency once per (f, r) point and streams the powers."""
     data = LoopData(scenario)
     b = scenario.budgets
     axis = np.linspace(0.0, 1.0, grid_n + 1)
@@ -181,9 +199,26 @@ def reference_grid_search(scenario, grid_n):
     ids=["k1", "k2", "k2_low_power"],
 )
 def test_grid_search_matches_full_meshgrid_reference(overrides):
-    for seed in range(4):
-        sc = generate_scenario(seed, overrides)
-        assert grid_search_global(sc, grid_n=12) == reference_grid_search(sc, 12)
+    # 13 and 61 power rows end in a partial block, 16 rows fill whole blocks
+    for grid_n, seeds in ((12, range(4)), (15, range(2)), (60, range(2))):
+        for seed in seeds:
+            sc = generate_scenario(seed, overrides)
+            assert grid_search_global(sc, grid_n=grid_n) == reference_grid_search(sc, grid_n)
+
+
+@pytest.mark.parametrize(
+    "seed, overrides",
+    [(0, {"k_loops": 1}), (33, {"k_loops": 2, "p_max_dbw": -5.0})],
+    ids=["k1_full_power", "k2_seed33"],
+)
+def test_grid_search_minimum_in_last_partial_block(seed, overrides):
+    grid_n = 20  # 21 power rows: the last block holds rows 16-20 only
+    assert (grid_n + 1) % GRID_POWER_BLOCK != 0
+    sc = generate_scenario(seed, overrides)
+    got = grid_search_global(sc, grid_n=grid_n)
+    row = round(got[0].loops[0].p_w / sc.budgets.p_max_w * grid_n)
+    assert row // GRID_POWER_BLOCK == grid_n // GRID_POWER_BLOCK
+    assert got == reference_grid_search(sc, grid_n)
 
 
 def reference_monte_carlo(loop, bits_per_cycle, n_cycles, seed):

@@ -3,9 +3,10 @@
 ``power_only_closed_loop`` keeps the equal compute/backhaul split and only
 optimizes transmit power for the sum cost, by damped Newton on the KKT
 system of its one budget constraint.  ``communication_oriented`` ignores
-control altogether: it splits compute to minimize total computation time
-and water-fills power for throughput, so at low power budgets distant
-loops routinely end up unstabilizable.
+control altogether: it splits compute to minimize total computation time,
+by projected-gradient steps in the same ``newton_descent`` loop, and
+water-fills power for throughput, so at low power budgets distant loops
+routinely end up unstabilizable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 # by module and name
 from .compute import classify_region, min_compute_time, min_compute_time_grad, optimal_split  # noqa: F401
 from .errors import NoConvergence
-from .optim import newton_descent, newton_kkt_step, project_budget_simplex, spg
+from .optim import newton_descent, newton_kkt_step, project_budget_simplex
 from .solver import Allocation, LoopData, Scenario, SolverConfig, feasible_power_init
 
 
@@ -87,10 +88,10 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
     the optimum the bound p_k >= 0 can bind only for a loop with a
     negative intrinsic rate, whose cost stays finite at zero power.
 
-    Stops at a decrement of 16 eps |sum|, the rule ``spg`` applies to its
-    steps: the last full step then moves the sum only by rounding but
-    squares the KKT residual, so the relative prox residual ``spg`` would
-    measure ends far below ``inner_tol``.  Reads only
+    Stops at a decrement of 16 eps |sum|: the last full step then moves
+    the sum only by rounding but squares the KKT residual, so the relative
+    prox residual, max |x - project_budget_simplex(x - g / |sum|, 1)| in
+    normalized power x, ends far below 1e-7.  Reads only
     ``config.inner_max_iters``: that many steps without stopping raise
     NoConvergence.
     """
@@ -118,24 +119,43 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
         return data.allocation(p, f, r, t_commu)
 
 
-def _sum_time_objective(data: LoopData, r_eq: float):
-    """Total true computation time as a function of normalized compute, as
-    the (value, gradient function) pair ``spg`` takes."""
-    params = data.scenario.compute
-    f_max = data.scenario.budgets.f_max_cycles
+def _projected_gradient_step():
+    """A ``newton_descent`` step on {x >= 0, sum(x) <= 1}: the spectral
+    projected-gradient move project_budget_simplex(x - s g, 1) - x, with
+    the gradient g as its KKT residual, so the Newton decrement is the
+    Armijo slope -g . dx.  Its terms are a zero-argument function that
+    builds g from its evaluation's intermediates; the step calls it, so
+    only at the start point and at accepted points.  The Barzilai-Borwein scale s starts
+    at 1 and is set from the last accepted move, s.s / s.y (doubled when
+    s.y is not positive), within [1e-9, 1e10]; the closure keeps it between
+    steps, so each descent takes a fresh step function."""
+    scale, last = 1.0, None
 
-    def fun(x):
-        t, dt_df, _ = min_compute_time_grad(x * f_max, r_eq, data.d_bits, params)
-        # cumsum adds in loop order, sum() pairwise
-        return float(t.cumsum()[-1]), lambda: dt_df * f_max
+    def step(x, gradient):
+        nonlocal scale, last
+        g = gradient()
+        if last is not None:
+            s_vec, y_vec = x - last[0], g - last[1]
+            sy = float(s_vec @ y_vec)
+            scale = min(float(s_vec @ s_vec) / sy if sy > 1e-300 else scale * 2.0, 1e10)
+            scale = max(scale, 1e-9)  # below this the move is rounding noise
+        last = x, g
+        dx = project_budget_simplex(x - scale * g, 1.0) - x
+        # in exact arithmetic the move descends unless it is zero, so one that does not is rounding
+        return (dx if g @ dx < 0.0 else np.zeros_like(x)), g, g, None
 
-    return fun
+    return step
 
 
 def communication_oriented(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:
     """Equal backhaul split, compute minimizing total computation time,
     power water-filled for throughput; loop costs evaluated afterwards.
 
+    The split, not convex, descends from the equal split by
+    ``newton_descent`` with ``_projected_gradient_step`` at a decrement of
+    16 eps |total|, as the power-only baseline stops, and takes the point
+    the descent returns however it stops; generated loops, carrying equal
+    data, keep the equal split.  Reads only ``config.inner_max_iters``.
     Loops whose delivered entropy falls at or below their intrinsic rate
     come out with an infinite cost rather than an error.
     """
@@ -143,16 +163,20 @@ def communication_oriented(scenario: Scenario, config: SolverConfig | None = Non
     data = LoopData(scenario)
     k = data.k
     b = scenario.budgets
-    r_eq = b.r_max_bits / k
-    fun = _sum_time_objective(data, r_eq)
-    project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
-    x0 = np.full(k, 1.0 / k)
-    try:
-        x = spg(fun, project, x0, cfg.inner_tol, cfg.inner_max_iters, "compute split")[0]
-    except NoConvergence:
-        x = x0  # the equal split is a valid, if unpolished, fallback
+    r = np.full(k, b.r_max_bits / k)
+
+    def total_time(x):
+        f = x * b.f_max_cycles
+        gradient = lambda: min_compute_time_grad(f, r, data.d_bits, scenario.compute)[1] * b.f_max_cycles  # noqa: E731
+        return float(data.true_min_times(f, r).sum()), gradient
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = newton_descent(
+            total_time, _projected_gradient_step(), np.full(k, 1.0 / k), 16.0 * np.finfo(float).eps,
+            cfg.inner_max_iters, "compute split",
+        )[0]
     p = water_filling(data.gamma, b.p_max_w)
-    return data.allocation(p, x * b.f_max_cycles, np.full(k, r_eq))
+    return data.allocation(p, x * b.f_max_cycles, r)
 
 
 def evaluate_allocation(scenario: Scenario, alloc: Allocation) -> float:

@@ -6,10 +6,10 @@ curvature blocks; the power-only baseline takes it with one row and
 ``sca_solve``'s inner problem with three, where ``kink_step`` adds the
 majorant's S1/S2 kink as a per-loop active set.  The 3 x 3 blocks are
 inverted by cofactors; ``numpy.linalg`` gives a shifted block's eigenvalues
-and the multipliers' least-squares solve.  ``newton_descent`` is the
-damped-Newton loop both run those steps in.  ``spg``, spectral projected
-gradient over ``project_budget_simplex``, serves the communication-oriented
-compute split, which is not convex.
+and the multipliers' least-squares solve.  ``newton_descent`` is the one
+descent loop: both run those steps in it, and the communication-oriented
+compute split, which is not convex, runs projected-gradient steps over
+``project_budget_simplex`` in it.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import math
 
 import numpy as np
 
-from .errors import InfeasibleSubproblem, NoConvergence
+from .errors import InfeasibleSubproblem
 
 # ---------------------------------------------------------------------------
-# projections and the projected-gradient core
+# the budget-simplex projection
 
 
 def project_budget_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -49,83 +49,6 @@ def project_budget_simplex(v: np.ndarray, total: float) -> np.ndarray:
         theta[inside] = 0.0  # max(v - 0, 0) is the clipped row itself
         theta = theta[:, None]
     return np.maximum(v - theta, 0.0)
-
-
-_SPG_STEP_FLOOR = 1e-9  # below this the projected direction is rounding noise
-# objective evaluations without a decrease beyond float64 resolution before
-# SPG gives up; counting evaluations rather than steps keeps a run parked on
-# a kink from spending dozens of Armijo halvings per fruitless step
-_SPG_STALL_EVALS = 100
-
-
-def spg(fun, project, x0: np.ndarray, tol: float, max_iters: int, what: str):
-    """Monotone spectral projected gradient on a convex set.
-
-    ``fun(x)`` returns ``(value, gradient)``, where ``gradient`` is a
-    zero-argument function that builds the gradient at x from that
-    evaluation's intermediates.  spg calls it only at the start point and at
-    accepted trials, never at a rejected Armijo trial.  ``project`` maps
-    each row of a 2-D array onto the set; each step projects the
-    prox-residual point and the trial point together, in one call.
-
-    Searches along the projected-arc direction with Armijo backtracking and
-    a Barzilai-Borwein trial step.  Stops when the prox residual of the
-    relative-scaled gradient drops below tol, or after 100 objective
-    evaluations without a decrease beyond float64 resolution (the measured
-    residual then sits at its numerical floor; it is still returned for
-    inspection).  Returns (x, value, gradient, iterations, residual,
-    evaluations), the last counting every call of fun.
-    """
-    x = project(np.array(x0, dtype=float))
-    val, gradient = fun(x)
-    evals = 1
-    if not math.isfinite(val):
-        raise InfeasibleSubproblem(f"{what}: start point is infeasible")
-    grad = gradient()
-    val_floor = 8.0 * np.finfo(float).eps
-    step = 1.0
-    stall = 0  # objective evaluations since the last real decrease
-    resid = math.inf
-    for it in range(max_iters):
-        scale = max(abs(val), 1e-300)
-        # row 0: the prox-residual point; row 1: the trial point
-        pair = np.empty((2, x.size))
-        np.subtract(x, grad / scale, out=pair[0])
-        np.subtract(x, step * grad, out=pair[1])
-        prox, trial = project(pair)
-        resid = float(np.abs(x - prox).max())
-        if resid <= tol or stall >= _SPG_STALL_EVALS:
-            return x, val, grad, it, resid, evals
-        d = trial - x
-        slope = float(grad @ d)
-        if slope >= 0.0 or not d.any():
-            step = max(step * 0.25, _SPG_STEP_FLOOR)
-            stall += 1
-            continue
-        lam, moved = 1.0, False
-        tries = 0
-        while lam >= 1e-20:
-            x_try = x + lam * d
-            val_try, gradient = fun(x_try)
-            tries += 1
-            if val_try <= val + 1e-4 * lam * slope + 4e-16 * abs(val):
-                moved = True
-                break
-            lam *= 0.5
-        evals += tries
-        if not moved:
-            step = max(step * 0.25, _SPG_STEP_FLOOR)
-            stall += tries
-            continue
-        stall = stall + tries if val - val_try <= val_floor * abs(val) else 0
-        grad_try = gradient()
-        s_vec = x_try - x
-        y_vec = grad_try - grad
-        sy = float(s_vec @ y_vec)
-        step = min(float(s_vec @ s_vec) / sy, 1e10) if sy > 1e-300 else min(step * 2.0, 1e10)
-        step = max(step, _SPG_STEP_FLOOR)
-        x, val, grad = x_try, val_try, grad_try
-    raise NoConvergence(f"{what}: projected gradient exceeded {max_iters} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +316,23 @@ def kink_step(z, point, s12, kink, theta):
 
 
 # ---------------------------------------------------------------------------
-# the damped-Newton loop
+# the descent loop
 
 
 def newton_descent(fun, step, z, decrement, max_iters, what):
-    """Damped Newton on a KKT system from z.
+    """Damped descent on a KKT system from z, along the steps the caller
+    supplies: Newton-KKT steps or projected-gradient moves.
 
     ``fun(z)`` returns the value (inf outside the domain) and the terms a
-    step is built from; ``step(z, terms)`` returns the Newton step dz, its
-    KKT residual, the gradient and either None or a function that, given
-    the terms at a rejected full step, returns a corrected step aimed by
-    them.  Step lengths halve from 1 until the Armijo condition holds, with
-    ``spg``'s rounding slack; a rejected full step first tries its
-    correction.  Stops once the Newton decrement -kkt . dz falls to
-    ``decrement`` times |value|, taking that last full step unless it
-    raises the value by more than that ("kkt"); when that last step is
+    step is built from; ``step(z, terms)`` returns the step dz, its KKT
+    residual, the gradient and either None or a function that, given the
+    terms at a rejected full step, returns a corrected step aimed by them.
+    ``step`` is called only at z and at accepted points.  Step lengths
+    halve from 1 until the Armijo condition holds, with a rounding slack of
+    4e-16 |value|; a rejected full step first tries its correction.  Stops
+    once the decrement -kkt . dz falls to ``decrement`` times |value|,
+    taking that last full step unless it raises the value by more than
+    that ("kkt"; a zero step is not evaluated); when that last step is
     declined, a line search finds no decrease or an accepted step gains
     nothing beyond float64 resolution ("stall"); or after ``max_iters``
     steps ("cap").  Float warnings must be silenced around it.  Returns
@@ -422,6 +347,8 @@ def newton_descent(fun, step, z, decrement, max_iters, what):
     for it in range(max_iters):
         dz, kkt, g, correct = step(z, terms)
         if float((kkt * dz).sum()) >= -decrement * abs(val):
+            if not dz.any():  # a zero step has nothing to take
+                return z, val, terms, it, evals, "kkt"
             z_try = z + dz
             val_try, terms_try = fun(z_try)
             # the step may gain or lose only rounding; more means the model

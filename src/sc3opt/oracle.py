@@ -18,7 +18,7 @@ import numpy as np
 
 from .compute import min_compute_time_batch, optimal_split
 from .control import LN2, LoopControlSpec, riccati_diagonal
-from .errors import UnsupportedStructure
+from .errors import Infeasible, UnsupportedStructure
 from .solver import Allocation, LoopAllocation, LoopData, Scenario
 
 # power rows per block of the grid oracle's streamed (p, (f, r)) costs
@@ -36,7 +36,8 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     over the power axis ``GRID_POWER_BLOCK`` rows at a time, keeping the
     first minimum in (p, (f, r)) order, p varying slowest.  The result is
     the argmin over the whole outer product, held in O(grid_n**2) memory.
-    grid_n must be an integer from 1 to 100.
+    grid_n must be an integer from 1 to 100.  Raises Infeasible when no
+    grid point stabilizes every loop.
     """
     if scenario.k > 2:
         raise ValueError("the grid oracle only handles one or two loops")
@@ -70,7 +71,7 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     windows = [
         window(i, sf * b.f_max_cycles, sr * b.r_max_bits) for i, (_, sf, sr) in enumerate(shares)
     ]
-    best, objective = 0, math.inf  # an all-inf grid keeps np.argmin's answer, point 0
+    best, objective = 0, math.inf  # stays inf while no point stabilizes every loop
     for start in range(0, axis.size, GRID_POWER_BLOCK):
         rows = slice(start, start + GRID_POWER_BLOCK)
         total = loop_costs(0, axis[rows] * b.p_max_w, windows[0])
@@ -79,6 +80,8 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
         j = int(np.argmin(total))
         if total.flat[j] < objective:
             best, objective = start * fg.size + j, float(total.flat[j])
+    if objective == math.inf:
+        raise Infeasible(f"grid search: no point of the {grid_n}-step grid stabilizes every loop")
     i_p, i_fr = divmod(best, fg.size)
     loops = []
     for i, (sp, sf, sr) in enumerate(shares):

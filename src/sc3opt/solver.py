@@ -109,10 +109,10 @@ class Scenario:
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances: epsilon stops the outer loop on relative objective
-    decrease; inner_tol bounds the projected-gradient stationarity residual
-    of an ``spg`` run (the communication-oriented compute split);
-    inner_max_iters caps the Newton steps of each inner solve and of the
-    power-only baseline, and the iterations of each ``spg`` run."""
+    decrease; inner_max_iters caps the steps of every ``newton_descent``
+    run (each inner solve and both baselines).  No solve reads inner_tol:
+    it stays while bench/run.py reads its default as the residual above
+    which it counts an inner solve stalled."""
 
     epsilon: float = 5e-5
     max_outer_iters: int = 30
@@ -200,7 +200,8 @@ class IterationRecord:
     # Newton steps of the round's inner solve (0: no inner solve)
     inner_iterations: int
     # relative prox residual of the inner problem at the round's MM point,
-    # measured as spg measures it (nan: no inner solve)
+    # max |x - project_budget_simplex(x - g / |value|, 1)| over the
+    # normalized blocks (nan: no inner solve)
     inner_residual: float
     # accepted multiple of the round's majorize-minimize step (1.0: the MM point)
     step_scale: float = 1.0
@@ -520,9 +521,10 @@ _FINAL_DECREMENT = 1e-12
 def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConfig, x0: np.ndarray):
     """``newton_descent`` on the round's convex problem from x0 (normalized,
     flat (p, f, r) blocks), each step a ``kink_step``.  Returns (x, value,
-    steps, residual, evaluations, stop): the residual is ``spg``'s relative
-    prox residual at x, each loop on the kink taking the subgradient its
-    branch weight gives, and evaluations count ``surrogate_batch`` calls.
+    steps, residual, evaluations, stop): the residual is the relative prox
+    residual at x, max |x - project_budget_simplex(x - g / |value|, 1)|,
+    each loop on the kink taking the subgradient its branch weight gives,
+    and evaluations count ``surrogate_batch`` calls.
     """
     k = data.k
     kink, theta = np.zeros(k, dtype=bool), np.zeros(k)

@@ -142,7 +142,7 @@ def test_evaluate_reproduces_baseline_costs():
 
 def test_comm_oriented_split_moves_off_equal_start():
     # unequal data sizes make the equal compute split non-stationary, so the
-    # compute split's SPG has to take steps
+    # compute split has to take steps
     sc = generate_scenario(0)
     sizes = (2e5, 5e5, 1e6, 2e6, 4e6)
     sc = dataclasses.replace(

@@ -296,6 +296,16 @@ def test_cli_solve_infeasible_exit_code(tmp_path):
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
 
 
+def test_cli_grid_oracle_infeasible_exit_code(tmp_path, capsys):
+    """No grid point stabilizes both loops at -60 dBW: the grid oracle
+    exits 2 with an ``infeasible:`` line, as ``solve`` does."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "overrides": {"k_loops": 2, "p_max_dbw": -60}}))
+    assert main(["oracle", "--config", str(config), "--mode", "grid", "--grid-n", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("infeasible:") and "grid optimum" not in captured.out
+
+
 def test_cli_validate_flags_broken_allocation(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 0}))

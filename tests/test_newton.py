@@ -4,7 +4,7 @@
 couples the loops only through the budget rows.  With one row it must be the
 power-only baseline's former step, kept below as the reference, bit for
 bit.  With three rows it is checked on separable quadratics, where Newton
-from any start must reach the minimizer spg finds to high accuracy, against
+from any start must reach the minimizer SPG finds to high accuracy, against
 the saddle-point system of blocks given a Levenberg shift, and on the rounds
 of generated solves where the solver meets a flat S1 direction and a zero
 bound.  ``newton_descent``, the damped-Newton loop around it, is
@@ -21,7 +21,7 @@ import sc3opt.optim
 import sc3opt.solver
 from sc3opt import InfeasibleSubproblem, SolverConfig, generate_scenario, power_only_closed_loop, sca_solve
 from sc3opt.baselines import water_filling
-from sc3opt.optim import newton_descent, newton_kkt_step, project_budget_simplex, spg
+from sc3opt.optim import newton_descent, newton_kkt_step, project_budget_simplex
 from sc3opt.surrogate import surrogate_batch
 from test_spg import reference_joint_objective, reference_spg
 
@@ -128,12 +128,12 @@ def _newton(z, gradient, blocks, steps=20):
 def _spg_minimizer(value, gradient, z0):
     k = z0.shape[0]
 
-    def fun(x):
+    def value_grad(x):
         z = x.reshape(3, k).T
-        return value(z), lambda: gradient(z).T.reshape(-1)
+        return value(z), gradient(z).T.reshape(-1)
 
     project = lambda x: project_budget_simplex(x.reshape(-1, k), 1.0).reshape(x.shape)  # noqa: E731
-    x = spg(fun, project, z0.T.reshape(-1), 1e-13, 100_000, "quadratic")[0]
+    x = reference_spg(value_grad, project, z0.T.reshape(-1), 1e-13, 100_000, "quadratic")[0]
     return x.reshape(3, k).T
 
 
@@ -345,6 +345,15 @@ def test_descent_stops_at_the_cap():
     assert (stop, steps) == ("cap", 1)
     assert val < fun(p0)[0]
     assert not np.array_equal(p, water_filling(GAINS, 1.0))
+
+
+def test_descent_stops_at_a_zero_step_without_evaluating_it():
+    fun, _ = _throughput_problem(GAINS)
+    zero = lambda p, terms: (np.zeros(5), terms()[0], terms()[0], None)  # noqa: E731
+    p0 = np.full(5, 0.2)
+    p, val, _, steps, evals, stop = newton_descent(fun, zero, p0, EPS16, 10, "throughput")
+    assert (stop, steps, evals) == ("kkt", 0, 1)
+    assert p is p0 and val == fun(p0)[0]
 
 
 def test_descent_rejects_an_infeasible_start():

@@ -20,7 +20,7 @@ from sc3opt import (
     riccati_diagonal,
     sca_solve,
 )
-from sc3opt import EntropyParams, McResult, UnsupportedStructure
+from sc3opt import EntropyParams, Infeasible, McResult, UnsupportedStructure
 from sc3opt.control import LN2
 from sc3opt.oracle import GRID_POWER_BLOCK
 from sc3opt.solver import LoopData
@@ -56,6 +56,12 @@ def test_grid_rejects_large_instances():
     for grid_n in (0, -1, 101, 60.5, 60.0):
         with pytest.raises(ValueError, match="grid_n"):
             grid_search_global(two, grid_n=grid_n)
+
+
+def test_grid_raises_infeasible_when_no_point_stabilizes():
+    sc = generate_scenario(0, {"k_loops": 2, "p_max_dbw": -60.0})
+    with pytest.raises(Infeasible, match="grid search"):
+        grid_search_global(sc, grid_n=20)
 
 
 def test_grid_search_memory_is_bounded():

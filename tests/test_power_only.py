@@ -2,12 +2,13 @@
 predecessor.
 
 ``power_only_closed_loop`` solves its one-budget problem by Newton on the
-KKT system.  The predecessor, kept below as the reference, ran ``spg`` on
-the same objective in normalized power and stopped at a prox residual of
-``inner_tol``.  Both start from ``feasible_power_init``, so they must agree
-on which cells are infeasible; where both solve, Newton must be at least as
-low to rounding, spend the whole budget and carry a prox residual within
-``inner_tol``, measured the way ``spg`` measures it.
+KKT system.  The predecessor, kept below as the reference, ran SPG
+(``test_spg.reference_spg``) on the same objective in normalized power and
+stopped at a prox residual of ``inner_tol``.  Both start from
+``feasible_power_init``, so they must agree on which cells are infeasible;
+where both solve, Newton must be at least as low to rounding, spend the
+whole budget and carry a prox residual within ``inner_tol``, measured the
+way SPG measures it.
 """
 
 import dataclasses
@@ -19,27 +20,27 @@ import pytest
 import sc3opt.baselines
 from sc3opt import Infeasible, NoConvergence, SolverConfig, generate_scenario, power_only_closed_loop
 from sc3opt.control import LN2
-from sc3opt.optim import project_budget_simplex, spg
+from sc3opt.optim import project_budget_simplex
 from sc3opt.solver import LoopData, feasible_power_init
+from test_spg import reference_spg
 
 P_MAX_DBW = [2.5 * i for i in range(9)]  # 0, 2.5, ..., 20
 
 
 def _power_objective(data, t_commu):
     """Reduced objective in normalized power only, windows held fixed, as
-    the (value, gradient function) pair ``spg`` takes."""
+    the (value, gradient) pair ``reference_spg`` takes."""
     b = data.scenario.budgets
     bw_t = data.bandwidth * t_commu
     inf_grad = np.zeros(data.k)
-    inf_gradient = lambda: inf_grad  # noqa: E731
 
     def fun(x):
         snr = data.gamma * (x * b.p_max_w)
         e = bw_t * data.spectral(snr)
         if not (e > data.h).all():
-            return math.inf, inf_gradient
+            return math.inf, inf_grad
         l, dl, _ = data.lqr_terms(e)
-        return float(l.sum()), lambda: dl() * (bw_t * data.gamma / ((1.0 + snr) * LN2)) * b.p_max_w
+        return float(l.sum()), dl() * (bw_t * data.gamma / ((1.0 + snr) * LN2)) * b.p_max_w
 
     return fun
 
@@ -60,20 +61,19 @@ def reference_power_only(scenario, config=None):
     p0 = feasible_power_init(data, t_commu, "power-only baseline")
     fun = _power_objective(data, t_commu)
     project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
-    x = spg(fun, project, p0 / b.p_max_w, cfg.inner_tol, cfg.inner_max_iters, "power-only baseline")[0]
+    x = reference_spg(fun, project, p0 / b.p_max_w, cfg.inner_tol, cfg.inner_max_iters, "power-only baseline")[0]
     return data.allocation(x * b.p_max_w, f, r, t_commu)
 
 
 def _prox_residual(scenario, alloc):
-    """spg's stationarity measure at the allocation's powers: the largest
+    """SPG's stationarity measure at the allocation's powers: the largest
     move of the relative-scaled prox step in normalized power."""
     data = LoopData(scenario)
     b = scenario.budgets
     _, _, t_commu = _equal_split(data)
     x = np.array([la.p_w for la in alloc.loops]) / b.p_max_w
-    val, gradient = _power_objective(data, t_commu)(x)
+    val, grad = _power_objective(data, t_commu)(x)
     assert math.isfinite(val)
-    grad = gradient()
     return float(np.abs(x - project_budget_simplex(x - grad / max(abs(val), 1e-300), 1.0)).max())
 
 
@@ -183,7 +183,7 @@ def test_step_cap_raises_no_convergence():
         power_only_closed_loop(generate_scenario(0), SolverConfig(inner_max_iters=1))
 
 
-def test_newton_calls_neither_spg_nor_projection(monkeypatch):
+def test_newton_calls_no_projection(monkeypatch):
     calls = []
 
     def forbidden(name):
@@ -193,7 +193,6 @@ def test_newton_calls_neither_spg_nor_projection(monkeypatch):
 
         return record
 
-    monkeypatch.setattr(sc3opt.baselines, "spg", forbidden("spg"))
     monkeypatch.setattr(sc3opt.baselines, "project_budget_simplex", forbidden("project_budget_simplex"))
     for seed in range(4):
         power_only_closed_loop(generate_scenario(seed))

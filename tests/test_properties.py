@@ -5,7 +5,8 @@ computation time on up to three loops at a time, with random offload
 constants, anchors and query points drawn over the ranges the example
 tests use, and its first and second partials against central differences.
 The closed-form latency is checked against the grid oracle and against the
-split ``optimal_split`` recovers.  The entropy/cost curve is checked as the power-only baseline's
+split ``optimal_split`` recovers, and for never growing with compute or
+rate.  The entropy/cost curve is checked as the power-only baseline's
 Newton solve uses it: ``min_entropy`` and ``lqr_from_entropy`` invert each
 other, and ``LoopData``'s derivatives of the cost in entropy and of the
 entropy in power match central differences.  Examples are derandomized and
@@ -204,6 +205,18 @@ def test_optimal_split_reproduces_min_compute_time(flow):
     assert plan.f1 + plan.f2 <= f * (1.0 + 1e-9)
     assert plan.r2 + plan.r3 <= r * (1.0 + 1e-9)
     assert realized_latency(plan, params) == pytest.approx(min_compute_time(f, r, d, params), rel=1e-9)
+
+
+@PROPERTY
+@given(flows(), _log_uniform(6.0, 10.0), _log_uniform(4.0, 8.0))
+def test_min_compute_time_non_increasing_in_compute_and_rate(flow, f_other, r_other):
+    """More compute or more backhaul rate never lengthens the latency,
+    across regime boundaries too."""
+    params, f, r, d = flow
+    f_lo, f_hi = sorted((f, f_other))
+    r_lo, r_hi = sorted((r, r_other))
+    assert min_compute_time(f_hi, r, d, params) <= min_compute_time(f_lo, r, d, params) * (1.0 + ROUNDING)
+    assert min_compute_time(f, r_hi, d, params) <= min_compute_time(f, r_lo, d, params) * (1.0 + ROUNDING)
 
 
 # ---------------------------------------------------------------------------

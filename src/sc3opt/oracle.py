@@ -24,6 +24,12 @@ from .solver import Allocation, LoopAllocation, LoopData, Scenario
 # power rows per block of the grid oracle's streamed (p, (f, r)) costs
 GRID_POWER_BLOCK = 8
 
+# Monte-Carlo plants with at least this many modes step them in numpy
+# lockstep, the rest one mode at a time in Python floats
+_LOCKSTEP_MODES = 24
+# cycles per block of the lockstep's precomputed bit schedule and noise
+_LOCKSTEP_BLOCK = 128
+
 
 def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation, float]:
     """Exhaustive minimum of the allocation problem for one or two loops.
@@ -123,51 +129,66 @@ def monte_carlo_loop(
     times the reconstruction.  The range follows a worst-case containment
     recursion, L <- |a| L / levels + 4 sigma_v, re-inflating whenever a
     reading escapes it; fractional bit budgets time-share neighboring
-    power-of-two level counts.  The plant runs one scalar loop per
-    dimension with the bit budget split proportionally to each dimension's
-    entropy rate, and the cost is the mean squared state summed over the
-    dimensions (Q = I, R = 0).  Divergence (state beyond the overflow
-    bound) is reported in the result, not raised, and ends the run.
+    power-of-two level counts.  Each plant mode is its own scalar loop with
+    the bit budget split proportionally to each mode's entropy rate, and
+    the cost is the mean squared state summed over the modes (Q = I,
+    R = 0).  Divergence (state beyond the overflow bound) is reported in
+    the result, not raised, and ends the run; the cycle count it reports
+    is that of the lowest-index mode that diverges at all.
 
-    Results are reproducible from ``seed``: one generator feeds the
-    dimensions in order, each taking one block of 1 + per * n_cycles
-    standard normals (per = 2 with sensing noise, 1 without).  A block is
-    consumed as the initial state, then per cycle the reading noise (when
-    sigma_w > 0) followed by the process noise, each scaled by its standard
-    deviation, exactly the draws ``rng.normal(0.0, sigma)`` would give one
-    at a time.
+    Plants with fewer than ``_LOCKSTEP_MODES`` modes step one mode at a
+    time in Python floats.  Larger plants step all modes together, one
+    numpy row per cycle, in blocks of ``_LOCKSTEP_BLOCK`` cycles.  Both
+    steppings do the same float operations per mode and give the same
+    result bit for bit.
+
+    Results are reproducible from ``seed``: one generator feeds the modes
+    in order, each taking one block of 1 + per * n_cycles standard normals
+    (per = 2 with sensing noise, 1 without).  A block is consumed as the
+    initial state, then per cycle the reading noise (when sigma_w > 0)
+    followed by the process noise, each scaled by its standard deviation,
+    exactly the draws ``rng.normal(0.0, sigma)`` would give one at a time.
     """
     if not (math.isfinite(bits_per_cycle) and bits_per_cycle > 0.0):
         raise ValueError("the bit budget must be positive and finite")
-    if n_cycles < 1:
-        raise ValueError("the run needs at least one cycle")
+    if not (isinstance(n_cycles, numbers.Integral) and not isinstance(n_cycles, bool) and n_cycles >= 1):
+        raise ValueError("the run needs an integer number of cycles, at least one")
     n = loop.n
     a_diag, b_diag = loop.a, loop.b
     if np.any(b_diag == 0.0):
         raise UnsupportedStructure("the simulator needs nonzero input gains")
+    if np.any(a_diag == 0.0):
+        raise ValueError("the simulator splits bits by log2|a|, so every mode needs a != 0")
 
     s = riccati_diagonal(a_diag, b_diag, np.ones(n), 0.0)
     gains = a_diag * b_diag * s / (b_diag * b_diag * s)
     h_dims = np.abs(np.log2(np.abs(a_diag)))
     weights = h_dims / h_dims.sum() if h_dims.sum() > 0 else np.full(n, 1.0 / n)
+    bits = bits_per_cycle * weights
     rng = np.random.default_rng(seed)
     sigma_v = math.sqrt(loop.sigma_v2)
     sigma_w = math.sqrt(loop.sigma_w2)
+    slack = 4.0 * (sigma_v + np.abs(a_diag) * sigma_w)  # noise allowance per cycle
     per = 2 if sigma_w > 0.0 else 1
     warmup = max(n_cycles // 10, 1)
+    overflow = 1e8 * max(sigma_v, 1e-9)
+    if n >= _LOCKSTEP_MODES:
+        noise = rng.standard_normal((n, 1 + per * n_cycles))
+        return _lockstep(
+            a_diag, b_diag, gains, bits, slack, noise, sigma_v, sigma_w, n_cycles, warmup, overflow
+        )
 
     cost_sum = 0.0
     diverged = False
     ran = n_cycles
-    overflow = 1e8 * max(sigma_v, 1e-9)
 
     for dim in range(n):
         a, b = float(a_diag[dim]), float(b_diag[dim])
         abs_a = abs(a)
         gain = float(gains[dim])
-        bits = bits_per_cycle * float(weights[dim])
-        slack = 4.0 * (sigma_v + abs_a * sigma_w)  # noise allowance per cycle
-        span = max(slack, 1e-12)
+        dim_bits = float(bits[dim])
+        dim_slack = float(slack[dim])
+        span = max(dim_slack, 1e-12)
         z = rng.standard_normal(1 + per * n_cycles)
         x = float(0.0 + sigma_v * z[0])
         process = (0.0 + sigma_v * z[per::per]).tolist()
@@ -176,7 +197,7 @@ def monte_carlo_loop(
         dim_cost = 0.0
         dim_cycles = 0
         for t in range(n_cycles):
-            credit += bits
+            credit += dim_bits
             used = math.floor(credit)  # whole bits spent this cycle
             if used > 30:
                 used = 30
@@ -202,7 +223,7 @@ def monte_carlo_loop(
                 dim_cost += x * x
                 dim_cycles += 1
             x = a * x + b * u + process[t]
-            span = abs_a * span / levels + slack
+            span = abs_a * span / levels + dim_slack
             if not -overflow <= x <= overflow:
                 diverged = True
                 ran = min(ran, t + 1)
@@ -214,6 +235,112 @@ def monte_carlo_loop(
 
     cost = math.inf if diverged else cost_sum
     return McResult(empirical_cost=cost, diverged=diverged, cycles=ran)
+
+
+def _lockstep(a, b, gains, bits, slack, noise, sigma_v, sigma_w, n_cycles, warmup, overflow) -> McResult:
+    """``monte_carlo_loop``'s modes stepped together, one row per cycle.
+
+    ``noise`` holds each mode's standard normals as one row.  Every block
+    of cycles first runs the bit credit forward and builds its power-of-two
+    factors with ``ldexp``: span times 2 / levels and span times
+    |a| / levels round exactly as the scalar loop's 2 span / levels and
+    |a| span / levels, short of overflow or underflow.  A cycle that spends
+    no bit clamps floor(y / delta) to -1/2, so the reconstruction
+    (index + 1/2) delta is 0 as in the scalar loop.  The squared states are
+    summed over time by ``cumsum``, in the scalar loop's order.  After each
+    block the lowest-index mode that diverged in it sets the cycle count
+    and is dropped with every mode after it; the modes before it run on,
+    since one of them may still diverge later and then sets the count.
+    """
+    per = 2 if sigma_w > 0.0 else 1
+    neg_gain, abs_a = -gains, np.abs(a)
+    x = 0.0 + sigma_v * noise[:, 0]
+    span = np.maximum(slack, 1e-12)
+    credit = np.zeros(x.size)
+    cost = np.zeros(x.size)  # each mode's sum of x * x from the warm-up on
+    ran = 0  # cycle count of the lowest-index mode diverged so far
+
+    def scaled(first, sigma, size):
+        """Rows of size cycles, each holding every mode's noise sample
+        from columns first, first + per, ...; C-ordered for the steps."""
+        out = np.empty((size, x.size))
+        np.multiply(noise[:, first : first + per * size : per].T, sigma, out)
+        out += 0.0
+        return out
+
+    with np.errstate(all="ignore"):  # diverging modes overflow
+        for t0 in range(0, n_cycles, _LOCKSTEP_BLOCK):
+            size, m = min(_LOCKSTEP_BLOCK, n_cycles - t0), x.size
+            # constants as rows: a Python float argument makes each ufunc
+            # call about a third slower
+            most, half, recapture = np.full(m, 30.0), np.full(m, 0.5), np.full(m, 1.1)
+            used = np.empty((size, m))
+            for row in used:
+                np.add(credit, bits, credit)
+                np.floor(credit, row)
+                np.minimum(row, most, out=row)
+                np.subtract(credit, row, credit)
+            e = used.astype(np.intp)
+            two_over_levels = np.ldexp(2.0, -e)
+            a_over_levels = np.ldexp(abs_a, -e)
+            hi = np.ldexp(0.5, e)  # half the levels; 1/2 when no bit is spent
+            lo = -hi
+            hi -= 1.0
+            process = scaled(per * (t0 + 1), sigma_v, size)
+            reading = scaled(1 + 2 * t0, sigma_w, size) if per == 2 else [None] * size
+            states = np.empty((size + 1, m))
+            states[0] = x
+            y, ay, delta, q = (np.empty(m) for _ in range(4))
+            escaped = np.empty(m, dtype=bool)
+            for x_t, x_next, v, w, two, shrink, lo_t, hi_t in zip(
+                states[:-1], states[1:], process, reading, two_over_levels, a_over_levels, lo, hi
+            ):
+                if w is None:
+                    y = x_t
+                else:
+                    np.add(x_t, w, y)
+                np.abs(y, ay)
+                np.greater(ay, span, escaped)
+                np.multiply(ay, recapture, span, where=escaped)
+                np.multiply(span, two, delta)
+                np.divide(y, delta, q)
+                np.floor(q, q)
+                np.maximum(q, lo_t, out=q)
+                np.minimum(q, hi_t, out=q)
+                np.add(q, half, q)
+                np.multiply(q, delta, q)  # x_hat
+                np.multiply(q, neg_gain, q)  # u
+                np.multiply(q, b, q)
+                np.multiply(x_t, a, x_next)
+                np.add(x_next, q, x_next)
+                np.add(x_next, v, x_next)
+                np.multiply(span, shrink, span)
+                np.add(span, slack, span)
+            counted = states[max(warmup - t0, 0) : size]
+            if counted.size:
+                squares = np.square(counted)
+                squares[0] += cost
+                cost = np.cumsum(squares, axis=0)[-1]
+            beyond = ~(np.abs(states[1:]) <= overflow)  # NaN counts as beyond
+            hit = beyond.any(axis=0)
+            x = states[size].copy()
+            if hit.any():
+                k = int(hit.argmax())
+                ran = t0 + int(beyond[:, k].argmax()) + 1
+                if k == 0:
+                    break
+                a, b, abs_a, neg_gain, bits, slack, noise = (
+                    v[:k] for v in (a, b, abs_a, neg_gain, bits, slack, noise)
+                )
+                x, span, credit, cost = x[:k].copy(), span[:k].copy(), credit[:k].copy(), cost[:k]
+    if ran:
+        return McResult(empirical_cost=math.inf, diverged=True, cycles=ran)
+    cost_sum = 0.0
+    counted_cycles = n_cycles - warmup
+    if counted_cycles > 0:
+        for mode_cost in cost.tolist():
+            cost_sum += mode_cost / counted_cycles
+    return McResult(empirical_cost=cost_sum, diverged=False, cycles=n_cycles)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from sc3opt import (
 )
 from sc3opt import EntropyParams, Infeasible, McResult, UnsupportedStructure
 from sc3opt.control import LN2
-from sc3opt.oracle import GRID_POWER_BLOCK
+from sc3opt.oracle import _LOCKSTEP_BLOCK, _LOCKSTEP_MODES, GRID_POWER_BLOCK
 from sc3opt.solver import LoopData
 from conftest import symmetric_two_loop_scenario, tight_single_loop_scenario
 
@@ -129,8 +129,17 @@ def test_monte_carlo_above_entropy_tracks_floor():
 
 @pytest.mark.parametrize(
     "bits, n_cycles",
-    [(0.0, 1000), (math.inf, 1000), (math.nan, 1000), (2.0, 0), (2.0, -5)],
-    ids=["zero_bits", "inf_bits", "nan_bits", "no_cycles", "negative_cycles"],
+    [(0.0, 1000), (math.inf, 1000), (math.nan, 1000), (2.0, 0), (2.0, -5), (2.0, 2.5), (2.0, 100.0), (2.0, True)],
+    ids=[
+        "zero_bits",
+        "inf_bits",
+        "nan_bits",
+        "no_cycles",
+        "negative_cycles",
+        "fractional_cycles",
+        "float_cycles",
+        "bool_cycles",
+    ],
 )
 def test_monte_carlo_rejects_bad_budget(bits, n_cycles):
     with pytest.raises(ValueError):
@@ -140,6 +149,14 @@ def test_monte_carlo_rejects_bad_budget(bits, n_cycles):
 def test_monte_carlo_rejects_zero_input_gain():
     plant = LoopControlSpec(a=[2.0], b=[0.0], sigma_v2=0.01, sigma_w2=0.0)
     with pytest.raises(UnsupportedStructure):
+        monte_carlo_loop(plant, 4.0, 100, 0)
+
+
+@pytest.mark.parametrize("n", [2, _LOCKSTEP_MODES + 1], ids=["scalar", "lockstep"])
+def test_monte_carlo_rejects_zero_pole(n):
+    # log2|0| would make the bit split NaN
+    plant = LoopControlSpec(a=[0.0] + [2.0] * (n - 1), b=np.ones(n), sigma_v2=0.01, sigma_w2=0.0)
+    with pytest.raises(ValueError, match="a != 0"):
         monte_carlo_loop(plant, 4.0, 100, 0)
 
 
@@ -292,22 +309,74 @@ def _second_mode_unstable():
     return LoopControlSpec(a=[0.5, -6.0], b=[1.0, 0.5], sigma_v2=0.01, sigma_w2=0.001)
 
 
+def _lockstep_plant(a):
+    return LoopControlSpec(a=a, b=np.ones(len(a)), sigma_v2=0.01, sigma_w2=0.001)
+
+
+def _low_mode_diverges_later():
+    # at 0.9 h mode N diverges near cycle 20, in the first block, and mode 1
+    # near cycle 185, in the next one; the run reports mode 1's cycle
+    a = [0.98] * (_LOCKSTEP_MODES + 1)
+    a[1], a[-1] = 1.2, -6.0
+    return _lockstep_plant(a)
+
+
+def _last_mode_unstable():
+    # at 0.1 h the last mode's state overflows within its block, which
+    # raises the float warnings the lockstep must silence
+    return _lockstep_plant([0.98] * _LOCKSTEP_MODES + [-100.0])
+
+
+def _generated(n_state):
+    return generate_scenario(3, {"n_state": n_state}).loops[0].control
+
+
+# one cycle, part of one lockstep block, and a length off the block grid
+LOCKSTEP_RUNS = (1, _LOCKSTEP_BLOCK - 1, 2 * _LOCKSTEP_BLOCK + 37)
+
+
 @pytest.mark.parametrize(
-    "plant, h_mults, n_cycles",
+    "plant, h_mults, cycle_counts",
     [
-        (scalar_plant(), (0.9, 1.1, 2.0, 10.0), 500),
-        (scalar_plant(sigma_w2=0.002), (0.9, 1.1, 2.0, 10.0), 500),
-        (_second_mode_unstable(), (0.9, 2.0), 400),
-        (generate_scenario(3, {"n_state": 6}).loops[0].control, (0.9, 2.0), 300),
+        (scalar_plant(), (0.9, 1.1, 2.0, 10.0), (500,)),
+        (scalar_plant(sigma_w2=0.002), (0.9, 1.1, 2.0, 10.0), (500,)),
+        (_second_mode_unstable(), (0.9, 2.0), (400,)),
+        (_generated(6), (0.9, 2.0), (300,)),
+        (_generated(_LOCKSTEP_MODES - 1), (0.9, 2.0), LOCKSTEP_RUNS),
+        (_generated(_LOCKSTEP_MODES), (0.9, 2.0), LOCKSTEP_RUNS),
+        (_generated(50), (0.9, 2.0), LOCKSTEP_RUNS),
+        (_low_mode_diverges_later(), (0.9, 1.5), (600,)),
+        (_last_mode_unstable(), (0.1, 0.9, 2.0), (400,)),
     ],
-    ids=["scalar_quiet", "scalar_noisy", "second_mode_diverges", "generated_n6"],
+    ids=[
+        "scalar_quiet",
+        "scalar_noisy",
+        "second_mode_diverges",
+        "generated_n6",
+        "generated_below_lockstep",
+        "generated_lockstep",
+        "generated_n50",
+        "low_mode_diverges_later",
+        "last_mode_diverges",
+    ],
 )
-def test_monte_carlo_matches_per_draw_reference(plant, h_mults, n_cycles):
+def test_monte_carlo_matches_per_draw_reference(plant, h_mults, cycle_counts):
     h = intrinsic_entropy(plant.a)
     for mult in h_mults:
-        for seed in range(3):
-            got = monte_carlo_loop(plant, mult * h, n_cycles, seed)
-            assert got == reference_monte_carlo(plant, mult * h, n_cycles, seed)
+        for n_cycles in cycle_counts:
+            for seed in range(3):
+                got = monte_carlo_loop(plant, mult * h, n_cycles, seed)
+                assert got == reference_monte_carlo(plant, mult * h, n_cycles, seed)
+
+
+def test_lockstep_reports_the_lowest_diverging_mode():
+    # mode N diverges in the first block, mode 1 later; mode 1 sets the count
+    plant = _low_mode_diverges_later()
+    res = monte_carlo_loop(plant, 0.9 * intrinsic_entropy(plant.a), 600, 0)
+    assert res.diverged and res.cycles > _LOCKSTEP_BLOCK
+    plant = _last_mode_unstable()
+    res = monte_carlo_loop(plant, 0.9 * intrinsic_entropy(plant.a), 400, 0)
+    assert res.diverged and res.cycles < 400
 
 
 def test_second_mode_divergence_ends_the_run():

@@ -9,11 +9,14 @@ split ``optimal_split`` recovers, and for never growing with compute or
 rate.  The entropy/cost curve is checked as the power-only baseline's
 Newton solve uses it: ``min_entropy`` and ``lqr_from_entropy`` invert each
 other, and ``LoopData``'s derivatives of the cost in entropy and of the
-entropy in power match central differences.  Examples are derandomized and
+entropy in power match central differences.  ``sca_solve`` is checked for
+answering a permutation of the loops with the same permutation of its
+allocation.  Examples are derandomized and
 kept few, so the suite's time stays flat and every run checks the same
 cases.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,12 +35,14 @@ from sc3opt import (  # noqa: E402
     RegionLabel,
     Scenario,
     brute_force_min_time,
+    generate_scenario,
     lqr_from_entropy,
     min_compute_time,
     min_entropy,
     optimal_split,
     realized_latency,
     region_time,
+    sca_solve,
 )
 from sc3opt.control import LN2  # noqa: E402
 from sc3opt.solver import LoopData  # noqa: E402
@@ -339,3 +344,33 @@ def test_entropy_derivatives_match_central_differences(data, draw_data):
     first, second = _differences(lambda v: data.entropy_terms(v, t_commu)[0], p, step)
     _assert_close(de, first, 1e-6, 64.0 * EPS * e / step)
     _assert_close(d2e, second, 1e-5, 64.0 * EPS * e / step**2)
+
+
+# ---------------------------------------------------------------------------
+# the solver
+
+
+@st.composite
+def permuted_scenarios(draw):
+    """A generated scenario of two or three loops and an order of its loops."""
+    k = draw(st.integers(2, 3))
+    overrides = {"k_loops": k, "p_max_dbw": draw(st.floats(0.0, 20.0))}
+    scenario = generate_scenario(draw(st.integers(0, 2**16)), overrides)
+    return scenario, draw(st.permutations(range(k)))
+
+
+@PROPERTY
+@given(permuted_scenarios())
+def test_permuting_the_loops_permutes_the_allocation(case):
+    scenario, order = case
+    want, _ = sca_solve(scenario)
+    got, _ = sca_solve(dataclasses.replace(scenario, loops=tuple(scenario.loops[i] for i in order)))
+    b = scenario.budgets
+    assert got.sum_lqr == pytest.approx(want.sum_lqr, rel=ROUNDING, abs=0.0)
+    for j, i in enumerate(order):
+        # resources relative to their budgets, since a loop's share may be 0
+        g, w = got.loops[j], want.loops[i]
+        assert abs(g.p_w - w.p_w) <= ROUNDING * b.p_max_w
+        assert abs(g.f_cycles - w.f_cycles) <= ROUNDING * b.f_max_cycles
+        assert abs(g.r_bits - w.r_bits) <= ROUNDING * b.r_max_bits
+        assert g.lqr_cost == pytest.approx(w.lqr_cost, rel=ROUNDING, abs=0.0)

@@ -37,7 +37,7 @@ from .solver import (
     check_allocation,
     sca_solve,
 )
-from .surrogate import MajorantCoefficients, SurrogateAnchor, surrogate_batch
+from .surrogate import MajorantCoefficients, surrogate_batch
 
 BUDGET_PARAMETERS = ("p_max_dbw", "f_max_ghz", "r_max_mbps")
 SWEEP_PARAMETERS = BUDGET_PARAMETERS + ("sigma_v2",)
@@ -521,11 +521,10 @@ def _cmd_oracle(args) -> int:
     rep = convexity_probe(kernel, [(1.001, 50.0), (0.01, 10.0)], 500, args.seed)
     print(f"entropy kernel: passed={rep.passed} violations={rep.violations}")
     loop = scenario.loops[0]
-    anchor = SurrogateAnchor.at(
-        scenario.budgets.f_max_cycles / 2, scenario.budgets.r_max_bits / 2,
-        loop.data_bits, scenario.compute,
+    coef = MajorantCoefficients.at(
+        np.array([scenario.budgets.f_max_cycles / 2]), np.array([scenario.budgets.r_max_bits / 2]),
+        np.array([loop.data_bits]), scenario.compute,
     )
-    coef = MajorantCoefficients.from_anchors([anchor], np.array([loop.data_bits]), scenario.compute)
     fn = lambda z: float(surrogate_batch(z[:1], z[1:], coef)[0][0])  # noqa: E731
     box = [
         (1e-3 * scenario.budgets.f_max_cycles, scenario.budgets.f_max_cycles),

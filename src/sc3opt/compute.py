@@ -227,8 +227,11 @@ def min_compute_time(f: float, r: float, d: float, params: ComputeParams) -> flo
     return float(region_time(classify_region(f, r, d, params), f, r, d, params))
 
 
-def _region_masks(f, r, d, params: ComputeParams):
-    """``classify_region`` over arrays: one boolean mask per regime, S1 to S4."""
+def region_masks(f, r, d, params: ComputeParams):
+    """``classify_region`` over arrays: one boolean mask per regime, S1 to S4.
+
+    With rho = 1 the band edge divides by zero; the masks are still right,
+    but float warnings must be silenced around the call."""
     s4 = f >= params.alpha * d / params.relay_delay
     s3 = ~s4 & ((r <= 0.0) | (params.preproc_gain <= 0.0) | (f >= _pre_band_edge(r, d, params)))
     s2 = ~(s4 | s3) & (f >= params.beta * r / params.rho)
@@ -244,7 +247,7 @@ def _piecewise(pieces, n: int, f, r, d, params: ComputeParams) -> tuple[np.ndarr
         raise ValueError("compute, rate and data size must be finite")
     out = (np.zeros(np.broadcast(f, r, d).shape),) * n
     with np.errstate(divide="ignore", invalid="ignore"):
-        for region, mask in zip(RegionLabel, _region_masks(f, r, d, params)):
+        for region, mask in zip(RegionLabel, region_masks(f, r, d, params)):
             if mask.any():
                 out = tuple(np.where(mask, v, o) for v, o in zip(pieces(region, f, r, d, params), out))
     return out

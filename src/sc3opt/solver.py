@@ -37,7 +37,7 @@ from .compute import ComputeParams, SplitPlan, min_compute_time, optimal_split
 from .control import LN2, EntropyParams, LoopControlSpec, lqr_from_entropy, min_entropy
 from .errors import Infeasible, InfeasibleSubproblem, Unstabilizable
 from .optim import kink_step, newton_descent, project_budget_simplex
-from .surrogate import MajorantCoefficients, SurrogateAnchor, surrogate_batch
+from .surrogate import MajorantCoefficients, surrogate_batch
 
 # anchors with a dead component are pushed up to this fraction of the budget
 ANCHOR_FLOOR = 1e-6
@@ -469,15 +469,11 @@ def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.nd
     return p * (p_max / total)
 
 
-def make_anchors(scenario: Scenario, f: np.ndarray, r: np.ndarray) -> list[SurrogateAnchor]:
-    """Anchors at (f, r) with dead components floored to a sliver of budget."""
+def make_anchors(scenario: Scenario, f: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each loop's anchor at (f, r), as the arrays (f0, r0), with dead
+    components floored to ``ANCHOR_FLOOR`` of their budget."""
     b = scenario.budgets
-    out = []
-    for i, loop in enumerate(scenario.loops):
-        f0 = max(float(f[i]), ANCHOR_FLOOR * b.f_max_cycles)
-        r0 = max(float(r[i]), ANCHOR_FLOOR * b.r_max_bits)
-        out.append(SurrogateAnchor.at(f0, r0, loop.data_bits, scenario.compute))
-    return out
+    return np.maximum(f, ANCHOR_FLOOR * b.f_max_cycles), np.maximum(r, ANCHOR_FLOOR * b.r_max_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -581,17 +577,17 @@ def solve_inner(
     config: SolverConfig | None = None,
     x0: np.ndarray | None = None,
 ) -> Allocation:
-    """Solve the convex subproblem at fixed anchors.
+    """Solve the convex subproblem at fixed anchors, the arrays (f0, r0)
+    ``make_anchors`` returns.
 
     Returns a feasible allocation whose communication windows are tight
     against the surrogate latency, hence feasible under the true one.
     """
     cfg = config or SolverConfig()
     data = LoopData(scenario)
-    majorant = MajorantCoefficients.from_anchors(anchors, data.d_bits, scenario.compute)
+    f, r = anchors
+    majorant = MajorantCoefficients.at(f, r, data.d_bits, scenario.compute)
     if x0 is None:
-        f = majorant.f0
-        r = np.array([an.r0 for an in anchors])
         tbar, _ = surrogate_batch(f, r, majorant)
         try:
             p = feasible_power_init(data, data.t_cycle - tbar, "inner problem")
@@ -656,8 +652,8 @@ def sca_solve(
     ]
     converged = False
     for _ in range(cfg.max_outer_iters):
-        anchors = make_anchors(scenario, f, r)
-        majorant = MajorantCoefficients.from_anchors(anchors, data.d_bits, scenario.compute)
+        f0, r0 = make_anchors(scenario, f, r)
+        majorant = MajorantCoefficients.at(f0, r0, data.d_bits, scenario.compute)
         x_mm, _, iters, resid, evals, stop = _inner_solve(data, majorant, cfg, x)
         mm_obj = data.true_objective(*x_mm.reshape(3, k) * data.budget_col)
         # the stop rule judges the plain MM step; its point is returned as is
@@ -670,7 +666,7 @@ def sca_solve(
         records.append(
             IterationRecord(
                 objective=obj,
-                anchor_bits=np.array([(an.f0, an.r0) for an in anchors]).tobytes(),
+                anchor_bits=np.stack([f0, r0], axis=1).tobytes(),
                 inner_iterations=iters,
                 inner_residual=resid,
                 step_scale=scale,

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compute import ComputeParams, RegionLabel, classify_region, region_time
-
-_REGION_CODE = {RegionLabel.S1: 1, RegionLabel.S2: 2, RegionLabel.S3: 3, RegionLabel.S4: 4}
+from .compute import ComputeParams, RegionLabel, classify_region, region_masks, region_time
 
 
 @dataclass(frozen=True)
 class SurrogateAnchor:
-    """A strictly positive expansion point with its latency regime."""
+    """A strictly positive expansion point with its latency regime, the
+    anchor of the scalar reference majorants below (the solver anchors
+    ``MajorantCoefficients`` at arrays instead)."""
 
     f0: float
     r0: float
@@ -87,15 +87,16 @@ def convex_compute_time(f, r, anchor: SurrogateAnchor, d: float, params: Compute
 class MajorantCoefficients:
     """Per-loop constants of the majorant at one set of anchors.
 
-    Every regime's majorant takes the form
+    The majorant of every loop takes the form
 
         A / w + C - K * (3 - f0/f - w/w0),   w = c_f * f + c_r * r,
 
-    maxed with the exact S1 latency where the anchor lies in S1 or S2.  S2
-    is c_f = rho, c_r = alpha - beta; S3 is c_f = 1, c_r = alpha; S4 is
-    c_f = 1, c_r = 0, C = K = 0, which leaves the exact alpha*d/f.  The
-    constants are built once per anchor set with the same operation order
-    as the per-regime formulas (``convex_time_s2``/``convex_time_s3``), so
+    maxed with the exact S1 latency where the anchor lies in S1 or S2.
+    Anchors in S1 or S2 take c_f = rho, c_r = alpha - beta (the S2
+    majorant), S3 anchors c_f = 1, c_r = alpha, and S4 anchors c_f = 1,
+    c_r = 0, C = K = 0, which leaves the exact alpha*d/f.  ``at`` builds the
+    constants once per anchor set, with the operation order of the scalar
+    majorants ``convex_time_s2`` and ``convex_time_s3``, so
     ``surrogate_batch`` reproduces them bit for bit.
     """
 
@@ -120,16 +121,15 @@ class MajorantCoefficients:
     delay: float
 
     @classmethod
-    def from_anchors(cls, anchors, d, params: ComputeParams) -> "MajorantCoefficients":
-        """Constants for a sequence of anchors; the array ``d`` holds each
-        loop's data size."""
+    def at(cls, f0: np.ndarray, r0: np.ndarray, d: np.ndarray, params: ComputeParams) -> "MajorantCoefficients":
+        """Constants of the majorant anchored at each loop's (f0, r0), a
+        strictly positive pair, with data size d (arrays of one length);
+        ``region_masks`` gives each anchor's regime."""
         a, b, rho = params.alpha, params.beta, params.rho
         delay = params.relay_delay
-        f0 = np.array([an.f0 for an in anchors])
-        r0 = np.array([an.r0 for an in anchors])
-        codes = np.array([_REGION_CODE[an.region] for an in anchors])
-        s12 = codes <= 2
-        s3 = codes == 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s1, s2, s3, _ = region_masks(f0, r0, d, params)
+        s12 = s1 | s2
         regimes = [s12, s3]
         cf = np.where(s12, rho, 1.0)
         cr = np.select(regimes, [a - b, a], 0.0)

@@ -89,7 +89,9 @@ def majorant_cases(draw):
 
 
 def _majorant(params, d, anchors):
-    return MajorantCoefficients.from_anchors(anchors, d, params)
+    f0 = np.array([an.f0 for an in anchors])
+    r0 = np.array([an.r0 for an in anchors])
+    return MajorantCoefficients.at(f0, r0, d, params)
 
 
 @PROPERTY

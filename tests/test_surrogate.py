@@ -99,9 +99,17 @@ def test_anchor_validation(params):
 
 
 def _assert_batch_matches_scalar(anchors, f, r, d, params):
-    """Batch values equal the scalar majorant; partials match finite
+    """The vector regime rule puts each anchor where ``classify_region``
+    does; batch values equal the scalar majorant; partials match finite
     differences of it."""
-    vals, partials = surrogate_batch(f, r, MajorantCoefficients.from_anchors(anchors, d, params))
+    f0 = np.array([an.f0 for an in anchors])
+    r0 = np.array([an.r0 for an in anchors])
+    coef = MajorantCoefficients.at(f0, r0, d, params)
+    regions = [an.region for an in anchors]
+    assert coef.s12.tolist() == [rg in (RegionLabel.S1, RegionLabel.S2) for rg in regions]
+    assert (coef.cr == params.alpha).tolist() == [rg is RegionLabel.S3 for rg in regions]
+    assert (coef.cr == 0.0).tolist() == [rg is RegionLabel.S4 for rg in regions]
+    vals, partials = surrogate_batch(f, r, coef)
     _, dfs, drs = partials()[:3]
     for i, anchor in enumerate(anchors):
         di = float(d[i])

@@ -124,7 +124,8 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
 
     State-matrix magnitudes are drawn from (a_mag_low, a_mag_high] with
     random signs; magnitudes are kept above one so every mode contributes
-    positive entropy and the stabilization constraint stays meaningful.
+    positive entropy and the stabilization constraint stays meaningful:
+    a_mag_low below 1, or a_mag_high below a_mag_low, is a BadConfig.
     """
     cfg = dict(DEFAULTS)
     for key, value in (overrides or {}).items():
@@ -134,6 +135,9 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
     rng = np.random.default_rng(seed)
     k = _integer(cfg["k_loops"])
     n = _integer(cfg["n_state"])
+    a_low, a_high = float(cfg["a_mag_low"]), float(cfg["a_mag_high"])
+    if not 1.0 <= a_low <= a_high:  # magnitudes below one give h <= 0
+        raise BadConfig(f"need 1 <= a_mag_low <= a_mag_high, not {a_low} and {a_high}")
 
     link = LinkParams(
         bandwidth_hz=float(cfg["bandwidth_hz"]),
@@ -153,7 +157,7 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
     for _ in range(k):
         radius = float(cfg["radius_m"]) * math.sqrt(rng.random())
         distance = math.hypot(float(cfg["uav_height_m"]), radius)
-        mags = cfg["a_mag_low"] + (cfg["a_mag_high"] - cfg["a_mag_low"]) * rng.random(n)
+        mags = a_low + (a_high - a_low) * rng.random(n)
         signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         control = LoopControlSpec(
             a=mags * signs,

@@ -229,9 +229,7 @@ def min_compute_time(f: float, r: float, d: float, params: ComputeParams) -> flo
 
 def region_masks(f, r, d, params: ComputeParams):
     """``classify_region`` over arrays: one boolean mask per regime, S1 to S4.
-
-    With rho = 1 the band edge divides by zero; the masks are still right,
-    but float warnings must be silenced around the call."""
+    With rho = 1 the band edge divides by zero: silence float warnings."""
     s4 = f >= params.alpha * d / params.relay_delay
     s3 = ~s4 & ((r <= 0.0) | (params.preproc_gain <= 0.0) | (f >= _pre_band_edge(r, d, params)))
     s2 = ~(s4 | s3) & (f >= params.beta * r / params.rho)
@@ -330,7 +328,7 @@ def brute_force_min_time(
     grid that lie on the simplex, d1 + d2 <= d up to 1e-9 of d, are
     evaluated.  grid_n must be an integer of at least 100.
     """
-    if not (isinstance(grid_n, numbers.Integral) and grid_n >= 100):
+    if not (isinstance(grid_n, numbers.Integral) and not isinstance(grid_n, bool) and grid_n >= 100):
         raise ValueError("grid_n must be an integer of at least 100")
     _check_flow(f, r, d)
     a, b, rho = params.alpha, params.beta, params.rho

@@ -15,18 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CostBelowFloor,
-    NoConvergence,
-    SingularStateMatrix,
-    UnsupportedStructure,
-    Unstabilizable,
-)
+from .errors import CostBelowFloor, SingularStateMatrix, UnsupportedStructure, Unstabilizable
 
 LN2 = math.log(2.0)
-
-_FIXED_POINT_TOL = 1e-10
-_FIXED_POINT_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -103,34 +94,44 @@ def intrinsic_entropy(a) -> float:
     return float(logabsdet / LN2)
 
 
-def _fixed_point(step, x0: np.ndarray, what: str) -> np.ndarray:
-    x = x0
-    for _ in range(_FIXED_POINT_MAX_ITERS):
-        x_new = step(x)
-        if np.max(np.abs(x_new - x)) < _FIXED_POINT_TOL:
-            return x_new
-        x = x_new
-    raise NoConvergence(f"{what} fixed point did not converge")
+def _positive_root(c2, c1, c0) -> np.ndarray:
+    """Root x >= 0 of c2 x^2 + c1 x + c0 = 0 (c2 >= 0, c0 <= 0), elementwise,
+    written without cancellation for either sign of c1."""
+    root = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch np.where drops
+        return np.where(c1 < 0.0, (root - c1) / (2.0 * c2), -2.0 * c0 / (c1 + root))
 
 
 def riccati_diagonal(a, b, q, r) -> np.ndarray:
     """Steady-state LQR cost of each dimension of a diagonal plant.
 
-    Iterates the scalar Riccati recursion s <- q + a^2 s - (a b s)^2 / (r + b^2 s)
-    from s = q, elementwise over arrays of diagonal entries a, b, q and r.
+    Elementwise over diagonal entries a, b != 0, q > 0 and r >= 0: the fixed
+    point of s <- q + a^2 s - (a b s)^2 / (r + b^2 s), the positive root of
+    b^2 s^2 + (r (1 - a^2) - q b^2) s - q r = 0 (Anderson & Moore, Optimal
+    Filtering, 1979, ch. 4) divided by b^2; exactly q when r = 0.
     """
-    step = lambda s: q + a * a * s - (a * b * s) ** 2 / (r + b * b * s)  # noqa: E731
-    return _fixed_point(step, np.array(q, dtype=float), "Riccati")
+    if np.any(np.asarray(b) == 0.0):
+        raise UnsupportedStructure("the Riccati solution needs nonzero input gains")
+    rb = r / (b * b)
+    return _positive_root(1.0, rb * (1.0 - a * a) - q, -q * rb)
+
+
+def kalman_diagonal(a, sigma_v2: float, sigma_w2: float) -> np.ndarray:
+    """Steady-state filtering error of each dimension of a diagonal plant,
+    the fixed point of sigma <- p w / (p + w), p = a^2 sigma + v (v, w the
+    noise variances): the root sigma >= 0 of
+    a^2 sigma^2 + (v + w - a^2 w) sigma - v w = 0."""
+    return _positive_root(a * a, sigma_v2 + sigma_w2 - a * a * sigma_w2, -sigma_v2 * sigma_w2)
 
 
 def build_entropy_params(plant: LoopControlSpec) -> EntropyParams:
     """Derive EntropyParams from a diagonal plant description.
 
     The plant decouples per state dimension; every input gain b must be
-    nonzero.  Per dimension the cost matrix s comes from the Riccati
-    recursion s <- q + a^2 s - (a b s)^2 / (r + b^2 s) with q = 1 and r = 0,
-    the steady filtering error sigma from the scalar Kalman recursion, and
-    the curve constants are
+    nonzero.  Per dimension the cost s is the steady state of the Riccati
+    recursion with q = 1 and r = 0 (``riccati_diagonal``), sigma the steady
+    filtering error (``kalman_diagonal``), both in closed form, and the
+    curve constants are
 
         l_min = sum(sigma_v2 * s + sigma * a^2 * m)
         c     = n * geometric_mean(p * m),  p = a^2 sigma + sigma_v2
@@ -141,18 +142,10 @@ def build_entropy_params(plant: LoopControlSpec) -> EntropyParams:
     """
     n = plant.n
     a, b = plant.a, plant.b
-    if np.any(b == 0.0):
-        raise UnsupportedStructure("builder requires nonzero input gains")
+    s = riccati_diagonal(a, b, np.ones(n), 0.0)  # raises UnsupportedStructure on b = 0
     h = intrinsic_entropy(a)
-
-    s = riccati_diagonal(a, b, np.ones(n), 0.0)
     m = s * b / (b * b * s) * b * s
-
-    def kalman_step(sig):
-        pred = a * a * sig + plant.sigma_v2
-        return pred * plant.sigma_w2 / (pred + plant.sigma_w2)
-
-    sigma = _fixed_point(kalman_step, np.zeros(n), "Kalman") if plant.sigma_w2 > 0.0 else np.zeros(n)
+    sigma = kalman_diagonal(a, plant.sigma_v2, plant.sigma_w2)
     pred = a * a * sigma + plant.sigma_v2
 
     l_min = float(np.sum(plant.sigma_v2 * s + sigma * a * a * m))

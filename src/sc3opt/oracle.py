@@ -47,7 +47,7 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     """
     if scenario.k > 2:
         raise ValueError("the grid oracle only handles one or two loops")
-    if not (isinstance(grid_n, numbers.Integral) and 1 <= grid_n <= 100):
+    if not (isinstance(grid_n, numbers.Integral) and not isinstance(grid_n, bool) and 1 <= grid_n <= 100):
         raise ValueError("grid_n must be an integer from 1 to 100")
     data = LoopData(scenario)
     b = scenario.budgets

@@ -29,12 +29,13 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .channel import LinkParams, channel_gain, entropy_per_cycle
 from .compute import ComputeParams, SplitPlan, min_compute_time, optimal_split
-from .control import LN2, EntropyParams, LoopControlSpec, lqr_from_entropy, min_entropy
+from .control import LN2, EntropyParams, LoopControlSpec, lqr_from_entropy
 from .errors import Infeasible, InfeasibleSubproblem, Unstabilizable
 from .optim import kink_step, newton_descent, project_budget_simplex
 from .surrogate import MajorantCoefficients, surrogate_batch
@@ -108,20 +109,19 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances: epsilon stops the outer loop on relative objective
-    decrease; inner_max_iters caps the steps of every ``newton_descent``
-    run (each inner solve and both baselines).  No solve reads inner_tol:
-    it stays while bench/run.py reads its default as the residual above
-    which it counts an inner solve stalled."""
+    """epsilon stops the outer loop on relative objective decrease;
+    inner_max_iters caps the steps of every ``newton_descent`` run (each
+    inner solve and both baselines).  No solve reads the constant
+    inner_tol: the residual above which an inner solve counts as stalled."""
 
     epsilon: float = 5e-5
     max_outer_iters: int = 30
-    inner_tol: float = 1e-7
     inner_max_iters: int = 100_000
+    inner_tol: ClassVar[float] = 1e-7
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.epsilon, self.inner_tol)):
-            raise ValueError("tolerances must be finite and positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be finite and positive")
         if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (self.max_outer_iters, self.inner_max_iters)):
             raise ValueError("iteration budgets must be positive integers")
 
@@ -230,7 +230,7 @@ class SolveTrace:
 @dataclass(frozen=True)
 class AllocationReport:
     """Constraint slacks of an allocation, all normalized; negative beyond
-    -1e-6 counts as a violation."""
+    -1e-6 counts as a violation (the entropy slack holds it: below zero)."""
 
     ok: bool
     violations: tuple[str, ...]
@@ -686,7 +686,10 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     piecewise latency; reports normalized slacks instead of raising.  Every
     comparison is written so that a NaN slack counts as a violation, and an
     allocation with more or fewer loops than the scenario is one too; the
-    per-loop checks then cover the loops both have."""
+    per-loop checks then cover the loops both have.  The entropy slack is
+    (l - L) / l, l the claimed cost and L the cost the delivered entropy,
+    raised by 1e-6 of itself, affords: ``min_entropy(l)`` has no correct
+    digits once l is within about 1e-12 of l_min."""
     tol = -1e-6
     b = scenario.budgets
     violations: list[str] = []
@@ -712,18 +715,18 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
         time_slack.append(ts)
         if not ts >= tol:
             violations.append(f"loop {i}: cycle time exceeded (slack {ts:.3e})")
-        if not math.isfinite(la.lqr_cost) or la.lqr_cost <= loop.entropy.l_min:
+        if not math.isfinite(la.lqr_cost) or la.lqr_cost < loop.entropy.l_min:
             entropy_slack.append(-math.inf)
             violations.append(f"loop {i}: cost unachievable (lqr {la.lqr_cost})")
         else:
             try:
                 e_have = entropy_per_cycle(la.p_w, la.t_commu_s, loop.distance_m, scenario.link)
-            except ValueError:  # a non-finite or negative power or window
-                e_have = -math.inf
-            e_need = min_entropy(la.lqr_cost, loop.entropy)
-            es = (e_have - e_need) / max(abs(e_need), 1.0)
+                l_have = lqr_from_entropy(e_have - tol * max(abs(e_have), 1.0), loop.entropy)
+            except (ValueError, Unstabilizable):  # a non-finite or negative power or window; too few bits
+                l_have = math.inf
+            es = (la.lqr_cost - l_have) / (la.lqr_cost if la.lqr_cost > 0.0 else 1.0)
             entropy_slack.append(es)
-            if not es >= tol:
+            if not es >= 0.0:
                 violations.append(f"loop {i}: entropy shortfall (slack {es:.3e})")
         if la.split is not None:
             sp = la.split

@@ -73,6 +73,22 @@ def test_generate_rejects_unknown_override():
         generate_scenario(0, {"power_max": 10})
 
 
+def test_generate_accepts_a_single_state_magnitude():
+    sc = generate_scenario(0, {"k_loops": 1, "n_state": 3, "a_mag_low": 2.0, "a_mag_high": 2.0})
+    assert sorted(abs(sc.loops[0].control.a)) == [2.0, 2.0, 2.0]
+
+
+def test_mc_oracle_refuses_an_explicit_stable_plant(tmp_path, capsys):
+    """The generator no longer draws stable plants, so an explicit scenario
+    carries one: the Monte-Carlo oracle refuses a first loop with h <= 0."""
+    data = scenario_to_dict(generate_scenario(0, {"k_loops": 1, "n_state": 1}))
+    data["loops"][0]["control"]["a_diag"] = [0.5]
+    config = tmp_path / "stable.json"
+    config.write_text(json.dumps(data))
+    assert main(["oracle", "--config", str(config), "--mode", "mc"]) == 1
+    assert "needs an unstable plant (h > 0), loop 0 has h = -1" in capsys.readouterr().err
+
+
 def test_generate_structural_overrides():
     sc = generate_scenario(0, {"n_state": 4, "k_loops": 3, "sigma_v2": 0.05})
     assert sc.k == 3
@@ -400,6 +416,8 @@ def test_cli_reads_integral_floats_as_integers(tmp_path):
     [
         json.dumps({"seed": 0, "overrides": {"p_max_dbw": math.inf}}),
         json.dumps({"seed": 0, "overrides": {"tau_s": -1.0}}),
+        json.dumps({"seed": 0, "overrides": {"n_state": 1, "a_mag_low": 0.2, "a_mag_high": 0.5}}),
+        json.dumps({"seed": 0, "overrides": {"a_mag_low": 3.0, "a_mag_high": 2.0}}),
         _explicit_scenario_text("link", "bandwidth_hz", math.nan),
         _explicit_scenario_text("budgets", "r_max_bits", "fast"),
         '{"seed": 0,',
@@ -413,6 +431,8 @@ def test_cli_reads_integral_floats_as_integers(tmp_path):
     ids=[
         "inf_override",
         "negative_override",
+        "stable_plants",
+        "magnitude_band_reversed",
         "nan_link",
         "text_budget",
         "truncated_json",

@@ -157,7 +157,7 @@ def test_brute_force_exact_in_local_regime(params):
 
 
 def test_brute_force_grid_validation(params):
-    for grid_n in (50, 99, 0, -1, 150.5, 200.0):
+    for grid_n in (50, 99, 0, -1, 150.5, 200.0, True):
         with pytest.raises(ValueError, match="grid_n"):
             brute_force_min_time(1e9, 1e6, 1e6, params, grid_n=grid_n)
 

@@ -239,6 +239,43 @@ def test_equality_holds_after_the_step():
     np.testing.assert_allclose(stat, 0.0, atol=1e-12)
 
 
+def test_released_budget_that_the_step_overspends_is_held_again():
+    """One loop, so each budget row holds one coordinate.  At the full
+    budget the f and r rows both get negative multipliers and are let go
+    together, but f and r are coupled and the joint step then takes r past
+    its budget (to 1.1), so the r row is held again: the step lands on the
+    box's KKT point (1, 0.59, 1), with the r row's multiplier positive."""
+    blocks = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.9], [0.0, 0.9, 1.0]]])
+    centers = np.array([[2.0, 0.5, 1.1]])
+    value, gradient = _quadratic(centers, blocks)
+    z = np.full((1, 3), 0.2)
+    g = gradient(z)
+    dz, kkt, _ = newton_kkt_step(z, g, blocks, 1.0 - z.sum(0))
+    np.testing.assert_allclose(z + dz, [[1.0, 0.59, 1.0]], rtol=1e-14)
+    mu = (kkt - g)[0]
+    assert mu[1] == 0.0 and mu[0] == pytest.approx(1.0) and mu[2] == pytest.approx(0.019)
+    np.testing.assert_allclose(z + dz, _spg_minimizer(value, gradient, z), atol=1e-8)
+
+
+def test_equality_without_a_free_direction_is_dropped():
+    """Loop 0 holds an equality in (f, r), but both sit at zero and the step
+    would take them lower: once they are fixed no free direction is left to
+    meet it, so it drops out and the step is the one without it."""
+    rng = np.random.default_rng(11)
+    blocks = _spd_blocks(rng, 2)
+    blocks[:, 0, 1:] = blocks[:, 1:, 0] = 0.0
+    centers = np.array([[0.3, -0.5, -0.5], [0.4, 0.4, 0.4]])
+    _, gradient = _quadratic(centers, blocks)
+    z = np.array([[0.2, 0.0, 0.0], [0.2, 0.2, 0.2]])
+    equality = (np.array([[0.0, 1.0, -2.0], [0.0, 0.5, 0.5]]), np.array([1e-3, 0.0]), np.array([True, False]))
+    dz, kkt, nu = newton_kkt_step(z, gradient(z), blocks, 1.0 - z.sum(0), equality)
+    free_dz, free_kkt, _ = newton_kkt_step(z, gradient(z), blocks, 1.0 - z.sum(0))
+    assert (z + dz)[0, 1] == (z + dz)[0, 2] == 0.0
+    assert (nu == 0.0).all()
+    np.testing.assert_array_equal(dz, free_dz)
+    np.testing.assert_array_equal(kkt, free_kkt)
+
+
 U_FR = np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)  # an (f, r) trade, as the S1 branch's flat direction
 
 

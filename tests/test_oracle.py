@@ -53,7 +53,7 @@ def test_grid_rejects_large_instances():
     with pytest.raises(ValueError):
         grid_search_global(sc)
     two = generate_scenario(0, {"k_loops": 2})
-    for grid_n in (0, -1, 101, 60.5, 60.0):
+    for grid_n in (0, -1, 101, 60.5, 60.0, True):  # True is an Integral equal to 1
         with pytest.raises(ValueError, match="grid_n"):
             grid_search_global(two, grid_n=grid_n)
 

@@ -28,9 +28,15 @@ def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
     """Throughput-maximizing power split over parallel channels.
 
     Exact active-set solution of max sum log(1 + g_k p_k): active channels
-    share a common water level mu with p_k = mu - 1/g_k.
+    share a common water level mu with p_k = mu - 1/g_k.  Raises
+    ValueError unless the gains are a 1-D array of at least one positive
+    finite entry and the budget is positive and finite.
     """
     gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 1 or gains.size == 0:
+        raise ValueError("gains must be a 1-D array of at least one channel")
+    if not (np.isfinite(gains).all() and math.isfinite(p_total)):
+        raise ValueError("gains and the power budget must be finite")
     if np.any(gains <= 0.0) or p_total <= 0.0:
         raise ValueError("gains and the power budget must be positive")
     inv = 1.0 / gains

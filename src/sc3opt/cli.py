@@ -311,8 +311,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise BadOverride(f"unknown sweep parameter {self.parameter!r}")
-        if not self.values:
-            raise ValueError("a sweep needs at least one value")
+        for name in ("values", "schemes", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"a sweep needs at least one of its {name}")
         if not all(map(math.isfinite, self.values)):
             raise ValueError("sweep values must be finite")
         bad = set(self.schemes) - set(SCHEMES)

@@ -87,6 +87,8 @@ def intrinsic_entropy(a) -> float:
     A 1-D ``a`` holds the diagonal of A.
     """
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("the state matrix must be finite")
     a = np.diag(a) if a.ndim == 1 else np.atleast_2d(a)
     sign, logabsdet = np.linalg.slogdet(a)
     if sign == 0.0:
@@ -154,14 +156,20 @@ def build_entropy_params(plant: LoopControlSpec) -> EntropyParams:
 
 
 def min_entropy(l: float, params: EntropyParams) -> float:
-    """Bits per cycle needed to achieve LQR cost l; diverges as l -> l_min."""
+    """Bits per cycle needed to achieve LQR cost l; diverges as l -> l_min
+    and falls to h as l -> inf."""
+    if math.isnan(l):
+        raise ValueError("cost must not be NaN")
     if l <= params.l_min:
         raise CostBelowFloor(f"cost {l} is at or below the floor {params.l_min}")
     return params.h + 0.5 * params.n * math.log1p(params.c / (l - params.l_min)) / LN2
 
 
 def lqr_from_entropy(e: float, params: EntropyParams) -> float:
-    """Best achievable LQR cost at e bits per cycle; exact inverse of min_entropy."""
+    """Best achievable LQR cost at e bits per cycle; exact inverse of
+    min_entropy, l_min at e = inf."""
+    if math.isnan(e):
+        raise ValueError("entropy must not be NaN")
     if e <= params.h:
         raise Unstabilizable(
             f"entropy {e} bits does not exceed the intrinsic rate {params.h}"

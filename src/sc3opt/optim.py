@@ -255,24 +255,24 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
 
 def kink_step(z, point, s12, kink, theta):
     """Newton step of one inner iteration, the S1/S2 kink held as an active
-    set.  A loop on the kink keeps t_S1 = t_smooth to first order, and its
-    multiplier moves its S1 branch weight theta; it leaves for the smooth
-    branch when theta < 0 and for the S1 branch when theta > 1.  A loop off
-    the kink whose step would cross it joins it.  Loops leave one at a time,
-    the farthest out of [0, 1] first.  A loop that left and would cross
-    straight back is sliding along the S1 branch's flat direction, which
-    another loop on that branch can take up: it holds still along it.  If
-    it still crosses, it rejoins with theta at 0 or 1 and stays for this
-    step, so the active set settles.  Returns the step, the KKT residual,
-    the gradient it used, the new kink state and, with loops on the kink,
-    a function that re-solves the step against the gap in the terms found
-    at the full step (None otherwise)."""
+    set.  ``point`` is ``(blocks, gap, normal, psi)`` at z as the solver's
+    round objective builds it, gap and normal zero on every loop outside
+    the mask ``s12``; such a loop never reaches the kink, so without an
+    ``s12`` loop this is one plain ``newton_kkt_step``.  A loop on the kink
+    keeps t_S1 = t_smooth to first order, and its multiplier moves its S1
+    branch weight theta; it leaves for the smooth branch when theta < 0 and
+    for the S1 branch when theta > 1.  A loop off the kink whose step would
+    cross it joins it.  Loops leave one at a time, the farthest out of
+    [0, 1] first.  A loop that left and would cross straight back is
+    sliding along the S1 branch's flat direction, which another loop on
+    that branch can take up: it holds still along it.  If it still crosses,
+    it rejoins with theta at 0 or 1 and stays for this step, so the active
+    set settles.  Returns the step, the KKT residual, the gradient it used,
+    the new kink state and, with loops on the kink, a function that
+    re-solves the step against the gap in the terms found at the full step
+    (None otherwise)."""
     blocks, gap, normal, psi = point
     residual = 1.0 - z.sum(0)
-    if gap is None:
-        g, hess, flat = blocks(None)
-        dz, kkt, _ = newton_kkt_step(z, g, hess, residual, flat=flat)
-        return dz, kkt, g, kink, theta, None
     k = z.shape[0]
     branch = np.where(gap >= 0.0, 1.0, 0.0)  # the branch the max takes
     left = np.zeros(k, dtype=bool)

@@ -341,21 +341,21 @@ def _round_objective(data: LoopData, majorant: MajorantCoefficients):
     builds, from that evaluation's intermediates, ``(blocks, gap, normal,
     psi)``: ``blocks(weight)`` gives the gradient (K, 3), the curvature
     blocks (K, 3, 3) and each loop's flat direction (K, 3), with each loop
-    anchored in S1 or S2 weighting its S1 branch by ``weight``; for those
-    loops ``gap`` is t_S1 - t_smooth, ``normal`` its gradient and ``psi``
-    the cost's derivative in the latency (all None when no anchor lies in
-    S1 or S2).  Outside the domain
-    the value is inf; float warnings must be silenced around it."""
+    anchored in S1 or S2 weighting its S1 branch by ``weight``; ``gap`` is
+    t_S1 - t_smooth, ``normal`` its gradient and ``psi`` the cost's
+    derivative in the latency, gap and normal exactly zero on the other
+    loops.  Outside the domain the value is inf; float warnings must be
+    silenced around it."""
     budget = data.budget_col[:, 0]
     scale2 = budget[:, None] * budget[None, :]
     k = data.k
     s12 = majorant.s12
-    ones, zeros = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
+    compute = data.scenario.compute
     # directions of zero curvature and zero gradient: an S4 loop's latency
     # ignores r, and the S1 latency sees (f, r) only through
     # (1 - rho) f + beta r
-    s4_flat = np.where((majorant.cr == 0.0)[:, None], [0.0, 0.0, 1.0], 0.0)
-    s1_dir = np.array([0.0, majorant.beta * budget[2], -majorant.one_minus_rho * budget[1]])
+    s4_flat = np.where((majorant.cr[0] == 0.0)[:, None], [0.0, 0.0, 1.0], 0.0)
+    s1_dir = np.array([0.0, compute.beta * budget[2], -(1.0 - compute.rho) * budget[1]])
     s1_dir /= np.sqrt(s1_dir @ s1_dir)
 
     def fun(z):
@@ -374,19 +374,13 @@ def _round_objective(data: LoopData, majorant: MajorantCoefficients):
             dl1, dl2 = dl(), d2l()
             e_u = e / u  # -de/dt: the entropy falls as the latency grows
             ep_u = de_p / u
-            if majorant.any_s12:
-                one, smooth = partials(ones), partials(zeros)
-            else:
-                one = smooth = partials()
+            rows = partials()
+            one, smooth = [a[-1] for a in rows], [a[0] for a in rows]
 
             def blocks(weight):
-                flat = s4_flat
-                if majorant.any_s12:
-                    th = np.where(s12, weight, 0.0)
-                    _, tf, tr, tff, tfr, trr = (th * a + (1.0 - th) * b for a, b in zip(one, smooth))
-                    flat = np.where((th == 1.0)[:, None], s1_dir, flat)
-                else:
-                    _, tf, tr, tff, tfr, trr = smooth
+                th = np.where(s12, weight, 0.0)
+                _, tf, tr, tff, tfr, trr = (th * a + (1.0 - th) * b for a, b in zip(one, smooth))
+                flat = np.where((th == 1.0)[:, None], s1_dir, s4_flat)
                 de = np.stack([de_p, -e_u * tf, -e_u * tr], axis=1)
                 d2e = np.empty((k, 3, 3))
                 d2e[:, 0, 0] = d2e_p
@@ -399,8 +393,6 @@ def _round_objective(data: LoopData, majorant: MajorantCoefficients):
                 d2e += dl2[:, None, None] * de[:, :, None] * de[:, None, :]
                 return (dl1[:, None] * de) * budget, d2e * scale2, flat
 
-            if not majorant.any_s12:
-                return blocks, None, None, None
             normal = np.zeros((k, 3))
             normal[:, 1] = (one[1] - smooth[1]) * budget[1]
             normal[:, 2] = (one[2] - smooth[2]) * budget[2]
@@ -536,8 +528,7 @@ def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConf
             cfg.inner_max_iters, "inner problem",
         )
         blocks, gap, _, _ = terms()
-        weight = None if gap is None else np.where(kink, np.clip(theta, 0.0, 1.0), gap >= 0.0)
-        grad = blocks(weight)[0].T
+        grad = blocks(np.where(kink, np.clip(theta, 0.0, 1.0), gap >= 0.0))[0].T
         prox = project_budget_simplex(z.T - grad / max(abs(val), 1e-300), 1.0)
         resid = float(np.abs(z.T - prox).max())
     return z.T.reshape(-1), val, steps, resid, evals, stop

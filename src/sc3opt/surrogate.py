@@ -85,18 +85,22 @@ def convex_compute_time(f, r, anchor: SurrogateAnchor, d: float, params: Compute
 
 @dataclass(frozen=True)
 class MajorantCoefficients:
-    """Per-loop constants of the majorant at one set of anchors.
+    """Constants of the majorant at one set of anchors, one row per branch.
 
-    The majorant of every loop takes the form
+    Every branch of every loop takes the form
 
-        A / w + C - K * (3 - f0/f - w/w0),   w = c_f * f + c_r * r,
+        A / w + C - K * (3 - f0/f - w/w0),   w = c_f * f + c_r * r.
 
-    maxed with the exact S1 latency where the anchor lies in S1 or S2.
-    Anchors in S1 or S2 take c_f = rho, c_r = alpha - beta (the S2
-    majorant), S3 anchors c_f = 1, c_r = alpha, and S4 anchors c_f = 1,
-    c_r = 0, C = K = 0, which leaves the exact alpha*d/f.  ``at`` builds the
-    constants once per anchor set, with the operation order of the scalar
-    majorants ``convex_time_s2`` and ``convex_time_s3``, so
+    Row 0 is the smooth majorant: anchors in S1 or S2 take c_f = rho,
+    c_r = alpha - beta (the S2 majorant), S3 anchors c_f = 1, c_r = alpha,
+    and S4 anchors c_f = 1, c_r = 0, C = K = 0, which leaves the exact
+    alpha*d/f.  When some anchor lies in S1 or S2 a second row holds, on
+    those loops, the exact S1 latency (c_f = 1 - rho, c_r = beta,
+    A = beta*d, C = the relay delay, K = 0), and row 0 again on every other
+    loop; the majorant is the max of the rows.  Each array is (rows, K),
+    except the anchor's f0 (K,).  ``at`` builds the constants once per
+    anchor set, with the operation order of the scalar majorants
+    ``convex_time_s2`` and ``convex_time_s3`` and of ``region_time``, so
     ``surrogate_batch`` reproduces them bit for bit.
     """
 
@@ -112,13 +116,6 @@ class MajorantCoefficients:
     gr: np.ndarray  # -c_r * A: d(A/w)/dr = gr / w^2
     hr: np.ndarray  # K * c_r / w0
     s12: np.ndarray  # anchors in S1 or S2: the max with the S1 latency applies
-    any_s12: bool
-    s1_num: np.ndarray  # beta * d
-    s1_gf: np.ndarray  # -(1 - rho) * beta * d
-    s1_gr: np.ndarray  # -beta * beta * d
-    beta: float
-    one_minus_rho: float
-    delay: float
 
     @classmethod
     def at(cls, f0: np.ndarray, r0: np.ndarray, d: np.ndarray, params: ComputeParams) -> "MajorantCoefficients":
@@ -134,77 +131,64 @@ class MajorantCoefficients:
         cf = np.where(s12, rho, 1.0)
         cr = np.select(regimes, [a - b, a], 0.0)
         w0 = cf * f0 + cr * r0
-        slope = np.select(regimes, [rho * a * delay / (a - b) * f0 / w0, delay * f0 / w0], 0.0)
+        rows = [
+            cf,
+            cr,
+            np.where(s12, rho * a * d, a * d),
+            np.select(regimes, [a * delay / (a - b), delay], 0.0),
+            np.select(regimes, [rho * a * delay / (a - b) * f0 / w0, delay * f0 / w0], 0.0),
+            np.where(s12, -rho * rho * a * d, -a * d),
+            np.select(regimes, [-(a - b) * rho * a * d, -a * a * d], 0.0),
+        ]
+        if s12.any():
+            s1_row = [1.0 - rho, b, b * d, delay, 0.0, -(1.0 - rho) * b * d, -b * b * d]
+            rows = [np.stack([row, np.where(s12, s1, row)]) for row, s1 in zip(rows, s1_row)]
+        else:
+            rows = [row[None] for row in rows]
+        cf, cr, num, const, slope, gf, gr = rows
+        w0 = cf * f0 + cr * r0
         return cls(
             f0=f0,
             w0=w0,
             cf=cf,
             cr=cr,
-            num=np.where(s12, rho * a * d, a * d),
-            const=np.select(regimes, [a * delay / (a - b), delay], 0.0),
+            num=num,
+            const=const,
             slope=slope,
             cf_w0=cf / w0,
-            gf=np.where(s12, -rho * rho * a * d, -a * d),
-            gr=np.select(regimes, [-(a - b) * rho * a * d, -a * a * d], 0.0),
+            gf=gf,
+            gr=gr,
             hr=slope * cr / w0,
             s12=s12,
-            any_s12=bool(s12.any()),
-            s1_num=b * d,
-            s1_gf=-(1.0 - rho) * b * d,
-            s1_gr=-b * b * d,
-            beta=b,
-            one_minus_rho=1.0 - rho,
-            delay=delay,
         )
 
 
 def surrogate_batch(f: np.ndarray, r: np.ndarray, coef: MajorantCoefficients):
     """Value of the majorant for a vector of loops, and a function that
-    returns one branch's value and partials at the same points.
+    returns every branch's value and partials at the same points.
 
-    One kernel for every regime, on constants built once per anchor set
-    (see ``MajorantCoefficients``).  ``partials(s1=None)`` returns
-    ``(t, d/df, d/dr, d2/df2, d2/dfdr, d2/dr2)`` of the branch ``s1`` picks
-    per loop: the exact S1 latency where ``s1`` is true and the anchor lies
-    in S1 or S2, the smooth majorant elsewhere.  By default it picks the
-    branch the max takes, so ``t`` is the value itself.  The second partials
-    are 2A c c^T / w^3 + diag(2K f0 / f^3, 0) on the smooth branch, with
-    c = (c_f, c_r), and 2 beta d c1 c1^T / den^3 on the S1 branch, with
-    c1 = (1 - rho, beta).  They are formed from this call's intermediates
-    only when asked for, so a caller that needs only the value (a rejected
-    line-search trial) never pays for them.  Every f must be positive.
+    One kernel for every regime and branch, on constants built once per
+    anchor set (see ``MajorantCoefficients``); the value is the max over
+    the rows.  ``partials()`` returns ``(t, d/df, d/dr, d2/df2, d2/dfdr,
+    d2/dr2)``, each of shape (rows, K): row 0 the smooth majorant and the
+    last row the S1 branch where the anchor lies in S1 or S2 (row 0 again
+    elsewhere, so the two differ only on that seam).  The second partials
+    are 2A c c^T / w^3 + diag(2K f0 / f^3, 0), with c = (c_f, c_r).  They
+    are formed from this call's intermediates only when asked for, so a
+    caller that needs only the value (a rejected line-search trial) never
+    pays for them.  Every f must be positive.
     """
     w = coef.cf * f + coef.cr * r
-    val = coef.num / w + coef.const - coef.slope * (3.0 - coef.f0 / f - w / coef.w0)
-    smooth = val
-    if coef.any_s12:
-        den = coef.beta * r + coef.one_minus_rho * f
-        t1 = coef.s1_num / den + coef.delay
-        use1 = coef.s12 & (t1 >= val)
-        val = np.where(use1, t1, val)
+    t = coef.num / w + coef.const - coef.slope * (3.0 - coef.f0 / f - w / coef.w0)
+    val = np.where(t[-1] >= t[0], t[-1], t[0])
 
-    def partials(s1=None):
+    def partials():
         ww = w * w
         dfv = coef.gf / ww - coef.slope * (coef.f0 / (f * f) - coef.cf_w0)
         drv = coef.gr / ww + coef.hr
-        # gf = -A c_f and gr = -A c_r, so 2 A c c^T / w^3 has entries
-        # -2 g c / w^3 (and likewise on the S1 branch below)
+        # gf = -A c_f and gr = -A c_r, so 2 A c c^T / w^3 has entries -2 g c / w^3
         cw = -2.0 / (ww * w)
         dff = cw * coef.gf * coef.cf + 2.0 * coef.slope * coef.f0 / (f * f * f)
-        terms = (smooth, dfv, drv, dff, cw * coef.gf * coef.cr, cw * coef.gr * coef.cr)
-        if not coef.any_s12:
-            return terms
-        pick = use1 if s1 is None else coef.s12 & s1
-        dd = den * den
-        cd = -2.0 / (dd * den)
-        s1_terms = (
-            t1,
-            coef.s1_gf / dd,
-            coef.s1_gr / dd,
-            cd * coef.s1_gf * coef.one_minus_rho,
-            cd * coef.s1_gf * coef.beta,
-            cd * coef.s1_gr * coef.beta,
-        )
-        return tuple(np.where(pick, a, b) for a, b in zip(s1_terms, terms))
+        return t, dfv, drv, dff, cw * coef.gf * coef.cr, cw * coef.gr * coef.cr
 
     return val, partials

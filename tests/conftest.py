@@ -76,3 +76,10 @@ def random_flow(rng: np.random.Generator):
     f = 10.0 ** rng.uniform(6.0, 10.0)
     r = 10.0 ** rng.uniform(4.0, 8.0)
     return f, r, d
+
+
+def max_branch(rows):
+    """The row of each of ``surrogate_batch``'s ``partials()`` that its max
+    takes, per loop: the S1 branch where it is at least the smooth one."""
+    take = rows[0][-1] >= rows[0][0]
+    return tuple(np.where(take, a[-1], a[0]) for a in rows)

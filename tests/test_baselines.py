@@ -37,6 +37,22 @@ def test_water_filling_drops_weak_channel():
     assert p[1] == 0.0 and p[0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "gains, total",
+    [
+        ([1.0, 2.0], math.nan),
+        ([1.0, 2.0], math.inf),
+        ([1.0, math.nan], 1.0),
+        ([], 1.0),
+        ([[1.0, 2.0]], 1.0),
+    ],
+    ids=["nan_budget", "infinite_budget", "nan_gain", "no_channel", "two_dimensional"],
+)
+def test_water_filling_rejects_bad_input(gains, total):
+    with pytest.raises(ValueError):
+        water_filling(np.array(gains), total)
+
+
 def test_water_filling_kkt_level():
     rng = np.random.default_rng(4)
     for _ in range(50):

@@ -366,11 +366,18 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "fields",
-    ['"values": [Infinity]', '"values": []', '"values": [1.0], "seeds": [0, 1.5]'],
-    ids=["infinite_value", "no_values", "fractional_seed"],
+    [
+        '"values": [Infinity]',
+        '"values": []',
+        '"values": [1.0], "seeds": [0, 1.5]',
+        '"values": [1.0], "seeds": []',
+        '"values": [1.0], "schemes": []',
+    ],
+    ids=["infinite_value", "no_values", "fractional_seed", "no_seeds", "no_schemes"],
 )
 def test_cli_sweep_bad_spec_ends_in_error_line(tmp_path, capsys, fields):
-    text = '{"parameter": "p_max_dbw", %s, "schemes": ["power_only"]}' % fields
+    # a later key wins, so "schemes" in fields replaces the default one here
+    text = '{"parameter": "p_max_dbw", "schemes": ["power_only"], %s}' % fields
     with pytest.raises(BadConfig):
         SweepSpec.from_dict(json.loads(text))
     config = tmp_path / "config.json"

@@ -36,6 +36,12 @@ def test_intrinsic_entropy_singular():
         intrinsic_entropy(np.diag([1.0, 0.0]))
 
 
+def test_intrinsic_entropy_rejects_non_finite_entries():
+    for a in ([math.nan], np.diag([2.0, math.inf])):
+        with pytest.raises(ValueError):
+            intrinsic_entropy(a)
+
+
 def test_builder_scalar_case():
     # perfect sensing: the cost matrix collapses to the state weight and
     # the floor is just the process noise hitting it
@@ -134,6 +140,16 @@ def test_min_entropy_floor_error():
     ep = EntropyParams(n=1, h=1.0, l_min=0.5, c=1.0)
     with pytest.raises(CostBelowFloor):
         min_entropy(0.5, ep)
+
+
+def test_cost_curve_rejects_nan_and_keeps_its_infinite_limits():
+    ep = EntropyParams(n=2, h=3.0, l_min=1.0, c=4.0)
+    with pytest.raises(ValueError):
+        min_entropy(math.nan, ep)
+    with pytest.raises(ValueError):
+        lqr_from_entropy(math.nan, ep)
+    assert min_entropy(math.inf, ep) == ep.h
+    assert lqr_from_entropy(math.inf, ep) == ep.l_min
 
 
 def test_lqr_from_entropy_examples():

@@ -429,8 +429,8 @@ def _spg_value(data, majorant, x0):
 def _s1_gap(data, majorant, x):
     """t_S1 - t_smooth per loop at normalized x; positive strictly in S1."""
     _, f, r = x.reshape(3, data.k) * data.budget_col
-    _, partials = surrogate_batch(f, r, majorant)
-    return partials(np.ones(data.k, dtype=bool))[0] - partials(np.zeros(data.k, dtype=bool))[0]
+    t = surrogate_batch(f, r, majorant)[1]()[0]
+    return t[-1] - t[0]
 
 
 def test_seed4_rounds_with_flat_s1_loops_and_a_zero_bound(monkeypatch):
@@ -449,3 +449,29 @@ def test_seed4_rounds_with_flat_s1_loops_and_a_zero_bound(monkeypatch):
         flat_s1 += int(inside_s1.sum() >= 2)
         zero_bound += int((x.reshape(3, -1)[2] == 0.0).any())
     assert flat_s1 and zero_bound
+
+
+def test_kink_step_without_s1_s2_anchors_is_a_plain_newton_step(monkeypatch):
+    """A round with no anchor in S1 or S2 (each round of the oracle's
+    two-loop instances) has gap and normal zero on every loop: every
+    ``kink_step`` equals one ``newton_kkt_step`` without an equality, bit
+    for bit, and leaves the kink empty."""
+    kink_step = sc3opt.solver.kink_step
+    steps = 0
+
+    def checked(z, point, s12, kink, theta):
+        nonlocal steps
+        got = kink_step(z, point, s12, kink, theta)
+        blocks, gap, normal, _ = point
+        assert not s12.any() and not gap.any() and not normal.any()
+        g, hess, flat = blocks(gap >= 0.0)
+        dz, kkt, _ = newton_kkt_step(z, g, hess, 1.0 - z.sum(0), flat=flat)
+        assert got[0].tobytes() == dz.tobytes() and got[1].tobytes() == kkt.tobytes()
+        assert got[2].tobytes() == g.tobytes() and not got[3].any() and got[5] is None
+        steps += 1
+        return got
+
+    monkeypatch.setattr(sc3opt.solver, "kink_step", checked)
+    for seed in range(32):
+        sca_solve(generate_scenario(seed, {"k_loops": 2, "p_max_dbw": 3.0}))
+    assert steps >= 32

@@ -33,6 +33,7 @@ from sc3opt.control import LN2
 from sc3opt.optim import newton_descent, project_budget_simplex
 from sc3opt.solver import LoopData
 from sc3opt.surrogate import surrogate_batch
+from conftest import max_branch
 
 VAL_FLOOR = 8.0 * np.finfo(float).eps  # the "real decrease" threshold, relative
 LINE_SEARCH_EVALS = 67  # halvings from 1 while the step stays >= 1e-20
@@ -98,7 +99,7 @@ def reference_joint_objective(data, majorant):
         p, f, r = x[:k] * b.p_max_w, x[k : 2 * k] * b.f_max_cycles, x[2 * k :] * b.r_max_bits
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tbar, partials = surrogate_batch(f, r, majorant)
-            _, dtf, dtr = partials()[:3]
+            _, dtf, dtr = max_branch(partials())[:3]
             t_commu = data.t_cycle - tbar
             if not np.all(t_commu > 0.0):
                 return math.inf, inf_grad
@@ -257,7 +258,7 @@ def test_joint_objective_matches_reference(monkeypatch, seed):
             assert _bits(val) == _bits(ref_val)
             if math.isfinite(val):
                 blocks, gap, _, _ = terms()
-                grad = blocks(None if gap is None else gap >= 0.0)[0]
+                grad = blocks(gap >= 0.0)[0]
                 np.testing.assert_allclose(grad.T.reshape(-1), ref_grad, rtol=1e-12, atol=0.0)
             evaluated.append(math.isfinite(val))
             return val, terms

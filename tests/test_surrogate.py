@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sc3opt import RegionLabel, min_compute_time, region_time
+from sc3opt.compute import region_partials
 from sc3opt.surrogate import (
     MajorantCoefficients,
     SurrogateAnchor,
@@ -11,7 +12,7 @@ from sc3opt.surrogate import (
     inverse_product_bound,
     surrogate_batch,
 )
-from conftest import random_compute_params, random_flow
+from conftest import max_branch, random_compute_params, random_flow
 
 
 def test_inverse_product_bound_examples():
@@ -107,10 +108,10 @@ def _assert_batch_matches_scalar(anchors, f, r, d, params):
     coef = MajorantCoefficients.at(f0, r0, d, params)
     regions = [an.region for an in anchors]
     assert coef.s12.tolist() == [rg in (RegionLabel.S1, RegionLabel.S2) for rg in regions]
-    assert (coef.cr == params.alpha).tolist() == [rg is RegionLabel.S3 for rg in regions]
-    assert (coef.cr == 0.0).tolist() == [rg is RegionLabel.S4 for rg in regions]
+    assert (coef.cr[0] == params.alpha).tolist() == [rg is RegionLabel.S3 for rg in regions]
+    assert (coef.cr[0] == 0.0).tolist() == [rg is RegionLabel.S4 for rg in regions]
     vals, partials = surrogate_batch(f, r, coef)
-    _, dfs, drs = partials()[:3]
+    _, dfs, drs = max_branch(partials())[:3]
     for i, anchor in enumerate(anchors):
         di = float(d[i])
         assert vals[i] == pytest.approx(
@@ -167,3 +168,38 @@ def test_surrogate_batch_random_anchors_k50():
     f = np.array([random_flow(rng)[0] for _ in range(50)])
     r = np.array([random_flow(rng)[1] for _ in range(50)])
     _assert_batch_matches_scalar(anchors, f, r, d, p)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_s1_row_is_the_exact_s1_latency():
+    """On every loop anchored in S1 or S2 the last row of ``partials()`` is
+    ``region_time`` and ``region_partials`` of S1 bit for bit, with the
+    second partials 2 beta d c c^T / w^3 of c = (1 - rho, beta); on every
+    other loop it repeats row 0 bit for bit."""
+    rng = np.random.default_rng(59)
+    on_seam = 0
+    for _ in range(100):
+        p = random_compute_params(rng)
+        f0, r0, d = (np.array(c) for c in zip(*(random_flow(rng) for _ in range(8))))
+        f, r, _ = (np.array(c) for c in zip(*(random_flow(rng) for _ in range(8))))
+        coef = MajorantCoefficients.at(f0, r0, d, p)
+        rows = surrogate_batch(f, r, coef)[1]()
+        s12 = coef.s12
+        assert all(a.shape == (1 + s12.any(), 8) for a in rows)
+        for a in rows:
+            assert _same_bits(a[-1][~s12], a[0][~s12])
+        t, df, dr, dff, dfr, drr = (a[-1][s12] for a in rows)
+        fs, rs, ds = f[s12], r[s12], d[s12]
+        assert _same_bits(t, region_time(RegionLabel.S1, fs, rs, ds, p))
+        df1, dr1 = region_partials(RegionLabel.S1, fs, rs, ds, p)
+        assert _same_bits(df, df1) and _same_bits(dr, dr1)
+        w = (1.0 - p.rho) * fs + p.beta * rs
+        scale = 2.0 * p.beta * ds / w**3
+        np.testing.assert_allclose(dff, scale * (1.0 - p.rho) ** 2, rtol=1e-14)
+        np.testing.assert_allclose(dfr, scale * (1.0 - p.rho) * p.beta, rtol=1e-14)
+        np.testing.assert_allclose(drr, scale * p.beta**2, rtol=1e-14)
+        on_seam += int(s12.sum())
+    assert on_seam >= 100

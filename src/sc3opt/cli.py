@@ -253,7 +253,7 @@ def allocation_to_dict(alloc: Allocation) -> dict:
 
 @_rejects_bad_values
 def allocation_from_dict(data: dict) -> Allocation:
-    loops = tuple(_from_dict(LoopAllocation, entry, split=None) for entry in data["loops"])
+    loops = tuple(_from_dict(LoopAllocation, entry) for entry in data["loops"])
     resources = [v for la in loops for v in (la.p_w, la.f_cycles, la.r_bits, la.t_commu_s)]
     if not all(map(math.isfinite, resources)):
         raise ValueError("allocation resources and windows must be finite")
@@ -443,14 +443,7 @@ def _write_errors(path: str):
 def _cmd_solve(args) -> int:
     _check_out_dir(args.out)
     scenario = load_scenario(args.config)
-    config = SolverConfig(epsilon=args.eps)
-    try:
-        alloc, trace = sca_solve(scenario, config)
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        for entry in exc.report:
-            print(f"  {entry}", file=sys.stderr)
-        return 2
+    alloc, trace = sca_solve(scenario, SolverConfig(epsilon=args.eps))
     payload = allocation_to_dict(alloc)
     payload["trace"] = {
         "objectives": trace.objectives,
@@ -471,8 +464,7 @@ def _cmd_sweep(args) -> int:
     sweep = SweepSpec.from_dict(_read_json(args.sweep))
     data = _read_json(args.config)
     if "loops" in data:
-        print("sweeps need a generated scenario config (seed/overrides)", file=sys.stderr)
-        return 1
+        raise BadConfig("sweeps need a generated scenario config (seed/overrides)")
     _, base = _generation_config(data)
     rows = run_sweep(sweep, base)
     with _write_errors(args.out):
@@ -507,10 +499,9 @@ def _cmd_oracle(args) -> int:
         print(f"grid optimum {objective:.6g}")
         return 0
     if args.mode == "mc":
-        loop = scenario.loops[0]
-        control = loop.control
-        if control is None or control.n > 4:
-            control = LoopControlSpec(a=[2.0], b=[1.0], sigma_v2=0.01, sigma_w2=0.0)
+        control = scenario.loops[0].control
+        if control is None:
+            raise BadConfig("the Monte Carlo oracle needs loop 0's plant (a control block)")
         h = intrinsic_entropy(control.a)
         if h <= 0.0:
             raise BadConfig(f"the Monte Carlo oracle needs an unstable plant (h > 0), loop 0 has h = {h:.4g}")
@@ -571,33 +562,33 @@ def main(argv=None) -> int:
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--eps", type=_epsilon, default=SolverConfig.epsilon)
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep and emit CSV")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--sweep", required=True)
     p_sweep.add_argument("--out", required=True)
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check an allocation against a scenario")
     p_val.add_argument("--config", required=True)
     p_val.add_argument("--alloc", required=True)
+    p_val.set_defaults(run=_cmd_validate)
 
     p_oracle = sub.add_parser("oracle", help="run an independent validator")
     p_oracle.add_argument("--config", required=True)
     p_oracle.add_argument("--mode", choices=("grid", "mc", "convexity"), required=True)
     p_oracle.add_argument("--seed", type=_between(0), default=0)
     p_oracle.add_argument("--grid-n", type=_between(1, 100), default=40, dest="grid_n")
+    p_oracle.set_defaults(run=_cmd_oracle)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_oracle(args)
+        return args.run(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        for entry in exc.report:
+            print(f"  {entry}", file=sys.stderr)
         return 2
     except Sc3Error as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compute import min_compute_time_batch, optimal_split
+from .compute import min_compute_time_batch
 from .control import LN2, LoopControlSpec, riccati_diagonal
 from .errors import Infeasible, UnsupportedStructure
 from .solver import Allocation, LoopAllocation, LoopData, Scenario
@@ -93,9 +93,6 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     for i, (sp, sf, sr) in enumerate(shares):
         p_i, f_i, r_i = sp[i_p] * b.p_max_w, sf[i_fr] * b.f_max_cycles, sr[i_fr] * b.r_max_bits
         t_commu = window(i, np.array([f_i]), np.array([r_i]))
-        split = None
-        if f_i > 0.0 or r_i > 0.0:
-            split = optimal_split(f_i, r_i, float(data.d_bits[i]), scenario.compute)
         loops.append(
             LoopAllocation(
                 p_w=float(p_i),
@@ -103,7 +100,6 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
                 r_bits=float(r_i),
                 t_commu_s=max(float(t_commu[0]), 0.0),
                 lqr_cost=float(loop_costs(i, np.array([p_i]), t_commu)[0, 0]),
-                split=split,
             )
         )
     return Allocation(loops=tuple(loops), sum_lqr=objective), objective

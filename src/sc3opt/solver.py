@@ -34,9 +34,9 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import LinkParams, channel_gain, entropy_per_cycle
-from .compute import ComputeParams, SplitPlan, min_compute_time, optimal_split
+from .compute import ComputeParams, min_compute_time, optimal_split
 from .control import LN2, EntropyParams, LoopControlSpec, lqr_from_entropy
-from .errors import Infeasible, InfeasibleSubproblem, Unstabilizable
+from .errors import Infeasible, InfeasibleSubproblem, NoFeasibleFlow, Unstabilizable
 from .optim import kink_step, newton_descent, project_budget_simplex
 from .surrogate import MajorantCoefficients, surrogate_batch
 
@@ -133,7 +133,6 @@ class LoopAllocation:
     r_bits: float
     t_commu_s: float
     lqr_cost: float
-    split: SplitPlan | None
 
 
 @dataclass(frozen=True)
@@ -148,17 +147,15 @@ class LoopTable(Sequence):
 
     Reads as the tuple of ``LoopAllocation`` it stands for (indexing,
     iteration, slicing to a tuple, comparison, ``repr``), building each
-    loop, with its split from ``optimal_split``, when asked for.  A loop
-    held as objects takes about 350 bytes, twelve Python floats and two
-    instances; as a column entry it takes 40.  Iterate once where a loop is
-    read more than once.
+    loop when asked for.  A loop held as objects takes about 240 bytes,
+    five Python floats and an instance; as a column entry it takes 40.
+    Iterate once where a loop is read more than once.
     """
 
-    __slots__ = ("_cols", "_scenario")
+    __slots__ = ("_cols",)
 
-    def __init__(self, p, f, r, t_commu, lqr, scenario: Scenario):
+    def __init__(self, p, f, r, t_commu, lqr):
         self._cols = np.stack([p, f, r, t_commu, lqr])
-        self._scenario = scenario
 
     def __len__(self) -> int:
         return self._cols.shape[1]
@@ -166,25 +163,13 @@ class LoopTable(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
-        p, f, r, t, lqr = self._cols[:, i].tolist()
-        loop = self._scenario.loops[i]
-        split = optimal_split(f, r, loop.data_bits, self._scenario.compute)
-        return LoopAllocation(p_w=p, f_cycles=f, r_bits=r, t_commu_s=t, lqr_cost=lqr, split=split)
+        return LoopAllocation(*self._cols[:, i].tolist())
 
     def __eq__(self, other):
         return tuple(self) == (tuple(other) if isinstance(other, LoopTable) else other)
 
     def __hash__(self):
         return hash(tuple(self))
-
-    def __add__(self, other):
-        return tuple(self) + other
-
-    def __radd__(self, other):
-        return other + tuple(self)
-
-    def __mul__(self, n):
-        return tuple(self) * n
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -323,7 +308,7 @@ class LoopData:
         if t_commu is None:
             t_commu = self.t_cycle - self.true_min_times(f, r)
         l = self.costs(p, t_commu)
-        loops = LoopTable(p, f, r, np.maximum(t_commu, 0.0), l, self.scenario)
+        loops = LoopTable(p, f, r, np.maximum(t_commu, 0.0), l)
         return Allocation(loops=loops, sum_lqr=float(l.sum()))
 
 
@@ -677,10 +662,13 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     piecewise latency; reports normalized slacks instead of raising.  Every
     comparison is written so that a NaN slack counts as a violation, and an
     allocation with more or fewer loops than the scenario is one too; the
-    per-loop checks then cover the loops both have.  The entropy slack is
-    (l - L) / l, l the claimed cost and L the cost the delivered entropy,
-    raised by 1e-6 of itself, affords: ``min_entropy(l)`` has no correct
-    digits once l is within about 1e-12 of l_min."""
+    per-loop checks then cover the loops both have.  Each loop's split is
+    derived here, by ``optimal_split`` from its (f, r) shares; a share that
+    is NaN, infinite or negative, or f = r = 0, is a violation with time
+    slack -inf and split gap NaN.  The entropy slack is (l - L) / l, l the
+    claimed cost and L the cost the delivered entropy, raised by 1e-6 of
+    itself, affords: ``min_entropy(l)`` has no correct digits once l is
+    within about 1e-12 of l_min."""
     tol = -1e-6
     b = scenario.budgets
     violations: list[str] = []
@@ -701,11 +689,17 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
 
     time_slack, entropy_slack, split_gap = [], [], []
     for i, (loop, la) in enumerate(zip(scenario.loops, loops)):
-        t_comp = min_compute_time(la.f_cycles, la.r_bits, loop.data_bits, scenario.compute)
-        ts = (loop.cycle_seconds - t_comp - la.t_commu_s) / loop.cycle_seconds
+        try:
+            t_comp = min_compute_time(la.f_cycles, la.r_bits, loop.data_bits, scenario.compute)
+            sp = optimal_split(la.f_cycles, la.r_bits, loop.data_bits, scenario.compute)
+        except (ValueError, NoFeasibleFlow) as exc:  # a non-finite or negative share; f = r = 0
+            sp, ts = None, -math.inf
+            violations.append(f"loop {i}: bad shares f={la.f_cycles!r}, r={la.r_bits!r} ({exc})")
+        else:
+            ts = (loop.cycle_seconds - t_comp - la.t_commu_s) / loop.cycle_seconds
+            if not ts >= tol:
+                violations.append(f"loop {i}: cycle time exceeded (slack {ts:.3e})")
         time_slack.append(ts)
-        if not ts >= tol:
-            violations.append(f"loop {i}: cycle time exceeded (slack {ts:.3e})")
         if not math.isfinite(la.lqr_cost) or la.lqr_cost < loop.entropy.l_min:
             entropy_slack.append(-math.inf)
             violations.append(f"loop {i}: cost unachievable (lqr {la.lqr_cost})")
@@ -719,8 +713,7 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
             entropy_slack.append(es)
             if not es >= 0.0:
                 violations.append(f"loop {i}: entropy shortfall (slack {es:.3e})")
-        if la.split is not None:
-            sp = la.split
+        if sp is not None:
             gap = abs(sp.d1 + sp.d2 + sp.d3 - loop.data_bits) / loop.data_bits
             split_gap.append(gap)
             if not gap <= -tol:

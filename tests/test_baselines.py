@@ -118,7 +118,6 @@ def test_evaluate_zero_power_is_infinite():
                 r_bits=la.r_bits,
                 t_commu_s=la.t_commu_s,
                 lqr_cost=la.lqr_cost,
-                split=la.split,
             )
             for la in alloc.loops
         ),
@@ -138,7 +137,6 @@ def test_evaluate_ignores_split_and_stored_costs():
                 r_bits=la.r_bits,
                 t_commu_s=0.0,
                 lqr_cost=math.nan,
-                split=None,
             )
             for la in alloc.loops
         ),

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -13,9 +17,12 @@ from sc3opt import (
     Sc3Error,
     SolverConfig,
     SweepSpec,
+    check_allocation,
     communication_oriented,
     evaluate_allocation,
     generate_scenario,
+    intrinsic_entropy,
+    monte_carlo_loop,
     power_only_closed_loop,
     run_sweep,
     sca_solve,
@@ -80,13 +87,15 @@ def test_generate_accepts_a_single_state_magnitude():
 
 def test_mc_oracle_refuses_an_explicit_stable_plant(tmp_path, capsys):
     """The generator no longer draws stable plants, so an explicit scenario
-    carries one: the Monte-Carlo oracle refuses a first loop with h <= 0."""
-    data = scenario_to_dict(generate_scenario(0, {"k_loops": 1, "n_state": 1}))
-    data["loops"][0]["control"]["a_diag"] = [0.5]
-    config = tmp_path / "stable.json"
-    config.write_text(json.dumps(data))
-    assert main(["oracle", "--config", str(config), "--mode", "mc"]) == 1
-    assert "needs an unstable plant (h > 0), loop 0 has h = -1" in capsys.readouterr().err
+    carries one: the Monte-Carlo oracle refuses a first loop with h <= 0,
+    whatever its number of modes."""
+    for modes in (1, 5):
+        data = scenario_to_dict(generate_scenario(0, {"k_loops": 1, "n_state": modes}))
+        data["loops"][0]["control"]["a_diag"] = [0.5] * modes
+        config = tmp_path / "stable.json"
+        config.write_text(json.dumps(data))
+        assert main(["oracle", "--config", str(config), "--mode", "mc"]) == 1
+        assert f"needs an unstable plant (h > 0), loop 0 has h = -{modes}" in capsys.readouterr().err
 
 
 def test_generate_structural_overrides():
@@ -305,11 +314,18 @@ def test_cli_solve_warns_when_not_converged(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
-def test_cli_solve_infeasible_exit_code(tmp_path):
+def test_cli_solve_infeasible_exit_code(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 0, "overrides": {"f_max_ghz": 0.5}}))
     out = tmp_path / "alloc.json"
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    # the infeasibility report follows the message, one entry a line
+    config.write_text(json.dumps({"seed": 0, "overrides": {"k_loops": 2, "p_max_dbw": -60}}))
+    capsys.readouterr()
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "infeasible: initialization: power budget cannot stabilize every loop"
+    assert [line[:14] for line in lines[1:]] == ["  {'loop': 0, ", "  {'loop': 1, "]
 
 
 def test_cli_grid_oracle_infeasible_exit_code(tmp_path, capsys):
@@ -526,6 +542,79 @@ def test_cli_validate_rejects_wrong_loop_count(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "VIOLATION: allocation has 3 loops, the scenario 5" in out
     assert "allocation is feasible" not in out
+
+
+def test_cli_validate_reports_a_negative_rate(tmp_path, capsys):
+    """A share the latency model refuses ends in a ``VIOLATION:`` line and
+    exit code 2, like any other broken constraint."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0}))
+    alloc = tmp_path / "alloc.json"
+    main(["solve", "--config", str(config), "--out", str(alloc)])
+    payload = json.loads(alloc.read_text())
+    payload["loops"][2]["r_bits"] = -1.0
+    alloc.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config), "--alloc", str(alloc)]) == 2
+    out = capsys.readouterr().out
+    assert "loop 2: time slack -inf" in out
+    assert "VIOLATION: loop 2: bad shares f=" in out
+
+
+def test_json_allocation_gets_the_split_checks(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0}))
+    alloc = tmp_path / "alloc.json"
+    assert main(["solve", "--config", str(config), "--out", str(alloc)]) == 0
+    loaded = allocation_from_dict(json.loads(alloc.read_text()))
+    report = check_allocation(generate_scenario(0), loaded)
+    assert report.ok
+    assert len(report.slacks["split_gap"]) == 5
+    assert all(0.0 <= gap <= 1e-12 for gap in report.slacks["split_gap"])
+
+
+def test_mc_oracle_simulates_the_first_loops_plant(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "overrides": {"k_loops": 2, "n_state": 3}}))
+    assert main(["oracle", "--config", str(config), "--mode", "mc", "--seed", "2"]) == 0
+    plant = generate_scenario(3, {"k_loops": 2, "n_state": 3}).loops[0].control
+    h = intrinsic_entropy(plant.a)
+    expected = []
+    for mult in (0.9, 1.1, 2.0, 10.0):
+        res = monte_carlo_loop(plant, mult * h, 10_000, 2)
+        expected.append(f"bits={mult:.1f}h cost={res.empirical_cost:.4g} diverged={res.diverged} cycles={res.cycles}")
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_mc_oracle_needs_a_control_block(tmp_path, capsys):
+    data = scenario_to_dict(generate_scenario(0, {"k_loops": 1, "n_state": 2}))
+    del data["loops"][0]["control"]
+    config = tmp_path / "bare.json"
+    config.write_text(json.dumps(data))
+    assert main(["oracle", "--config", str(config), "--mode", "mc"]) == 1
+    assert capsys.readouterr().err.startswith("error: the Monte Carlo oracle needs loop 0's plant")
+
+
+def test_cli_sweep_refuses_an_explicit_scenario(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(scenario_to_dict(generate_scenario(0, {"k_loops": 1, "n_state": 2}))))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"parameter": "p_max_dbw", "values": [5.0], "schemes": ["power_only"]}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: sweeps need a generated scenario config")
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "sc3opt", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: sc3opt")
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_cli_sweep_records_rejected_value_and_continues(tmp_path):

@@ -16,7 +16,6 @@ from sc3opt import (
     min_compute_time_batch,
     min_entropy,
     monte_carlo_loop,
-    optimal_split,
     riccati_diagonal,
     sca_solve,
 )
@@ -200,9 +199,6 @@ def reference_grid_search(scenario, grid_n):
         )
         t_commu = float(data.t_cycle[i]) - t_comp
         cost = float(loop_costs(i, np.array([p_i]), np.array([f_i]), np.array([r_i]))[0])
-        split = None
-        if f_i > 0.0 or r_i > 0.0:
-            split = optimal_split(f_i, r_i, float(data.d_bits[i]), scenario.compute)
         loops.append(
             LoopAllocation(
                 p_w=float(p_i),
@@ -210,7 +206,6 @@ def reference_grid_search(scenario, grid_n):
                 r_bits=float(r_i),
                 t_commu_s=max(t_commu, 0.0),
                 lqr_cost=cost,
-                split=split,
             )
         )
     return Allocation(loops=tuple(loops), sum_lqr=objective), objective

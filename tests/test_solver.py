@@ -307,7 +307,6 @@ def test_check_allocation_flags_violations():
                 r_bits=la.r_bits,
                 t_commu_s=la.t_commu_s + 0.02,  # busts the cycle budget
                 lqr_cost=la.lqr_cost,
-                split=la.split,
             )
             for la in alloc.loops
         ),
@@ -324,7 +323,6 @@ def test_check_allocation_flags_violations():
                 r_bits=la.r_bits,
                 t_commu_s=la.t_commu_s,
                 lqr_cost=la.lqr_cost,
-                split=la.split,
             )
             for la in alloc.loops
         ),
@@ -461,12 +459,31 @@ def test_check_allocation_fails_nan(field):
     assert not check_allocation(sc, Allocation(loops=loops, sum_lqr=alloc.sum_lqr)).ok
 
 
+@pytest.mark.parametrize(
+    "shares",
+    [{"f_cycles": math.nan}, {"r_bits": -1.0}, {"f_cycles": 0.0, "r_bits": 0.0}],
+    ids=["nan_compute", "negative_rate", "no_compute_no_rate"],
+)
+def test_check_allocation_reports_bad_shares(shares):
+    """A share the latency model refuses is a violation on its loop, with
+    time slack -inf and no split, never an exception."""
+    sc = generate_scenario(0)
+    alloc, _ = sca_solve(sc)
+    loops = (dataclasses.replace(alloc.loops[0], **shares),) + alloc.loops[1:]
+    rep = check_allocation(sc, Allocation(loops=loops, sum_lqr=alloc.sum_lqr))
+    assert not rep.ok
+    assert any(v.startswith("loop 0: bad shares") for v in rep.violations)
+    assert not any(v.startswith("loop 1") for v in rep.violations)
+    assert rep.slacks["time"][0] == -math.inf and math.isnan(rep.slacks["split_gap"][0])
+    assert all(math.isfinite(g) for g in rep.slacks["split_gap"][1:])
+
+
 @pytest.mark.parametrize("count", [3, 6])
 def test_wrong_loop_count_is_rejected(count):
     sc = generate_scenario(0)
     alloc, _ = sca_solve(sc)
     # the first `count` loops of the solve output, repeated as needed
-    wrong = Allocation(loops=(alloc.loops * 2)[:count], sum_lqr=alloc.sum_lqr)
+    wrong = Allocation(loops=(tuple(alloc.loops) * 2)[:count], sum_lqr=alloc.sum_lqr)
     rep = check_allocation(sc, wrong)
     assert not rep.ok
     assert f"allocation has {count} loops, the scenario 5" in rep.violations

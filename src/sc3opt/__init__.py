@@ -64,7 +64,6 @@ from .solver import (
     SolveTrace,
     SolverConfig,
     check_allocation,
-    closed_form_lqr,
     make_anchors,
     sca_solve,
     solve_inner,

@@ -66,14 +66,14 @@ def _power_terms(data: LoopData, t_commu: np.ndarray):
         e, e_derivatives = data.entropy_terms(p, t_commu)
         if not (e > data.h).all():
             return math.inf, None
-        l, dl, d2l = data.lqr_terms(e)
+        l, l_derivatives = data.lqr_terms(e)
 
         def newton_terms():
             de, d2e = e_derivatives()
-            dl_e = dl()
+            dl_e, d2l_e = l_derivatives()
             # the cost falls and is convex in e, and e is concave in p, so
             # both curvature terms are nonnegative
-            return dl_e * de, d2l() * de * de + dl_e * d2e
+            return dl_e * de, d2l_e * de * de + dl_e * d2e
 
         return float(l.sum()), newton_terms
 

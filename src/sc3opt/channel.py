@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 LN2 = math.log(2.0)
 
 
@@ -46,12 +48,34 @@ def channel_gain(d: float, params: LinkParams) -> float:
     return params.gamma0 / (d * d)
 
 
+def delivered_entropy(p, gamma, bw_t):
+    """Bits bw_t log2(1 + gamma p) delivered at power p, elementwise over
+    arrays or floats, gamma being the gain over the noise power and bw_t
+    the bandwidth times the window (Hz s); and a function that returns
+    their first and second derivatives in p."""
+    snr = gamma * p
+    e = bw_t * (np.log1p(snr) / LN2)
+
+    def derivatives():
+        q = gamma / (1.0 + snr)  # d log(1 + snr) / dp
+        de = bw_t * q / LN2
+        return de, -de * q
+
+    return e, derivatives
+
+
+def required_power(e, gamma, bw_t):
+    """Power delivering e bits, (2^(e / bw_t) - 1) / gamma: the inverse of
+    ``delivered_entropy`` in p, elementwise."""
+    return np.expm1(e / bw_t * LN2) / gamma
+
+
 def spectral_efficiency(p: float, g: float, params: LinkParams) -> float:
     """log2(1 + g p / sigma^2) bits/s/Hz; concave and increasing in p."""
     _require_finite(power=p, gain=g)
     if p < 0.0:
         raise ValueError("power must be nonnegative")
-    return math.log1p(g * p / params.noise_power_w) / LN2
+    return float(delivered_entropy(p, g / params.noise_power_w, 1.0)[0])
 
 
 def entropy_per_cycle(p: float, t_commu: float, d: float, params: LinkParams) -> float:
@@ -70,5 +94,5 @@ def power_for_entropy(e: float, t_commu: float, d: float, params: LinkParams) ->
         raise ValueError("entropy must be nonnegative")
     if t_commu <= 0.0:
         raise ValueError("communication time must be positive")
-    g = channel_gain(d, params)
-    return params.noise_power_w / g * math.expm1(e / (params.bandwidth_hz * t_commu) * LN2)
+    gamma = channel_gain(d, params) / params.noise_power_w
+    return float(required_power(e, gamma, params.bandwidth_hz * t_commu))

@@ -24,7 +24,7 @@ from .baselines import communication_oriented, power_only_closed_loop
 from .baselines import evaluate_allocation  # noqa: F401  unused; bench/tracer.py wraps it in this module
 from .channel import LinkParams
 from .compute import ComputeParams
-from .control import EntropyParams, LoopControlSpec, build_entropy_params, intrinsic_entropy
+from .control import EntropyParams, LoopControlSpec, build_entropy_params, intrinsic_entropy, min_entropy
 from .errors import BadConfig, BadOverride, Infeasible, Sc3Error
 from .oracle import convexity_probe, grid_search_global, monte_carlo_loop
 from .solver import (
@@ -512,8 +512,10 @@ def _cmd_oracle(args) -> int:
                 f"diverged={res.diverged} cycles={res.cycles}"
             )
         return 0
-    # convexity: the entropy kernel and the surrogate branches
-    kernel = lambda z: math.log1p(1.0 / (z[0] - 1.0)) / z[1]  # noqa: E731
+    # convexity: the entropy demand per second of window, on the normalized
+    # curve (n = 2, h = 0, l_min = 1, c = 1), and the surrogate branches
+    unit = EntropyParams(n=2, h=0.0, l_min=1.0, c=1.0)
+    kernel = lambda z: min_entropy(z[0], unit) / z[1]  # noqa: E731
     rep = convexity_probe(kernel, [(1.001, 50.0), (0.01, 10.0)], 500, args.seed)
     print(f"entropy kernel: passed={rep.passed} violations={rep.violations}")
     loop = scenario.loops[0]

@@ -165,6 +165,25 @@ def min_entropy(l: float, params: EntropyParams) -> float:
     return params.h + 0.5 * params.n * math.log1p(params.c / (l - params.l_min)) / LN2
 
 
+def cost_curve(e, h, n, l_min, c):
+    """Best LQR cost l_min + c 2^-w / (1 - 2^-w), w = 2 (e - h) / n, at
+    entropy e > h, elementwise over arrays or floats of the curve
+    constants; and a function that returns its first and second
+    derivatives in e from the same intermediates.  At e = inf, or once
+    2^-w underflows, the cost is l_min."""
+    w = 2.0 * (e - h) / n
+    zinv = np.exp2(-w)
+    denom = -np.expm1(-w * LN2)  # 1 - 2^-w, accurate for small w
+
+    def derivatives():
+        slope = -2.0 * LN2 / n
+        dl_scale = slope * c
+        dl = dl_scale * zinv / (denom * denom)
+        return dl, slope * dl_scale * zinv * (1.0 + zinv) / (denom * denom * denom)
+
+    return l_min + c * zinv / denom, derivatives
+
+
 def lqr_from_entropy(e: float, params: EntropyParams) -> float:
     """Best achievable LQR cost at e bits per cycle; exact inverse of
     min_entropy, l_min at e = inf."""
@@ -174,7 +193,4 @@ def lqr_from_entropy(e: float, params: EntropyParams) -> float:
         raise Unstabilizable(
             f"entropy {e} bits does not exceed the intrinsic rate {params.h}"
         )
-    x = 2.0 * (e - params.h) / params.n * LN2
-    if x > 700.0:  # the excess term underflows; the cost sits at its floor
-        return params.l_min
-    return params.l_min + params.c / math.expm1(x)
+    return float(cost_curve(e, params.h, params.n, params.l_min, params.c)[0])

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import delivered_entropy
 from .compute import min_compute_time_batch
-from .control import LN2, LoopControlSpec, riccati_diagonal
+from .control import LoopControlSpec, cost_curve, riccati_diagonal
 from .errors import Infeasible, UnsupportedStructure
 from .solver import Allocation, LoopAllocation, LoopData, Scenario
 
@@ -66,13 +67,9 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     def loop_costs(i: int, p, t_commu):
         """Loop i's cost over (p, (f, r)), one row per power."""
         with np.errstate(all="ignore"):
-            e = data.bandwidth * t_commu * np.log1p(data.gamma[i] * p)[:, None] / LN2
-            good = (t_commu > 0.0) & (e > data.h[i])
-            cost = np.full(e.shape, np.inf)
-            if good.any():
-                w = 2.0 * (e[good] - data.h[i]) / data.n[i]
-                cost[good] = data.l_min[i] + data.c[i] / np.expm1(w * LN2)
-        return cost
+            e = delivered_entropy(p[:, None], data.gamma[i], data.bandwidth * t_commu)[0]
+            cost = cost_curve(e, data.h[i], data.n[i], data.l_min[i], data.c[i])[0]
+        return np.where((t_commu > 0.0) & (e > data.h[i]), cost, np.inf)
 
     windows = [
         window(i, sf * b.f_max_cycles, sr * b.r_max_bits) for i, (_, sf, sr) in enumerate(shares)

@@ -33,9 +33,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channel import LinkParams, channel_gain, entropy_per_cycle
-from .compute import ComputeParams, min_compute_time, optimal_split
-from .control import LN2, EntropyParams, LoopControlSpec, lqr_from_entropy
+from .channel import LinkParams, channel_gain, delivered_entropy, entropy_per_cycle, required_power
+from .compute import ComputeParams, min_compute_time, optimal_split, realized_latency
+from .control import LN2, EntropyParams, LoopControlSpec, cost_curve, lqr_from_entropy
 from .errors import Infeasible, InfeasibleSubproblem, NoFeasibleFlow, Unstabilizable
 from .optim import kink_step, newton_descent, project_budget_simplex
 from .surrogate import MajorantCoefficients, surrogate_batch
@@ -242,9 +242,6 @@ class LoopData:
         self.n = np.array([float(lp.entropy.n) for lp in loops])
         self.c = np.array([lp.entropy.c for lp in loops])
         self.l_min = np.array([lp.entropy.l_min for lp in loops])
-        self.dl_scale = -(2.0 * LN2 / self.n) * self.c  # dl = dl_scale 2^-w / (1 - 2^-w)^2
-        # d2l = d2l_scale 2^-w (1 + 2^-w) / (1 - 2^-w)^3
-        self.d2l_scale = -(2.0 * LN2 / self.n) * self.dl_scale
         self.d_bits = np.array([lp.data_bits for lp in loops])
         self.t_cycle = np.array([lp.cycle_seconds for lp in loops])
         b = scenario.budgets
@@ -252,34 +249,12 @@ class LoopData:
         self.budget_col = np.array([[b.p_max_w], [b.f_max_cycles], [b.r_max_bits]])
 
     def lqr_terms(self, e: np.ndarray):
-        """Per-loop cost at delivered entropy e (> h), and two functions that
-        return its first and second derivatives in e from the same
-        intermediates."""
-        w = 2.0 * (e - self.h) / self.n
-        zinv = np.exp2(-w)
-        denom = -np.expm1(-w * LN2)  # 1 - 2^-w, accurate for small w
-        l = self.l_min + self.c * zinv / denom
-        dl = lambda: self.dl_scale * zinv / (denom * denom)  # noqa: E731
-        d2l = lambda: self.d2l_scale * zinv * (1.0 + zinv) / (denom * denom * denom)  # noqa: E731
-        return l, dl, d2l
-
-    def spectral(self, snr: np.ndarray) -> np.ndarray:
-        """Per-loop spectral efficiency (bits/s/Hz) at SNR gamma * p."""
-        return np.log1p(snr) / LN2
+        """Per-loop ``cost_curve`` at delivered entropy e (> h)."""
+        return cost_curve(e, self.h, self.n, self.l_min, self.c)
 
     def entropy_terms(self, p: np.ndarray, t_commu: np.ndarray):
-        """Per-loop entropy delivered at power p in window t_commu, and a
-        function that returns its first and second derivatives in p."""
-        snr = self.gamma * p
-        bw_t = self.bandwidth * t_commu
-        e = bw_t * self.spectral(snr)
-
-        def derivatives():
-            q = self.gamma / (1.0 + snr)  # d log(1 + snr) / dp
-            de = bw_t * q / LN2
-            return de, -de * q
-
-        return e, derivatives
+        """Per-loop ``delivered_entropy`` at power p in window t_commu."""
+        return delivered_entropy(p, self.gamma, self.bandwidth * t_commu)
 
     def true_min_times(self, f: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.array(
@@ -352,11 +327,11 @@ def _round_objective(data: LoopData, majorant: MajorantCoefficients):
         e, e_derivatives = data.entropy_terms(p, u)
         if not (e > data.h).all():
             return math.inf, None
-        l, dl, d2l = data.lqr_terms(e)
+        l, l_derivatives = data.lqr_terms(e)
 
         def terms():
             de_p, d2e_p = e_derivatives()
-            dl1, dl2 = dl(), d2l()
+            dl1, dl2 = l_derivatives()
             e_u = e / u  # -de/dt: the entropy falls as the latency grows
             ep_u = de_p / u
             rows = partials()
@@ -393,8 +368,7 @@ def _round_objective(data: LoopData, majorant: MajorantCoefficients):
 
 
 def _stabilizing_power(data: LoopData, t_commu: np.ndarray, margin_bits: float) -> np.ndarray:
-    se_req = (data.h + margin_bits) / (data.bandwidth * t_commu)
-    return np.maximum(np.expm1(se_req * LN2) / data.gamma, 0.0)
+    return np.maximum(required_power(data.h + margin_bits, data.gamma, data.bandwidth * t_commu), 0.0)
 
 
 def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.ndarray:
@@ -417,7 +391,7 @@ def feasible_power_init(data: LoopData, t_commu: np.ndarray, what: str) -> np.nd
     p = _stabilizing_power(data, t_commu, margin)
     total = float(p.sum())
     if total > p_max:
-        e_max = data.bandwidth * t_commu * np.log1p(data.gamma * p_max) / LN2
+        e_max = data.entropy_terms(p_max, t_commu)[0]
         report = [
             {
                 "loop": int(i),
@@ -455,33 +429,6 @@ def make_anchors(scenario: Scenario, f: np.ndarray, r: np.ndarray) -> tuple[np.n
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def closed_form_lqr(
-    p_w: float,
-    f_cycles: float,
-    r_bits: float,
-    loop: Loop,
-    compute: ComputeParams,
-    link: LinkParams,
-    t_commu_s: float | None = None,
-) -> float:
-    """Best LQR cost of one loop given its resources.
-
-    The cost constraint is tight at any optimum, so the optimal cost is the
-    curve value at the delivered entropy.  When t_commu_s is omitted the
-    communication window is the cycle remainder after the true minimal
-    computation time.  Raises Unstabilizable when the entropy does not
-    exceed the loop's intrinsic rate.
-    """
-    if t_commu_s is None:
-        t_commu_s = loop.cycle_seconds - min_compute_time(
-            f_cycles, r_bits, loop.data_bits, compute
-        )
-    if t_commu_s <= 0.0:
-        raise Unstabilizable("no communication window remains after computing")
-    e = entropy_per_cycle(p_w, t_commu_s, loop.distance_m, link)
-    return lqr_from_entropy(e, loop.entropy)
 
 
 # a Newton decrement below this fraction of the objective ends the inner
@@ -663,12 +610,15 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     comparison is written so that a NaN slack counts as a violation, and an
     allocation with more or fewer loops than the scenario is one too; the
     per-loop checks then cover the loops both have.  Each loop's split is
-    derived here, by ``optimal_split`` from its (f, r) shares; a share that
-    is NaN, infinite or negative, or f = r = 0, is a violation with time
-    slack -inf and split gap NaN.  The entropy slack is (l - L) / l, l the
-    claimed cost and L the cost the delivered entropy, raised by 1e-6 of
-    itself, affords: ``min_entropy(l)`` has no correct digits once l is
-    within about 1e-12 of l_min."""
+    derived here, by ``optimal_split`` from its (f, r) shares, and the time
+    slack takes that split's own makespan (``realized_latency``); a share
+    that is NaN, infinite or negative, or f = r = 0, is a violation with
+    time slack -inf and split gap NaN.  The entropy and the cost come from
+    the kernels the solver evaluates, ``delivered_entropy`` and
+    ``cost_curve``, through their scalar forms.  The entropy slack is
+    (l - L) / l, l the claimed cost and L the cost the delivered entropy,
+    raised by 1e-6 of itself, affords: ``min_entropy(l)`` has no correct
+    digits once l is within about 1e-12 of l_min."""
     tol = -1e-6
     b = scenario.budgets
     violations: list[str] = []
@@ -690,13 +640,12 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     time_slack, entropy_slack, split_gap = [], [], []
     for i, (loop, la) in enumerate(zip(scenario.loops, loops)):
         try:
-            t_comp = min_compute_time(la.f_cycles, la.r_bits, loop.data_bits, scenario.compute)
             sp = optimal_split(la.f_cycles, la.r_bits, loop.data_bits, scenario.compute)
         except (ValueError, NoFeasibleFlow) as exc:  # a non-finite or negative share; f = r = 0
             sp, ts = None, -math.inf
             violations.append(f"loop {i}: bad shares f={la.f_cycles!r}, r={la.r_bits!r} ({exc})")
         else:
-            ts = (loop.cycle_seconds - t_comp - la.t_commu_s) / loop.cycle_seconds
+            ts = (loop.cycle_seconds - realized_latency(sp, scenario.compute) - la.t_commu_s) / loop.cycle_seconds
             if not ts >= tol:
                 violations.append(f"loop {i}: cycle time exceeded (slack {ts:.3e})")
         time_slack.append(ts)

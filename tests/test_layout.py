@@ -98,3 +98,19 @@ def test_every_private_module_name_is_used():
         if not any(name in names for node, names in used.items() if node not in own)
     ]
     assert orphans == []
+
+
+def test_model_formulas_live_in_channel_and_control():
+    """The entropy, its inverse in power and the cost curve are written
+    once, in channel.py and control.py; a call to log1p, expm1 or exp2
+    anywhere else in the package is a second copy of one of them."""
+    offenders = []
+    for path in sorted(Path(sc3opt.__file__).parent.glob("*.py")):
+        if path.name in ("channel.py", "control.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("log1p", "expm1", "exp2"):
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []

@@ -36,11 +36,11 @@ def _power_objective(data, t_commu):
 
     def fun(x):
         snr = data.gamma * (x * b.p_max_w)
-        e = bw_t * data.spectral(snr)
+        e = data.entropy_terms(x * b.p_max_w, t_commu)[0]
         if not (e > data.h).all():
             return math.inf, inf_grad
-        l, dl, _ = data.lqr_terms(e)
-        return float(l.sum()), dl() * (bw_t * data.gamma / ((1.0 + snr) * LN2)) * b.p_max_w
+        l, l_derivatives = data.lqr_terms(e)
+        return float(l.sum()), l_derivatives()[0] * (bw_t * data.gamma / ((1.0 + snr) * LN2)) * b.p_max_w
 
     return fun
 

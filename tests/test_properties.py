@@ -9,9 +9,12 @@ split ``optimal_split`` recovers, and for never growing with compute or
 rate.  The entropy/cost curve is checked as the power-only baseline's
 Newton solve uses it: ``min_entropy`` and ``lqr_from_entropy`` invert each
 other, and ``LoopData``'s derivatives of the cost in entropy and of the
-entropy in power match central differences.  ``sca_solve`` is checked for
-answering a permutation of the loops with the same permutation of its
-allocation.  Examples are derandomized and
+entropy in power match central differences; the kernels of the cost
+curve, the entropy and its inverse in power agree with the scalar formulas
+written out here.  ``sca_solve`` is checked for answering a permutation of
+the loops with the same permutation of its allocation, for an outer
+objective that never increases, and for outputs ``check_allocation``
+accepts.  Examples are derandomized and
 kept few, so the suite's time stays flat and every run checks the same
 cases.
 """
@@ -34,15 +37,20 @@ from sc3opt import (
     RegionLabel,
     Scenario,
     brute_force_min_time,
+    channel_gain,
+    check_allocation,
+    entropy_per_cycle,
     generate_scenario,
     lqr_from_entropy,
     min_compute_time,
     min_entropy,
     optimal_split,
+    power_for_entropy,
     realized_latency,
     region_time,
     sca_solve,
 )
+from sc3opt.channel import required_power
 from sc3opt.control import LN2
 from sc3opt.solver import LoopData
 from sc3opt.surrogate import (
@@ -322,15 +330,16 @@ def _assert_close(got, want, rtol, atol):
 def test_cost_derivatives_match_central_differences(data, draw_data):
     excess = np.array([_excess_bits(draw_data.draw, n) for n in data.n])
     e = data.h + excess
-    l, dl, d2l = data.lqr_terms(e)
+    l, derivatives = data.lqr_terms(e)
+    dl, d2l = derivatives()
     # the curve varies on the scale of the excess, or of n / (2 ln2) bits
     # once the cost nears its floor
     step = 1e-4 * np.minimum(excess, data.n / (2.0 * LN2))
     first, second = _differences(lambda v: data.lqr_terms(v)[0], e, step)
     # central differences carry a rounding error of about eps l / step
     # (first) and eps l / step^2 (second)
-    _assert_close(dl(), first, 1e-6, 64.0 * EPS * l / step)
-    _assert_close(d2l(), second, 1e-5, 64.0 * EPS * l / step**2)
+    _assert_close(dl, first, 1e-6, 64.0 * EPS * l / step)
+    _assert_close(d2l, second, 1e-5, 64.0 * EPS * l / step**2)
 
 
 @PROPERTY
@@ -348,14 +357,68 @@ def test_entropy_derivatives_match_central_differences(data, draw_data):
     _assert_close(d2e, second, 1e-5, 64.0 * EPS * e / step**2)
 
 
+def _entropy_case(data, draw):
+    """Per-loop spectral efficiencies (bits/s/Hz), log-uniform from 1e-3 to
+    30, and windows from 1 ms to the cycle time."""
+    se = np.array([draw(_log_uniform(-3.0, math.log10(30.0))) for _ in range(data.k)])
+    t_commu = np.array([draw(st.floats(1e-3, 0.07)) for _ in range(data.k)])
+    return se, t_commu
+
+
+@PROPERTY
+@given(curve_cases(), st.data())
+def test_cost_curve_matches_scalar_formula(data, draw_data):
+    e = data.h + np.array([_excess_bits(draw_data.draw, n) for n in data.n])
+    got = data.lqr_terms(e)[0]
+    for k, loop in enumerate(data.scenario.loops):
+        params = loop.entropy
+        want = params.l_min + params.c / math.expm1(2.0 * (e[k] - params.h) / params.n * LN2)
+        tol = 8.0 * EPS * (want + _cost_slope(want, params) * e[k])
+        assert abs(got[k] - want) <= tol
+        assert abs(lqr_from_entropy(e[k], params) - want) <= tol
+
+
+@PROPERTY
+@given(curve_cases(), st.data())
+def test_delivered_entropy_matches_scalar_formula(data, draw_data):
+    # powers at spectral efficiencies from 1e-3 to 30 bits/s/Hz
+    se, t_commu = _entropy_case(data, draw_data.draw)
+    p = np.expm1(se * LN2) / data.gamma
+    got = data.entropy_terms(p, t_commu)[0]
+    for k, loop in enumerate(data.scenario.loops):
+        g = channel_gain(loop.distance_m, LINK)
+        want = LINK.bandwidth_hz * t_commu[k] * math.log1p(g * p[k] / LINK.noise_power_w) / LN2
+        # log1p passes a relative error on to its value at most unchanged
+        tol = 8.0 * EPS * want
+        assert abs(got[k] - want) <= tol
+        assert abs(entropy_per_cycle(p[k], t_commu[k], loop.distance_m, LINK) - want) <= tol
+
+
+@PROPERTY
+@given(curve_cases(), st.data())
+def test_required_power_matches_scalar_formula(data, draw_data):
+    se, t_commu = _entropy_case(data, draw_data.draw)
+    bw_t = LINK.bandwidth_hz * t_commu
+    e = se * bw_t
+    got = required_power(e, data.gamma, bw_t)
+    for k, loop in enumerate(data.scenario.loops):
+        g = channel_gain(loop.distance_m, LINK)
+        x = e[k] / bw_t[k] * LN2
+        want = LINK.noise_power_w / g * math.expm1(x)
+        # expm1 scales a relative error of x by x / (1 - e^-x)
+        tol = 8.0 * EPS * want * (1.0 + x / -math.expm1(-x))
+        assert abs(got[k] - want) <= tol
+        assert abs(power_for_entropy(e[k], t_commu[k], loop.distance_m, LINK) - want) <= tol
+
+
 # ---------------------------------------------------------------------------
 # the solver
 
 
 @st.composite
 def permuted_scenarios(draw):
-    """A generated scenario of two or three loops and an order of its loops."""
-    k = draw(st.integers(2, 3))
+    """A generated scenario of one to three loops and an order of its loops."""
+    k = draw(st.integers(1, 3))
     overrides = {"k_loops": k, "p_max_dbw": draw(st.floats(0.0, 20.0))}
     scenario = generate_scenario(draw(st.integers(0, 2**16)), overrides)
     return scenario, draw(st.permutations(range(k)))
@@ -365,8 +428,13 @@ def permuted_scenarios(draw):
 @given(permuted_scenarios())
 def test_permuting_the_loops_permutes_the_allocation(case):
     scenario, order = case
-    want, _ = sca_solve(scenario)
-    got, _ = sca_solve(dataclasses.replace(scenario, loops=tuple(scenario.loops[i] for i in order)))
+    permuted = dataclasses.replace(scenario, loops=tuple(scenario.loops[i] for i in order))
+    want, trace = sca_solve(scenario)
+    got, _ = sca_solve(permuted)
+    # every solver output satisfies the true constraints, and the outer
+    # objective never increases
+    assert check_allocation(scenario, want).ok and check_allocation(permuted, got).ok
+    assert all(b <= a for a, b in zip(trace.objectives, trace.objectives[1:]))
     b = scenario.budgets
     assert got.sum_lqr == pytest.approx(want.sum_lqr, rel=ROUNDING, abs=0.0)
     for j, i in enumerate(order):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sc3opt.compute
 import sc3opt.solver
 
 from sc3opt import (
@@ -17,10 +18,10 @@ from sc3opt import (
     SolverConfig,
     Unstabilizable,
     check_allocation,
-    closed_form_lqr,
     entropy_per_cycle,
     evaluate_allocation,
     generate_scenario,
+    lqr_from_entropy,
     make_anchors,
     min_compute_time,
     min_entropy,
@@ -28,7 +29,7 @@ from sc3opt import (
     solve_inner,
 )
 from sc3opt.optim import project_budget_simplex
-from sc3opt.solver import ANCHOR_FLOOR
+from sc3opt.solver import ANCHOR_FLOOR, LoopData
 from conftest import QUICK_SEEDS, make_loop, symmetric_two_loop_scenario, tight_single_loop_scenario
 
 
@@ -88,16 +89,11 @@ def test_single_loop_corner_solution():
     assert trace.converged and len(trace.iterations) - 1 <= 2
     assert la.p_w == pytest.approx(b.p_max_w, rel=1e-6)
     assert la.f_cycles == pytest.approx(b.f_max_cycles, rel=1e-6)
-    assert alloc.sum_lqr == pytest.approx(
-        closed_form_lqr(la.p_w, la.f_cycles, la.r_bits, sc.loops[0], sc.compute, sc.link),
-        rel=1e-9,
-    )
-    # a line search away from the corner never improves the cost
+    assert alloc.sum_lqr == pytest.approx(evaluate_allocation(sc, alloc), rel=1e-9)
+    # a line search away from the corner never improves the cost (inf
+    # where the loop cannot be stabilized)
     def cost_or_inf(p, f, r):
-        try:
-            return closed_form_lqr(p, f, r, sc.loops[0], sc.compute, sc.link)
-        except Unstabilizable:
-            return math.inf
+        return LoopData(sc).true_objective(np.array([p]), np.array([f]), np.array([r]))
 
     for shrink in (0.5, 0.8, 0.95):
         assert cost_or_inf(shrink * la.p_w, la.f_cycles, la.r_bits) >= alloc.sum_lqr - 1e-12
@@ -279,10 +275,7 @@ def test_surrogate_cost_dominates_true_cost_along_iterates():
         anchors = make_anchors(sc, f0, r0)
         inner = solve_inner(sc, anchors)
         surr_cost = inner.sum_lqr
-        true_cost = sum(
-            closed_form_lqr(la.p_w, la.f_cycles, la.r_bits, loop, sc.compute, sc.link)
-            for loop, la in zip(sc.loops, inner.loops)
-        )
+        true_cost = evaluate_allocation(sc, inner)
         assert surr_cost >= true_cost - 1e-9 * true_cost
     # at the anchor point itself, surrogate and true windows coincide
     from sc3opt.surrogate import SurrogateAnchor, convex_compute_time
@@ -381,17 +374,19 @@ def test_check_allocation_flags_every_entropy_shortfall_in_bits(cut):
 
 
 def test_closed_form_lqr_composition(link):
+    # a loop's cost in a given window is the downlink entropy composed
+    # with the cost curve
     loop = make_loop(h=1.0, n=1, l_min=0.5, c=1.0, distance_m=100.0)
-    compute = ComputeParams(alpha=100.0, beta=50.0, rho=0.25, tau=5e-3)
-    # with an explicit window this is just entropy composed with the curve
-    value = closed_form_lqr(10.0, 5e9, 1e7, loop, compute, link, t_commu_s=0.001)
+
+    def cost(t_commu):
+        return lqr_from_entropy(entropy_per_cycle(10.0, t_commu, loop.distance_m, link), loop.entropy)
+
     e = 5.0 * math.log2(1 + 1e5)
-    assert value == pytest.approx(0.5 + 1.0 / (2.0 ** (2.0 * (e - 1.0)) - 1.0))
+    assert cost(0.001) == pytest.approx(0.5 + 1.0 / (2.0 ** (2.0 * (e - 1.0)) - 1.0))
     # huge entropy budgets pin the cost to its floor
-    saturated = closed_form_lqr(10.0, 5e9, 1e7, loop, compute, link, t_commu_s=0.05)
-    assert saturated == pytest.approx(0.5)
+    assert cost(0.05) == 0.5
     with pytest.raises(Unstabilizable):
-        closed_form_lqr(10.0, 5e9, 1e7, loop, compute, link, t_commu_s=0.0)
+        cost(0.0)
 
 
 def test_infeasible_reports_failing_loops():
@@ -476,6 +471,23 @@ def test_check_allocation_reports_bad_shares(shares):
     assert not any(v.startswith("loop 1") for v in rep.violations)
     assert rep.slacks["time"][0] == -math.inf and math.isnan(rep.slacks["split_gap"][0])
     assert all(math.isfinite(g) for g in rep.slacks["split_gap"][1:])
+
+
+def test_check_allocation_evaluates_each_latency_once(monkeypatch):
+    """Each loop's latency is evaluated once, inside ``optimal_split``; the
+    time slack takes the makespan of the split it derives."""
+    sc = generate_scenario(0, {"k_loops": 50, "p_max_dbw": 20.0, "f_max_ghz": 50.0, "r_max_mbps": 500.0})
+    b = sc.budgets
+    alloc = LoopData(sc).allocation(
+        np.full(sc.k, b.p_max_w / sc.k), np.full(sc.k, b.f_max_cycles / sc.k), np.full(sc.k, b.r_max_bits / sc.k)
+    )
+    calls = []
+    for module in (sc3opt.compute, sc3opt.solver):
+        original = module.min_compute_time
+        monkeypatch.setattr(module, "min_compute_time", lambda *args, _f=original: calls.append(args) or _f(*args))
+    rep = check_allocation(sc, alloc)
+    assert len(calls) == sc.k
+    assert all(abs(ts) <= 1e-15 for ts in rep.slacks["time"])
 
 
 @pytest.mark.parametrize("count", [3, 6])

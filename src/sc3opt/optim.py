@@ -237,7 +237,7 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
         system[:n, n + i] = -d[rows]
         system[n + i, :n] = d[rows]
         rhs_all[n + i] = -float((g[idx] @ d).mean())
-    sol = np.linalg.lstsq(system, rhs_all)[0]  # minimum norm: an unknown no equation moves is zero
+    sol = np.linalg.lstsq(system, rhs_all, rcond=None)[0]  # minimum norm: an unknown no equation moves is zero
     mu = np.zeros(m)
     mu[rows] = sol[:n]
     kkt = g + mu

@@ -1,26 +1,26 @@
 """Independent validators: global grid search, closed-loop Monte Carlo,
 and a numerical convexity probe.
 
-The grid search exhausts small instances of the full allocation problem
-without touching the solver machinery.  The Monte Carlo simulator runs an
-actual quantized control loop; its uniform quantizer is far from an optimal
-code, so it validates the direction and floor of the entropy-cost curve,
-not its tightness.
+The grid search exhausts small instances of the full allocation problem.
+It scores and assembles allocations through ``LoopData``, the solver's
+evaluator, but shares none of the solver's optimizer.  The Monte Carlo
+simulator runs an actual quantized control loop; its uniform quantizer is
+far from an optimal code, so it validates the direction and floor of the
+entropy-cost curve, not its tightness.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import delivered_entropy
 from .compute import min_compute_time_batch
-from .control import LoopControlSpec, cost_curve, riccati_diagonal
+from .control import LoopControlSpec, riccati_diagonal
 from .errors import Infeasible, UnsupportedStructure
-from .solver import Allocation, LoopAllocation, LoopData, Scenario
+from .solver import Allocation, LoopData, Scenario
 
 # power rows per block of the grid oracle's streamed (p, (f, r)) costs
 GRID_POWER_BLOCK = 8
@@ -41,8 +41,10 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     latency does not depend on the power, so each loop's communication
     window is evaluated once per (f, r) grid point; the costs then stream
     over the power axis ``GRID_POWER_BLOCK`` rows at a time, keeping the
-    first minimum in (p, (f, r)) order, p varying slowest.  The result is
-    the argmin over the whole outer product, held in O(grid_n**2) memory.
+    first minimum in (p, (f, r)) order, p varying slowest.  Each loop is
+    scored by ``LoopData.costs`` on a single-loop view, whose (1,)-shaped
+    constants broadcast over a block, and the argmin is assembled by
+    ``LoopData.allocation``.  The search holds O(grid_n**2) memory.
     grid_n must be an integer from 1 to 100.  Raises Infeasible when no
     grid point stabilizes every loop.
     """
@@ -50,56 +52,35 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
         raise ValueError("the grid oracle only handles one or two loops")
     if not (isinstance(grid_n, numbers.Integral) and not isinstance(grid_n, bool) and 1 <= grid_n <= 100):
         raise ValueError("grid_n must be an integer from 1 to 100")
-    data = LoopData(scenario)
     b = scenario.budgets
     axis = np.linspace(0.0, 1.0, grid_n + 1)
     fg, rg = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
     # each loop's power, compute and rate shares of the budgets
     shares = [(axis, fg, rg), (1.0 - axis, 1.0 - fg, 1.0 - rg)][: scenario.k]
-
-    def window(i: int, f, r):
-        """Loop i's communication window over the (f, r) points."""
-        with np.errstate(all="ignore"):
-            return data.t_cycle[i] - min_compute_time_batch(
-                f, r, float(data.d_bits[i]), scenario.compute
-            )
-
-    def loop_costs(i: int, p, t_commu):
-        """Loop i's cost over (p, (f, r)), one row per power."""
-        with np.errstate(all="ignore"):
-            e = delivered_entropy(p[:, None], data.gamma[i], data.bandwidth * t_commu)[0]
-            cost = cost_curve(e, data.h[i], data.n[i], data.l_min[i], data.c[i])[0]
-        return np.where((t_commu > 0.0) & (e > data.h[i]), cost, np.inf)
-
-    windows = [
-        window(i, sf * b.f_max_cycles, sr * b.r_max_bits) for i, (_, sf, sr) in enumerate(shares)
-    ]
+    views = [LoopData(replace(scenario, loops=(loop,))) for loop in scenario.loops]
+    with np.errstate(all="ignore"):
+        windows = [
+            view.t_cycle
+            - min_compute_time_batch(sf * b.f_max_cycles, sr * b.r_max_bits, float(view.d_bits[0]), scenario.compute)
+            for view, (_, sf, sr) in zip(views, shares)
+        ]
     best, objective = 0, math.inf  # stays inf while no point stabilizes every loop
     for start in range(0, axis.size, GRID_POWER_BLOCK):
         rows = slice(start, start + GRID_POWER_BLOCK)
-        total = loop_costs(0, axis[rows] * b.p_max_w, windows[0])
-        if scenario.k == 2:
-            total = total + loop_costs(1, (1.0 - axis[rows]) * b.p_max_w, windows[1])
+        first, *rest = (
+            view.costs(sp[rows, None] * b.p_max_w, window)
+            for view, (sp, _, _), window in zip(views, shares, windows)
+        )
+        total = sum(rest, first)  # from 0, sum adds one more block-sized array
         j = int(np.argmin(total))
         if total.flat[j] < objective:
             best, objective = start * fg.size + j, float(total.flat[j])
     if objective == math.inf:
         raise Infeasible(f"grid search: no point of the {grid_n}-step grid stabilizes every loop")
     i_p, i_fr = divmod(best, fg.size)
-    loops = []
-    for i, (sp, sf, sr) in enumerate(shares):
-        p_i, f_i, r_i = sp[i_p] * b.p_max_w, sf[i_fr] * b.f_max_cycles, sr[i_fr] * b.r_max_bits
-        t_commu = window(i, np.array([f_i]), np.array([r_i]))
-        loops.append(
-            LoopAllocation(
-                p_w=float(p_i),
-                f_cycles=float(f_i),
-                r_bits=float(r_i),
-                t_commu_s=max(float(t_commu[0]), 0.0),
-                lqr_cost=float(loop_costs(i, np.array([p_i]), t_commu)[0, 0]),
-            )
-        )
-    return Allocation(loops=tuple(loops), sum_lqr=objective), objective
+    data = LoopData(scenario)
+    picked = np.array([(sp[i_p], sf[i_fr], sr[i_fr]) for sp, sf, sr in shares]).T
+    return data.allocation(*picked * data.budget_col), objective
 
 
 @dataclass(frozen=True)

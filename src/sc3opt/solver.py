@@ -494,14 +494,10 @@ def _extrapolate(data: LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: f
     return best
 
 
-def solve_inner(
-    scenario: Scenario,
-    anchors,
-    config: SolverConfig | None = None,
-    x0: np.ndarray | None = None,
-) -> Allocation:
+def solve_inner(scenario: Scenario, anchors, config: SolverConfig | None = None) -> Allocation:
     """Solve the convex subproblem at fixed anchors, the arrays (f0, r0)
-    ``make_anchors`` returns.
+    ``make_anchors`` returns, from the anchors with ``feasible_power_init``'s
+    power (InfeasibleSubproblem when it has none).
 
     Returns a feasible allocation whose communication windows are tight
     against the surrogate latency, hence feasible under the true one.
@@ -510,14 +506,12 @@ def solve_inner(
     data = LoopData(scenario)
     f, r = anchors
     majorant = MajorantCoefficients.at(f, r, data.d_bits, scenario.compute)
-    if x0 is None:
-        tbar, _ = surrogate_batch(f, r, majorant)
-        try:
-            p = feasible_power_init(data, data.t_cycle - tbar, "inner problem")
-        except Infeasible as exc:
-            raise InfeasibleSubproblem(str(exc), report=exc.report) from None
-        x0 = _pack(p, f, r, scenario.budgets)
-    x = _inner_solve(data, majorant, cfg, x0)[0]
+    tbar, _ = surrogate_batch(f, r, majorant)
+    try:
+        p = feasible_power_init(data, data.t_cycle - tbar, "inner problem")
+    except Infeasible as exc:
+        raise InfeasibleSubproblem(str(exc), report=exc.report) from None
+    x = _inner_solve(data, majorant, cfg, _pack(p, f, r, scenario.budgets))[0]
     p, f, r = x.reshape(3, data.k) * data.budget_col
     return data.allocation(p, f, r, data.t_cycle - surrogate_batch(f, r, majorant)[0])
 

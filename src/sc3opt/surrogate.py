@@ -37,17 +37,6 @@ class SurrogateAnchor:
         return cls(f0=f0, r0=r0, region=classify_region(f0, r0, d, params))
 
 
-def inverse_product_bound(x: float, y: float, x0: float, y0: float) -> float:
-    """First-order lower bound on 1/(x*y) at (x0, y0).
-
-    Returns (3 - x/x0 - y/y0) / (x0*y0), which never exceeds 1/(x*y) on the
-    positive orthant and matches it exactly at the expansion point.
-    """
-    if min(x, y, x0, y0) <= 0.0:
-        raise ValueError("all arguments must be positive")
-    return (3.0 - x / x0 - y / y0) / (x0 * y0)
-
-
 def convex_time_s2(f, r, anchor: SurrogateAnchor, d: float, params: ComputeParams):
     """Convex majorant of the S2-regime latency, tangent at the anchor."""
     a, b, rho = params.alpha, params.beta, params.rho

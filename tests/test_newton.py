@@ -339,6 +339,23 @@ def test_levenberg_shift_matches_the_shifted_saddle_point(case):
     assert np.abs(unshifted_dz - ref_dz).max() > 0.01 * scale
 
 
+def test_cofactor_inverse_matches_numpy_and_flags_weak_blocks():
+    """``_inverse3`` inverts SPD blocks as ``numpy.linalg.inv`` does, to
+    rounding, and calls them firm; an indefinite block, or one whose
+    determinant falls below ``_SHIFT_FLOOR`` times the cube of its norm
+    (eigenvalues 2, 1, 1e-12), is not firm, while 2, 1, 1e-8 still is."""
+    rng = np.random.default_rng(2)
+    blocks = _spd_blocks(rng, 50)
+    inv, firm = sc3opt.optim._inverse3(blocks)
+    ref = np.linalg.inv(blocks)
+    err = np.abs(inv - ref).max((1, 2)) / np.abs(ref).max((1, 2))
+    assert firm.all() and err.max() <= 1e-12
+    weak = np.stack(
+        [_block(rng, np.array(eig)) for eig in ([1.0, 1.0, -0.5], [2.0, 1.0, 1e-12], [2.0, 1.0, 1e-8])]
+    )
+    assert sc3opt.optim._inverse3(weak)[1].tolist() == [False, False, True]
+
+
 # ---------------------------------------------------------------------------
 # the damped-Newton loop
 

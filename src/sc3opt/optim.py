@@ -81,29 +81,33 @@ def newton_kkt_step(z, g, hess, residual, equality=None, flat=None, rigid=None):
     KKT residual g + mu (plus nu_k normal_k on a loop holding its equality)
     and each loop's equality multiplier nu (zero off ``on``).
 
-    Coordinates the step would take below zero are fixed there and mu is
-    solved again.  ``flat`` (K, m), when given, holds each loop's unit
-    direction of zero curvature and zero gradient (zero rows where a loop
-    has none).  Where it is free to move, the limit H -> 0 applies: its
-    weight outgrows every other, so it pins mu . u to zero, and the loops
-    sharing one direction split equally what the others leave of the
-    residual; in loops the mask ``rigid`` marks it stays still instead.  A
-    block not safely positive definite over its free directions gets a
-    Levenberg shift that lifts its smallest eigenvalue to its magnitude, at
-    least ``_SHIFT_FLOOR`` of its norm; a block without curvature (norm
-    below ``_FLAT_CURVATURE``) stays still.  A budget row whose
-    multiplier comes out negative, or that no loop can move, is let go as
-    slack unless the step would then overspend it.  With m = 1 and no
-    equality the blocks are scalars and the step is closed form
-    (``_scalar_kkt_step``), where a curvature below ``_FLAT_CURVATURE``
-    takes the same limit.
+    The active set starts with every coordinate already at zero fixed there
+    (a share parked by an earlier step); coordinates the step would take
+    below zero join it and mu is solved again.  Once the set settles, a
+    parked coordinate whose bound multiplier (H dz + kkt)_k is negative
+    would rise, and the step starts over with every coordinate free.
+    ``flat`` (K, m), when given, holds each loop's unit direction of zero
+    curvature and zero gradient (zero rows where a loop has none).  Where it
+    is free to move, the limit H -> 0 applies: its weight outgrows every
+    other, so it pins mu . u to zero, and the loops sharing one direction
+    split equally what the others leave of the residual; in loops the mask
+    ``rigid`` marks it stays still instead.  A block not safely positive
+    definite over its free directions gets a Levenberg shift that lifts its
+    smallest eigenvalue to its magnitude, at least ``_SHIFT_FLOOR`` of its
+    norm; a block without curvature (norm below ``_FLAT_CURVATURE``) stays
+    still.  A budget row whose multiplier comes out negative, or that no
+    loop can move, is let go as slack unless the step would then overspend
+    it.  With m = 1 and no equality the blocks are scalars and the step is
+    closed form (``_scalar_kkt_step``), where a curvature below
+    ``_FLAT_CURVATURE`` takes the same limit.
     """
     k, m = z.shape
     if m == 1 and equality is None:
         return _scalar_kkt_step(z[:, 0], g[:, 0], hess[:, 0, 0], float(residual[0]))
     if m != 3:
         raise ValueError("blocks must be 1 x 1 (without an equality) or 3 x 3")
-    fixed = np.zeros((k, m), dtype=bool)
+    parked = z == 0.0
+    fixed = parked.copy()
     held = np.ones(m, dtype=bool)  # budget rows kept as equalities
     released = np.zeros(m, dtype=bool)
     while True:
@@ -120,6 +124,11 @@ def newton_kkt_step(z, g, hess, residual, equality=None, flat=None, rigid=None):
         over = ~held & (dz.sum(0) > residual)
         if over.any():
             held |= over
+            continue
+        # a parked coordinate with a negative bound multiplier would rise
+        if parked.any() and (((hess @ dz[:, :, None])[:, :, 0] + kkt)[parked] < 0.0).any():
+            parked[:] = False
+            fixed[:], held[:], released[:] = False, True, False
             continue
         return dz, kkt, nu
 
@@ -170,12 +179,9 @@ def _inverse3(a):
     c22 = a00 * a11 - a01 * a01
     det = a00 * c00 + a01 * c01 + a02 * c02
     inv = np.empty(a.shape)
-    inv[:, 0, 0] = c00
-    inv[:, 0, 1] = inv[:, 1, 0] = c01
-    inv[:, 0, 2] = inv[:, 2, 0] = c02
-    inv[:, 1, 1] = c11
-    inv[:, 1, 2] = inv[:, 2, 1] = c12
-    inv[:, 2, 2] = c22
+    inv[:, 0, 0], inv[:, 0, 1], inv[:, 0, 2] = c00, c01, c02
+    inv[:, 1, 0], inv[:, 1, 1], inv[:, 1, 2] = c01, c11, c12
+    inv[:, 2, 0], inv[:, 2, 1], inv[:, 2, 2] = c02, c12, c22
     inv /= det[:, None, None]
     norm = np.sqrt((a * a).sum((1, 2)))
     firm = (a00 > 0.0) & (c22 > 0.0) & (det > _SHIFT_FLOOR * norm**3)

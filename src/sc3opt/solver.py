@@ -342,9 +342,7 @@ def _round_objective(data: LoopData, majorant: MajorantCoefficients):
                 tf, tr, tff, tfr, trr = (th * a + (1.0 - th) * b for a, b in zip(one[1:], smooth[1:]))
                 flat = np.where((th == 1.0)[:, None], s1_dir, s4_flat)
                 de = np.empty((k, 3))
-                de[:, 0] = de_p
-                de[:, 1] = -e_u * tf
-                de[:, 2] = -e_u * tr
+                de[:, 0], de[:, 1], de[:, 2] = de_p, -e_u * tf, -e_u * tr
                 d2e = np.empty((k, 3, 3))
                 d2e[:, 0, 0] = d2e_p
                 d2e[:, 0, 1] = d2e[:, 1, 0] = -ep_u * tf

@@ -5,10 +5,12 @@ couples the loops only through the budget rows.  With one row it must be the
 power-only baseline's former step, kept below as the reference, bit for
 bit.  With three rows it is checked on separable quadratics, where Newton
 from any start must reach the minimizer SPG finds to high accuracy, against
-the saddle-point system of blocks given a Levenberg shift, and on the rounds
-of generated solves where the solver meets a flat S1 direction and a zero
-bound.  ``newton_descent``, the damped-Newton loop around it, is
-checked on the water-filling problem, whose minimizer is known exactly.
+its former cold-start active-set loop, bit for bit, where a share starts
+parked at zero, against the saddle-point system of blocks given a
+Levenberg shift, and on the rounds of generated solves where the solver
+meets a flat S1 direction and a zero bound.  ``newton_descent``, the
+damped-Newton loop around it, is checked on the water-filling problem,
+whose minimizer is known exactly.
 """
 
 import math
@@ -21,7 +23,7 @@ import sc3opt.optim
 import sc3opt.solver
 from sc3opt import InfeasibleSubproblem, SolverConfig, generate_scenario, power_only_closed_loop, sca_solve
 from sc3opt.baselines import water_filling
-from sc3opt.optim import newton_descent, newton_kkt_step, project_budget_simplex
+from sc3opt.optim import _kkt_solve, newton_descent, newton_kkt_step, project_budget_simplex
 from sc3opt.surrogate import surrogate_batch
 from test_spg import reference_joint_objective, reference_spg
 
@@ -158,6 +160,70 @@ def test_blocks_reach_the_quadratic_minimizer(seed):
     np.testing.assert_allclose(z, ref, atol=1e-8)
     assert (z >= 0.0).all() and (z.sum(0) <= 1.0 + 1e-12).all()
     assert z[0, 2] == 0.0 and kkt[0, 2] >= 0.0  # the bound's multiplier
+
+
+def reference_kkt_step(z, g, hess, residual):
+    """The three-row kernel's active-set loop before the parked start: every
+    coordinate starts free.  Returns dz, kkt, nu and the number of solves."""
+    k, m = z.shape
+    fixed = np.zeros((k, m), dtype=bool)
+    held = np.ones(m, dtype=bool)
+    released = np.zeros(m, dtype=bool)
+    solves = 0
+    while True:
+        dz, mu, kkt, nu = _kkt_solve(z, g, hess, residual, fixed, held, None, None, None)
+        solves += 1
+        low = ~fixed & (dz < -z)
+        if low.any():
+            fixed |= low
+            continue
+        slack = held & ~released & (mu < 0.0)
+        if slack.any():
+            held &= ~slack
+            released |= slack
+            continue
+        over = ~held & (dz.sum(0) > residual)
+        if over.any():
+            held |= over
+            continue
+        return dz, kkt, nu, solves
+
+
+def _parked_case(r_center):
+    """Four loops whose budgets all bind, loop 0's backhaul parked at zero
+    with its model's centre at ``r_center``."""
+    rng = np.random.default_rng(9)
+    blocks = _spd_blocks(rng, 4)
+    centers = rng.uniform(0.3, 0.45, size=(4, 3))
+    centers[0, 2] = r_center
+    z = np.full((4, 3), 0.25)
+    z[0, 2] = 0.0
+    return z, _quadratic(centers, blocks)[1](z), blocks, 1.0 - z.sum(0)
+
+
+@pytest.mark.parametrize("r_center, rises", [(-0.5, False), (0.5, True)])
+def test_parked_start_matches_the_cold_active_set(monkeypatch, r_center, rises):
+    """A parked share the model pushes below zero starts fixed and stays at
+    exactly zero: one solve where the cold start took two.  One the model
+    pulls up has a negative bound multiplier at the parked start, so the
+    step starts over from the cold start and the share rises.  Either way
+    the step is the cold start's, bit for bit."""
+    z, g, hess, residual = _parked_case(r_center)
+    solves = 0
+
+    def counted(*args):
+        nonlocal solves
+        solves += 1
+        return _kkt_solve(*args)
+
+    monkeypatch.setattr(sc3opt.optim, "_kkt_solve", counted)
+    dz, kkt, nu = newton_kkt_step(z, g, hess, residual)
+    ref_dz, ref_kkt, ref_nu, ref_solves = reference_kkt_step(z, g, hess, residual)
+    assert dz.tobytes() == ref_dz.tobytes() and kkt.tobytes() == ref_kkt.tobytes()
+    assert nu.tobytes() == ref_nu.tobytes()
+    assert ((z + dz)[0, 2] > 0.0) == rises and (z + dz).min() >= 0.0
+    # rising: the parked start's solve, then the cold start's one
+    assert (solves, ref_solves) == ((2, 1) if rises else (1, 2))
 
 
 def test_budget_with_no_free_coordinate_is_slack():

@@ -36,7 +36,6 @@ from .control import (
     intrinsic_entropy,
     lqr_from_entropy,
     min_entropy,
-    riccati_diagonal,
 )
 from .errors import (
     BadConfig,

@@ -104,20 +104,6 @@ def _positive_root(c2, c1, c0) -> np.ndarray:
         return np.where(c1 < 0.0, (root - c1) / (2.0 * c2), -2.0 * c0 / (c1 + root))
 
 
-def riccati_diagonal(a, b, q, r) -> np.ndarray:
-    """Steady-state LQR cost of each dimension of a diagonal plant.
-
-    Elementwise over diagonal entries a, b != 0, q > 0 and r >= 0: the fixed
-    point of s <- q + a^2 s - (a b s)^2 / (r + b^2 s), the positive root of
-    b^2 s^2 + (r (1 - a^2) - q b^2) s - q r = 0 (Anderson & Moore, Optimal
-    Filtering, 1979, ch. 4) divided by b^2; exactly q when r = 0.
-    """
-    if np.any(np.asarray(b) == 0.0):
-        raise UnsupportedStructure("the Riccati solution needs nonzero input gains")
-    rb = r / (b * b)
-    return _positive_root(1.0, rb * (1.0 - a * a) - q, -q * rb)
-
-
 def kalman_diagonal(a, sigma_v2: float, sigma_w2: float) -> np.ndarray:
     """Steady-state filtering error of each dimension of a diagonal plant,
     the fixed point of sigma <- p w / (p + w), p = a^2 sigma + v (v, w the
@@ -130,29 +116,28 @@ def build_entropy_params(plant: LoopControlSpec) -> EntropyParams:
     """Derive EntropyParams from a diagonal plant description.
 
     The plant decouples per state dimension; every input gain b must be
-    nonzero.  Per dimension the cost s is the steady state of the Riccati
-    recursion with q = 1 and r = 0 (``riccati_diagonal``), sigma the steady
-    filtering error (``kalman_diagonal``), both in closed form, and the
-    curve constants are
+    nonzero.  With Q = I and R = 0 the optimal controller is deadbeat: per
+    dimension the Riccati steady state is exactly 1, the estimation-penalty
+    weight s b (b^2 s)^-1 b s is exactly 1, and the gain is a / b, so no
+    constant depends on b.  With sigma the steady filtering error
+    (``kalman_diagonal``, in closed form) the curve constants are
 
-        l_min = sum(sigma_v2 * s + sigma * a^2 * m)
-        c     = n * geometric_mean(p * m),  p = a^2 sigma + sigma_v2
+        l_min = sum(sigma_v2 + sigma * a^2)
+        c     = n * geometric_mean(p),  p = a^2 sigma + sigma_v2
 
-    with m = s b (b^2 s)^-1 b s the estimation-penalty weight and p the
-    one-step prediction error covariance.  Other plants must supply
-    EntropyParams directly.
+    p being the one-step prediction error covariance.  Other plants must
+    supply EntropyParams directly.
     """
-    n = plant.n
-    a, b = plant.a, plant.b
-    s = riccati_diagonal(a, b, np.ones(n), 0.0)  # raises UnsupportedStructure on b = 0
+    a = plant.a
+    if np.any(plant.b == 0.0):
+        raise UnsupportedStructure("a zero input gain leaves its mode uncontrollable")
     h = intrinsic_entropy(a)
-    m = s * b / (b * b * s) * b * s
     sigma = kalman_diagonal(a, plant.sigma_v2, plant.sigma_w2)
     pred = a * a * sigma + plant.sigma_v2
 
-    l_min = float(np.sum(plant.sigma_v2 * s + sigma * a * a * m))
-    c = n * float(np.exp(np.mean(np.log(pred * m))))
-    return EntropyParams(n=n, h=h, l_min=l_min, c=c)
+    l_min = float(np.sum(plant.sigma_v2 + sigma * a * a))
+    c = plant.n * float(np.exp(np.mean(np.log(pred))))
+    return EntropyParams(n=plant.n, h=h, l_min=l_min, c=c)
 
 
 def min_entropy(l: float, params: EntropyParams) -> float:

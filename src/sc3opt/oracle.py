@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compute import min_compute_time_batch
-from .control import LoopControlSpec, riccati_diagonal
+from .control import LoopControlSpec
 from .errors import Infeasible, UnsupportedStructure
 from .solver import Allocation, LoopData, Scenario
 
@@ -99,11 +99,11 @@ def monte_carlo_loop(
     """Empirical LQR cost of a quantized certainty-equivalent control loop.
 
     Per cycle the noisy state reading is quantized by a uniform mid-rise
-    quantizer over an adaptive range [-L, L] and the control is -gain
-    times the reconstruction.  The range follows a worst-case containment
-    recursion, L <- |a| L / levels + 4 sigma_v, re-inflating whenever a
-    reading escapes it; fractional bit budgets time-share neighboring
-    power-of-two level counts.  Each plant mode is its own scalar loop with
+    quantizer over an adaptive range [-L, L] and the control is the
+    deadbeat gain -a / b times the reconstruction.  The range follows a
+    worst-case containment recursion, L <- |a| L / levels + 4 sigma_v,
+    re-inflating whenever a reading escapes it; fractional bit budgets
+    time-share neighboring power-of-two level counts.  Each plant mode is its own scalar loop with
     the bit budget split proportionally to each mode's entropy rate, and
     the cost is the mean squared state summed over the modes (Q = I,
     R = 0).  Divergence (state beyond the overflow bound) is reported in
@@ -134,8 +134,7 @@ def monte_carlo_loop(
     if np.any(a_diag == 0.0):
         raise ValueError("the simulator splits bits by log2|a|, so every mode needs a != 0")
 
-    s = riccati_diagonal(a_diag, b_diag, np.ones(n), 0.0)
-    gains = a_diag * b_diag * s / (b_diag * b_diag * s)
+    gains = a_diag / b_diag
     h_dims = np.abs(np.log2(np.abs(a_diag)))
     weights = h_dims / h_dims.sum() if h_dims.sum() > 0 else np.full(n, 1.0 / n)
     bits = bits_per_cycle * weights

@@ -28,15 +28,15 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .channel import LinkParams, channel_gain, delivered_entropy, entropy_per_cycle, required_power
+from .channel import LinkParams, channel_gain, delivered_entropy, required_power
 from .compute import ComputeParams, min_compute_time, optimal_split, realized_latency
-from .control import LN2, EntropyParams, LoopControlSpec, cost_curve, lqr_from_entropy
-from .errors import Infeasible, InfeasibleSubproblem, NoFeasibleFlow, Unstabilizable
+from .control import LN2, EntropyParams, LoopControlSpec, cost_curve
+from .errors import Infeasible, InfeasibleSubproblem, NoFeasibleFlow
 from .optim import kink_step, newton_descent, project_budget_simplex
 from .surrogate import MajorantCoefficients, surrogate_batch
 
@@ -257,10 +257,13 @@ class LoopData:
         return delivered_entropy(p, self.gamma, self.bandwidth * t_commu)
 
     def true_min_times(self, f: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Per-loop ``min_compute_time``; infinite for a loop with neither
+        compute nor backhaul, as ``min_compute_time_batch`` gives there."""
+        compute = self.scenario.compute
         return np.array(
             [
-                min_compute_time(float(f[i]), float(r[i]), float(self.d_bits[i]), self.scenario.compute)
-                for i in range(self.k)
+                math.inf if fi == 0.0 and ri == 0.0 else min_compute_time(fi, ri, di, compute)
+                for fi, ri, di in zip(f.tolist(), r.tolist(), self.d_bits.tolist())
             ]
         )
 
@@ -610,10 +613,12 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
     that is NaN, infinite or negative, or f = r = 0, is a violation with
     time slack -inf and split gap NaN.  The entropy and the cost come from
     the kernels the solver evaluates, ``delivered_entropy`` and
-    ``cost_curve``, through their scalar forms.  The entropy slack is
-    (l - L) / l, l the claimed cost and L the cost the delivered entropy,
-    raised by 1e-6 of itself, affords: ``min_entropy(l)`` has no correct
-    digits once l is within about 1e-12 of l_min."""
+    ``cost_curve``, through ``LoopData`` on the loops both have, one call
+    each.  The entropy slack is (l - L) / l, l the claimed cost and L the
+    cost the delivered entropy, raised by 1e-6 of itself, affords: L is
+    inf where the power or window is non-finite or negative or the raised
+    entropy is at most h, and ``min_entropy(l)`` has no correct digits once
+    l is within about 1e-12 of l_min."""
     tol = -1e-6
     b = scenario.budgets
     violations: list[str] = []
@@ -632,8 +637,19 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
         if not slacks[name] >= tol:
             violations.append(f"{name} budget exceeded (slack {slacks[name]:.3e})")
 
+    m = min(len(loops), scenario.k)
+    afforded = []
+    if m:
+        data = LoopData(replace(scenario, loops=scenario.loops[:m]))
+        p, t = np.array([(la.p_w, la.t_commu_s) for la in loops[:m]], dtype=float).T
+        with np.errstate(all="ignore"):
+            e = data.entropy_terms(p, t)[0]
+            e = e - tol * np.maximum(np.abs(e), 1.0)
+            usable = np.isfinite(p) & (p >= 0.0) & np.isfinite(t) & (t >= 0.0) & (e > data.h)
+            afforded = np.where(usable, data.lqr_terms(e)[0], math.inf).tolist()
+
     time_slack, entropy_slack, split_gap = [], [], []
-    for i, (loop, la) in enumerate(zip(scenario.loops, loops)):
+    for i, (loop, la, l_have) in enumerate(zip(scenario.loops, loops, afforded)):
         try:
             sp = optimal_split(la.f_cycles, la.r_bits, loop.data_bits, scenario.compute)
         except (ValueError, NoFeasibleFlow) as exc:  # a non-finite or negative share; f = r = 0
@@ -648,11 +664,6 @@ def check_allocation(scenario: Scenario, alloc: Allocation) -> AllocationReport:
             entropy_slack.append(-math.inf)
             violations.append(f"loop {i}: cost unachievable (lqr {la.lqr_cost})")
         else:
-            try:
-                e_have = entropy_per_cycle(la.p_w, la.t_commu_s, loop.distance_m, scenario.link)
-                l_have = lqr_from_entropy(e_have - tol * max(abs(e_have), 1.0), loop.entropy)
-            except (ValueError, Unstabilizable):  # a non-finite or negative power or window; too few bits
-                l_have = math.inf
             es = (la.lqr_cost - l_have) / (la.lqr_cost if la.lqr_cost > 0.0 else 1.0)
             entropy_slack.append(es)
             if not es >= 0.0:

@@ -126,6 +126,15 @@ def test_evaluate_zero_power_is_infinite():
     assert math.isinf(evaluate_allocation(sc, dead))
 
 
+def test_evaluate_loop_without_compute_or_backhaul_is_infinite():
+    # the loop can never finish computing, so it can never be stabilized
+    sc = generate_scenario(0)
+    alloc, _ = sca_solve(sc)
+    loops = list(alloc.loops)
+    loops[0] = dataclasses.replace(loops[0], f_cycles=0.0, r_bits=0.0)
+    assert evaluate_allocation(sc, Allocation(loops=tuple(loops), sum_lqr=alloc.sum_lqr)) == math.inf
+
+
 def test_evaluate_ignores_split_and_stored_costs():
     sc = generate_scenario(0)
     alloc, _ = sca_solve(sc)

@@ -16,7 +16,6 @@ from sc3opt import (
     intrinsic_entropy,
     lqr_from_entropy,
     min_entropy,
-    riccati_diagonal,
 )
 from sc3opt.control import kalman_diagonal
 
@@ -70,6 +69,19 @@ def test_builder_noisy_sensing_raises_floor():
     clean = build_entropy_params(scalar_spec(sigma_w2=0.0))
     noisy = build_entropy_params(scalar_spec(sigma_w2=0.001))
     assert noisy.l_min > clean.l_min
+
+
+def test_builder_constants_do_not_depend_on_the_input_gains():
+    """At R = 0 the controller cancels b (its gain is a / b), so a plant
+    with nonzero input gains of any size and sign has exactly the
+    constants of the same plant with unit gains."""
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        a = rng.uniform(1.0, 10.0, n) * rng.choice([-1.0, 1.0], n)
+        b = 10.0 ** rng.uniform(-2.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        unit = LoopControlSpec(a=a, b=np.ones(n), sigma_v2=0.01, sigma_w2=float(rng.choice([0.0, 0.001])))
+        assert build_entropy_params(dataclasses.replace(unit, b=b)) == build_entropy_params(unit)
 
 
 def test_builder_rejects_unsupported_structure():
@@ -227,21 +239,6 @@ def test_entropy_params_rejects_non_finite_values(field, value):
     values[field] = value
     with pytest.raises(ValueError):
         EntropyParams(**values)
-
-
-def test_riccati_diagonal_solves_the_scalar_equation():
-    a = np.array([2.0, -0.5, 3.0, 1.5])
-    b = np.array([1.0, 2.0, 0.5, -1.0])
-    q = np.array([1.0, 2.0, 0.5, 1.0])
-    r = np.array([0.0, 0.1, 1.0, 2.0])
-    s = riccati_diagonal(a, b, q, r)
-    assert s[0] == q[0]  # with no control weight the recursion settles at q
-    # positive root of b^2 s^2 + (r (1 - a^2) - q b^2) s - q r = 0
-    lin = r * (1.0 - a * a) - q * b * b
-    exact = (-lin + np.sqrt(lin * lin + 4.0 * b * b * q * r)) / (2.0 * b * b)
-    assert np.allclose(s, exact, rtol=1e-14, atol=0.0)
-    with pytest.raises(UnsupportedStructure):
-        riccati_diagonal(a, np.array([1.0, 0.0, 1.0, 1.0]), q, r)
 
 
 def test_builder_filtering_error_solves_its_steady_state_equation():

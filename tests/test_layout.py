@@ -129,3 +129,11 @@ def test_cost_rule_is_bound_once():
     other module scores an allocation through ``LoopData``, so a call
     elsewhere is a second copy of that rule."""
     assert _calls_outside(("delivered_entropy", "cost_curve"), ("channel.py", "control.py", "solver.py")) == []
+
+
+def test_library_scores_loops_through_loop_data():
+    """The scalar entropy and cost functions are the kernels' one-value
+    forms for callers outside the package; inside it every loop is scored
+    through ``LoopData``, so a call outside channel.py and control.py is a
+    per-loop copy of its evaluation."""
+    assert _calls_outside(("entropy_per_cycle", "lqr_from_entropy"), ("channel.py", "control.py")) == []

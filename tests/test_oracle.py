@@ -18,7 +18,6 @@ from sc3opt import (
     min_compute_time_batch,
     min_entropy,
     monte_carlo_loop,
-    riccati_diagonal,
     sca_solve,
 )
 from sc3opt import EntropyParams, Infeasible, McResult, UnsupportedStructure
@@ -260,9 +259,7 @@ def reference_monte_carlo(loop, bits_per_cycle, n_cycles, seed):
     ``rng.normal`` call, kept as the reference for the block-drawn one."""
     n = loop.n
     a_diag, b_diag = loop.a, loop.b
-    q_diag, r_diag = np.ones(n), np.zeros(n)  # Q = I, R = 0
-    s = riccati_diagonal(a_diag, b_diag, q_diag, r_diag)
-    gains = a_diag * b_diag * s / (r_diag + b_diag * b_diag * s)
+    gains = a_diag / b_diag  # deadbeat at Q = I, R = 0
     h_dims = np.abs(np.log2(np.abs(a_diag)))
     weights = h_dims / h_dims.sum() if h_dims.sum() > 0 else np.full(n, 1.0 / n)
     rng = np.random.default_rng(seed)
@@ -299,7 +296,7 @@ def reference_monte_carlo(loop, bits_per_cycle, n_cycles, seed):
                 x_hat = 0.0
             u = -gain * x_hat
             if t >= warmup:
-                dim_cost += q_diag[dim] * x * x + r_diag[dim] * u * u
+                dim_cost += x * x
                 dim_cycles += 1
             x = a * x + b * u + rng.normal(0.0, sigma_v)
             span = abs(a) * span / max(levels, 1) + slack

@@ -232,6 +232,14 @@ def test_sca_solve_rejects_bad_init(blocks, edit):
         sca_solve(sc, init=tuple(init))
 
 
+def test_sca_solve_init_without_compute_or_backhaul_is_infeasible():
+    sc = generate_scenario(0)
+    p, f, r = _equal_split_init(sc)
+    f[0] = r[0] = 0.0
+    with pytest.raises(Infeasible, match="does not stabilize"):
+        sca_solve(sc, init=(p, f, r))
+
+
 def test_inner_solve_call_counts(monkeypatch):
     """Every objective evaluation calls ``surrogate_batch`` through this
     module's global once (the benchmark's tracer wraps that name), and each

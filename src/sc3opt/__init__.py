@@ -26,7 +26,6 @@ from .compute import (
     min_compute_time_grad,
     optimal_split,
     realized_latency,
-    region_partials,
     region_time,
 )
 from .control import (

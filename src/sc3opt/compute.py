@@ -16,9 +16,12 @@ regimes:
   S3  pre-processing does not pay: local/raw-relay split, d2 = 0
   S4  compute-rich: everything local, the backhaul stays idle
 
-``min_compute_time`` evaluates the closed form, ``optimal_split`` recovers
-a split achieving it, and ``brute_force_min_time`` is an independent grid
-oracle used for validation.  Units are bits, cycles/s, bits/s and seconds
+Each regime's closed form is one row (c_f, c_r, a, B_f, B_r, C) of
+t = (a*d + B_f*f + B_r*r) / (c_f*f + c_r*r) + C, held on
+``ComputeParams.rows``.  ``min_compute_time`` evaluates the closed form
+(``min_compute_time_batch`` over arrays), ``optimal_split`` recovers a split
+achieving it, and ``brute_force_min_time`` is an independent grid oracle
+used for validation.  Units are bits, cycles/s, bits/s and seconds
 throughout; unit conversions belong to the config layer.
 """
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -58,6 +61,9 @@ class ComputeParams:
     beta: float
     rho: float
     tau: float
+    # each regime's row, S1 to S4, giving its closed form bit for bit; set on
+    # construction, as a value cached later in __dict__ slows attribute reads
+    rows: dict[RegionLabel, tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.alpha, self.beta, self.rho, self.tau))):
@@ -70,6 +76,14 @@ class ComputeParams:
             raise ValueError("tau must be positive")
         if self.alpha <= self.beta:
             raise ValueError("pre-processing must be cheaper than full processing")
+        a, b, rho, delay = self.alpha, self.beta, self.rho, self.relay_delay
+        rows = {
+            RegionLabel.S1: (1.0 - rho, b, b, 0.0, 0.0, delay),
+            RegionLabel.S2: (rho, a - b, rho * a, -rho * delay, b * delay, delay),
+            RegionLabel.S3: (1.0, a, a, -delay, 0.0, delay),
+            RegionLabel.S4: (1.0, 0.0, a, 0.0, 0.0, 0.0),
+        }
+        object.__setattr__(self, "rows", rows)
 
     @property
     def relay_delay(self) -> float:
@@ -166,44 +180,19 @@ def classify_region(f: float, r: float, d: float, params: ComputeParams) -> Regi
     return RegionLabel.S1
 
 
+def _row_latency(row, f, r, d):
+    """Latency t of one row of ``ComputeParams.rows`` with its numerator
+    a*d + B_f*f + B_r*r and denominator w = c_f*f + c_r*r, as (t, num, w)."""
+    c_f, c_r, a, b_f, b_r, c = row
+    num = a * d + b_f * f + b_r * r
+    w = c_f * f + c_r * r
+    return num / w + c, num, w
+
+
 def region_time(region: RegionLabel, f, r, d: float, params: ComputeParams):
-    """Closed-form latency of one regime, evaluated without membership checks.
-
-    Accepts scalars or numpy arrays for f, r and d.
-    """
-    a, b, rho = params.alpha, params.beta, params.rho
-    delay = params.relay_delay
-    if region is RegionLabel.S1:
-        return b * d / (b * r + (1.0 - rho) * f) + delay
-    if region is RegionLabel.S2:
-        return (rho * a * d - rho * delay * f + b * delay * r) / (rho * f + (a - b) * r) + delay
-    if region is RegionLabel.S3:
-        return (a * d - delay * f) / (f + a * r) + delay
-    return a * d / f
-
-
-def region_partials(region: RegionLabel, f, r, d: float, params: ComputeParams):
-    """Partial derivatives (dt/df, dt/dr) of ``region_time`` for one regime.
-
-    Accepts scalars or numpy arrays for f, r and d.
-    """
-    a, b, rho = params.alpha, params.beta, params.rho
-    delay = params.relay_delay
-    if region is RegionLabel.S1:
-        den = b * r + (1.0 - rho) * f
-        den2 = den * den
-        return -(1.0 - rho) * b * d / den2, -b * b * d / den2
-    if region is RegionLabel.S2:
-        den = rho * f + (a - b) * r
-        num = rho * a * d - rho * delay * f + b * delay * r
-        den2 = den * den
-        return (-rho * delay * den - rho * num) / den2, (b * delay * den - (a - b) * num) / den2
-    if region is RegionLabel.S3:
-        den = f + a * r
-        num = a * d - delay * f
-        den2 = den * den
-        return (-delay * den - num) / den2, -a * num / den2
-    return -a * d / (f * f), 0.0
+    """Closed-form latency of one regime from its row, without membership
+    checks; f, r and d may be scalars or numpy arrays."""
+    return _row_latency(params.rows[region], f, r, d)[0]
 
 
 def _check_flow(f: float, r: float, d: float) -> None:
@@ -236,32 +225,38 @@ def region_masks(f, r, d, params: ComputeParams):
     return ~(s4 | s3 | s2), s2, s3, s4
 
 
-def _piecewise(pieces, n: int, f, r, d, params: ComputeParams) -> tuple[np.ndarray, ...]:
-    """Merge the n arrays ``pieces(region, f, r, d, params)`` returns, regime
-    by regime: each (f, r) pair takes the values of the regime it falls in."""
-    f = np.asarray(f, dtype=float)
-    r = np.asarray(r, dtype=float)
+def _pair_rows(f, r, d, params: ComputeParams):
+    """Each (f, r) pair's row by ``region_masks``, as six arrays; refuses what
+    ``min_compute_time`` refuses but f = r = 0, whose latency is inf."""
     if not (np.isfinite(f).all() and np.isfinite(r).all() and np.isfinite(d).all()):
         raise ValueError("compute, rate and data size must be finite")
-    out = (np.zeros(np.broadcast(f, r, d).shape),) * n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for region, mask in zip(RegionLabel, region_masks(f, r, d, params)):
-            if mask.any():
-                out = tuple(np.where(mask, v, o) for v, o in zip(pieces(region, f, r, d, params), out))
-    return out
+    if not np.greater(d, 0.0).all():
+        raise ValueError("data size must be positive")
+    if (f < 0.0).any() or (r < 0.0).any():
+        raise ValueError("resources must be nonnegative")
+    _, s2, s3, s4 = region_masks(f, r, d, params)
+    return np.array(list(params.rows.values())).T.take(3 * s4 + 2 * s3 + s2, axis=1)
 
 
 def min_compute_time_batch(f, r, d, params: ComputeParams) -> np.ndarray:
     """Vectorized ``min_compute_time`` over arrays of (f, r) pairs, bit for
-    bit; d is a scalar or an array broadcasting against them."""
-    return _piecewise(lambda *args: (region_time(*args),), 1, f, r, d, params)[0]
+    bit, and inf at f = r = 0; d is a scalar or an array broadcasting."""
+    f, r = np.asarray(f, dtype=float), np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _row_latency(_pair_rows(f, r, d, params), f, r, d)[0]
 
 
 def min_compute_time_grad(f, r, d, params: ComputeParams):
     """``min_compute_time_batch`` with its partial derivatives in f and r,
-    as (t, dt/df, dt/dr); each pair takes the partials of its own regime."""
-    pieces = lambda *args: (region_time(*args), *region_partials(*args))  # noqa: E731
-    return _piecewise(pieces, 3, f, r, d, params)
+    as (t, dt/df, dt/dr), each pair in its own regime: (B_f*w - c_f*num) /
+    w^2 and (B_r*w - c_r*num) / w^2."""
+    f, r = np.asarray(f, dtype=float), np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row = _pair_rows(f, r, d, params)
+        t, num, w = _row_latency(row, f, r, d)
+        c_f, c_r, _, b_f, b_r, _ = row
+        ww = w * w
+        return t, (b_f * w - c_f * num) / ww, (b_r * w - c_r * num) / ww
 
 
 def optimal_split(f: float, r: float, d: float, params: ComputeParams) -> SplitPlan:

@@ -221,15 +221,18 @@ def _kkt_solve(z, g, hess, residual, fixed, held, equality, flat, rigid):
     scale = np.sqrt((hess * hess).sum((1, 2)))
     live = scale > _FLAT_CURVATURE  # a loop without curvature stays still
     scale = np.where(live, scale, 1.0)[:, None, None]
-    block = proj @ hess @ proj + scale * rest
+    # inverted as 2^-e times itself, of norm frac in [0.5, 1): no determinant under- or overflows
+    frac, e = np.frexp(scale)
+    block = np.ldexp(proj @ hess @ proj + scale * rest, -e)
     # cofactors, as numpy.linalg pays per matrix
     inv, firm = _inverse3(block)
     if not firm.all():
         # Levenberg: lift the smallest eigenvalue to its magnitude, at least to the floor (negative
         # curvature is rounding or a slightly nonconvex block; Newton then still descends)
         low = np.linalg.eigvalsh(block)[:, 0]
-        lift = np.maximum(np.abs(low), _SHIFT_FLOOR * scale[:, 0, 0]) - low
+        lift = np.maximum(np.abs(low), _SHIFT_FLOOR * frac[:, 0, 0]) - low
         inv = _inverse3(block + np.where(firm, 0.0, lift)[:, None, None] * proj)[0]
+    inv = np.ldexp(inv, -e)
     weight = np.where(live[:, None, None], proj @ inv @ proj, 0.0)
     wg = (weight @ g[:, :, None])[:, :, 0]
     c = d_part - (weight @ (hess @ d_part[:, :, None]))[:, :, 0]

@@ -34,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import LinkParams, channel_gain, delivered_entropy, required_power
-from .compute import ComputeParams, min_compute_time, optimal_split, realized_latency
+from .compute import ComputeParams, RegionLabel, min_compute_time, optimal_split, realized_latency
 from .control import LN2, EntropyParams, LoopControlSpec, cost_curve
 from .errors import Infeasible, InfeasibleSubproblem, NoFeasibleFlow
 from .optim import kink_step, newton_descent, project_budget_simplex
@@ -313,12 +313,12 @@ def _round_objective(data: LoopData, majorant: MajorantCoefficients):
     scale2 = budget[:, None] * budget[None, :]
     k = data.k
     s12 = majorant.s12
-    compute = data.scenario.compute
     # directions of zero curvature and zero gradient: an S4 loop's latency
-    # ignores r, and the S1 latency sees (f, r) only through
-    # (1 - rho) f + beta r
+    # ignores r, and the S1 latency sees (f, r) only through its row's
+    # denominator c_f f + c_r r
     s4_flat = np.where((majorant.cr[0] == 0.0)[:, None], [0.0, 0.0, 1.0], 0.0)
-    s1_dir = np.array([0.0, compute.beta * budget[2], -(1.0 - compute.rho) * budget[1]])
+    c_f, c_r = data.scenario.compute.rows[RegionLabel.S1][:2]
+    s1_dir = np.array([0.0, c_r * budget[2], -c_f * budget[1]])
     s1_dir /= np.sqrt(s1_dir @ s1_dir)
 
     def fun(z):

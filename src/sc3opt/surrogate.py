@@ -84,13 +84,13 @@ class MajorantCoefficients:
     c_r = alpha - beta (the S2 majorant), S3 anchors c_f = 1, c_r = alpha,
     and S4 anchors c_f = 1, c_r = 0, C = K = 0, which leaves the exact
     alpha*d/f.  When some anchor lies in S1 or S2 a second row holds, on
-    those loops, the exact S1 latency (c_f = 1 - rho, c_r = beta,
-    A = beta*d, C = the relay delay, K = 0), and row 0 again on every other
-    loop; the majorant is the max of the rows.  Each array is (rows, K),
-    except the anchor's f0 (K,).  ``at`` builds the constants once per
-    anchor set, with the operation order of the scalar majorants
-    ``convex_time_s2`` and ``convex_time_s3`` and of ``region_time``, so
-    ``surrogate_batch`` reproduces them bit for bit.
+    those loops, the exact S1 latency, read off the S1 row of
+    ``ComputeParams.rows`` (its B terms are zero: A = a*d, K = 0), and row
+    0 again on every other loop; the majorant is the max of the rows.  Each
+    array is (rows, K), except the anchor's f0 (K,).  ``at`` builds the
+    constants once per anchor set, with the operation order of the scalar
+    majorants ``convex_time_s2`` and ``convex_time_s3`` and of
+    ``region_time``, so ``surrogate_batch`` reproduces them bit for bit.
     """
 
     f0: np.ndarray
@@ -129,7 +129,8 @@ class MajorantCoefficients:
             np.where(s12, -(a - b) * rho * a * d, np.where(s3, -a * a * d, 0.0)),
         ]
         if s12.any():
-            s1_row = [1.0 - rho, b, b * d, delay, 0.0, -(1.0 - rho) * b * d, -b * b * d]
+            c_f, c_r, a1, _, _, c = params.rows[RegionLabel.S1]  # B_f = B_r = 0
+            s1_row = [c_f, c_r, a1 * d, c, 0.0, -c_f * a1 * d, -c_r * a1 * d]
             rows = [np.stack([row, np.where(s12, s1, row)]) for row, s1 in zip(rows, s1_row)]
         else:
             rows = [row[None] for row in rows]

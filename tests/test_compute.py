@@ -144,6 +144,24 @@ def test_batch_rejects_non_finite(params, position, bad):
         min_compute_time_batch(*flow, params)
 
 
+@pytest.mark.parametrize("flow", [(-1e9, 1e6, 1e6), (1e9, -1e6, 1e6), (1e9, 1e6, -1e6), (1e9, 1e6, 0.0)])
+def test_batch_refuses_what_the_scalar_refuses(params, flow):
+    """A negative share or a non-positive data size is a ValueError on
+    every path, whether d is a scalar or an array."""
+    f, r, d = flow
+    with pytest.raises(ValueError):
+        min_compute_time(f, r, d, params)
+    for kernel in (min_compute_time_batch, min_compute_time_grad):
+        for ds in (d, np.array([1e6, d])):
+            with pytest.raises(ValueError):
+                kernel(np.array([1e9, f]), np.array([1e6, r]), ds, params)
+
+
+def test_batch_without_compute_and_backhaul_is_infinite(params):
+    t = min_compute_time_batch(np.array([0.0, 1e9]), np.array([0.0, 1e6]), 1e6, params)
+    assert t[0] == math.inf and t[1] == min_compute_time(1e9, 1e6, 1e6, params)
+
+
 def test_min_time_agrees_with_brute_force_on_examples(params):
     for f, r in ((1e8, 1e6), (1e9, 1e6), (4e9, 1e6)):
         closed = min_compute_time(f, r, 1e6, params)
@@ -341,4 +359,89 @@ def test_latency_partials_match_finite_differences():
         # absolute floors sit far above the differences' rounding error
         assert dt_df == pytest.approx((t[0] - t[1]) / (2.0 * hf), rel=1e-5, abs=1e-9 * t0 / f)
         assert dt_dr == pytest.approx((t[2] - t[3]) / (2.0 * hr), rel=1e-5, abs=1e-9 * t0 / r)
+    assert seen == set(RegionLabel)
+
+
+def reference_region_time(region, f, r, d, p):
+    """Each regime's closed form, written out per regime."""
+    a, b, rho = p.alpha, p.beta, p.rho
+    delay = p.relay_delay
+    if region is RegionLabel.S1:
+        return b * d / (b * r + (1.0 - rho) * f) + delay
+    if region is RegionLabel.S2:
+        return (rho * a * d - rho * delay * f + b * delay * r) / (rho * f + (a - b) * r) + delay
+    if region is RegionLabel.S3:
+        return (a * d - delay * f) / (f + a * r) + delay
+    return a * d / f
+
+
+def reference_region_partials(region, f, r, d, p):
+    """(dt/df, dt/dr) of ``reference_region_time``, differentiated by hand."""
+    a, b, rho = p.alpha, p.beta, p.rho
+    delay = p.relay_delay
+    if region is RegionLabel.S1:
+        den = b * r + (1.0 - rho) * f
+        return -(1.0 - rho) * b * d / (den * den), -b * b * d / (den * den)
+    if region is RegionLabel.S2:
+        den = rho * f + (a - b) * r
+        num = rho * a * d - rho * delay * f + b * delay * r
+        return (-rho * delay * den - rho * num) / (den * den), (b * delay * den - (a - b) * num) / (den * den)
+    if region is RegionLabel.S3:
+        den = f + a * r
+        num = a * d - delay * f
+        return (-delay * den - num) / (den * den), -a * num / (den * den)
+    return -a * d / (f * f), 0.0 * f
+
+
+def _random_flows(rng, n, p):
+    """n flows in criterion 1's ranges, every seventh at r = 0, and every
+    eleventh on the S4 edge or, at r > 0, the S1/S2 edge (ties resolve
+    upward)."""
+    f, r, d = 10.0 ** rng.uniform(6, 10, n), 10.0 ** rng.uniform(4, 8, n), 10.0 ** rng.uniform(5, 7, n)
+    r[::7] = 0.0
+    f[::22] = p.alpha * d[::22] / p.relay_delay
+    edge = slice(11, None, 22)
+    f[edge] = np.where(r[edge] > 0.0, p.beta * r[edge] / p.rho, f[edge])
+    return f, r, d
+
+
+def test_region_rows_reproduce_the_closed_forms_bit_for_bit():
+    """Every regime's row gives its closed form's bits at every point, in
+    or out of the regime: 100,000 flows as arrays and 2,000 as floats."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        p = random_compute_params(rng)
+        f, r, d = _random_flows(rng, 5000, p)
+        for region in RegionLabel:
+            got, want = region_time(region, f, r, d, p), reference_region_time(region, f, r, d, p)
+            assert got.tobytes() == want.tobytes()
+            for flow in zip(f[:100].tolist(), r[:100].tolist(), d[:100].tolist()):
+                assert region_time(region, *flow, p) == reference_region_time(region, *flow, p)
+
+
+def test_batch_is_the_regime_then_its_row():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        p = random_compute_params(rng)
+        f, r, d = _random_flows(rng, 500, p)
+        want = [region_time(classify_region(*flow, p), *flow, p) for flow in zip(f.tolist(), r.tolist(), d.tolist())]
+        assert min_compute_time_batch(f, r, d, p).tobytes() == np.array(want).tobytes()
+
+
+def test_gradient_is_each_regimes_partials():
+    """Within 1e-15 relative of the hand-differentiated closed forms, on
+    20,000 flows covering every regime."""
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(20):
+        p = random_compute_params(rng)
+        f, r, d = _random_flows(rng, 1000, p)
+        _, dt_df, dt_dr = min_compute_time_grad(f, r, d, p)
+        regions = [classify_region(*flow, p) for flow in zip(f, r, d)]
+        for region in set(regions):
+            on = np.array([rg is region for rg in regions])
+            want_df, want_dr = reference_region_partials(region, f[on], r[on], d[on], p)
+            np.testing.assert_allclose(dt_df[on], want_df, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(dt_dr[on], want_dr, rtol=1e-15, atol=0.0)
+        seen |= set(regions)
     assert seen == set(RegionLabel)

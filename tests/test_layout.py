@@ -137,3 +137,21 @@ def test_library_scores_loops_through_loop_data():
     through ``LoopData``, so a call outside channel.py and control.py is a
     per-loop copy of its evaluation."""
     assert _calls_outside(("entropy_per_cycle", "lqr_from_entropy"), ("channel.py", "control.py")) == []
+
+
+def test_latency_constants_are_read_in_compute_and_surrogate():
+    """The offload constants enter the latency through ``ComputeParams.rows``
+    (compute.py) and the majorant (surrogate.py); any other module reading
+    alpha, beta, rho, tau, the relay delay or the pre-processing gain off a
+    ``ComputeParams`` writes a regime's constants a second time."""
+    constants = {"alpha", "beta", "rho", "tau", "relay_delay", "preproc_gain"}
+    offenders = []
+    for path in sorted(Path(sc3opt.__file__).parent.glob("*.py")):
+        if path.name in ("compute.py", "surrogate.py"):
+            continue
+        offenders += [
+            f"{path.name}:{node.lineno}: .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in constants
+        ]
+    assert offenders == []

@@ -7,10 +7,10 @@ bit.  With three rows it is checked on separable quadratics, where Newton
 from any start must reach the minimizer SPG finds to high accuracy, against
 its former cold-start active-set loop, bit for bit, where a share starts
 parked at zero, against the saddle-point system of blocks given a
-Levenberg shift, and on the rounds of generated solves where the solver
-meets a flat S1 direction and a zero bound.  ``newton_descent``, the
-damped-Newton loop around it, is checked on the water-filling problem,
-whose minimizer is known exactly.
+Levenberg shift, with blocks near underflow, and on the rounds of
+generated solves where the solver meets a flat S1 direction and a zero
+bound.  ``newton_descent``, the damped-Newton loop around it, is checked on
+the water-filling problem, whose minimizer is known exactly.
 """
 
 import math
@@ -21,7 +21,14 @@ import pytest
 import sc3opt.baselines
 import sc3opt.optim
 import sc3opt.solver
-from sc3opt import InfeasibleSubproblem, SolverConfig, generate_scenario, power_only_closed_loop, sca_solve
+from sc3opt import (
+    InfeasibleSubproblem,
+    SolverConfig,
+    check_allocation,
+    generate_scenario,
+    power_only_closed_loop,
+    sca_solve,
+)
 from sc3opt.baselines import water_filling
 from sc3opt.optim import _kkt_solve, newton_descent, newton_kkt_step, project_budget_simplex
 from sc3opt.surrogate import surrogate_batch
@@ -420,6 +427,41 @@ def test_cofactor_inverse_matches_numpy_and_flags_weak_blocks():
         [_block(rng, np.array(eig)) for eig in ([1.0, 1.0, -0.5], [2.0, 1.0, 1e-12], [2.0, 1.0, 1e-8])]
     )
     assert sc3opt.optim._inverse3(weak)[1].tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("case", ["firm", "indefinite"])
+def test_blocks_near_underflow_give_the_same_step(case):
+    """Every block and gradient scaled by 2^-390, entries near 1e-118 as a
+    loop whose cost saturates near l_min gives them: the step is the same
+    and the multipliers scale alike, through the cofactor inverse alone
+    (firm) and through the Levenberg shift (loop 0 indefinite).  Unscaled,
+    such a block's determinant, of order 1e-354, underflows to zero."""
+    rng = np.random.default_rng(4)
+    eig = [1.0, 1.0, -0.5] if case == "indefinite" else [3.0, 2.0, 1.0]
+    hess = np.stack([_block(rng, np.array(eig)), *(_block(rng, np.array([3.0, 2.0, 1.0])) for _ in range(2))])
+    g = -0.5 + 0.05 * rng.normal(size=(3, 3))
+    z, residual = np.full((3, 3), 5.0), np.full(3, 0.1)
+    tiny = 2.0**-390
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dz, kkt, _ = newton_kkt_step(z, g, hess, residual)
+        small_dz, small_kkt, _ = newton_kkt_step(z, tiny * g, tiny * hess, residual)
+    np.testing.assert_allclose(small_dz, dz, rtol=0.0, atol=1e-12 * np.abs(dz).max())
+    np.testing.assert_allclose(small_kkt / tiny, kkt, rtol=0.0, atol=1e-12 * np.abs(kkt).max())
+
+
+def test_saturated_loop_solves():
+    """A generated scenario where one loop's cost saturates near l_min, so
+    its Newton blocks fall to about 1e-118: it solves, and the answer
+    passes ``check_allocation``."""
+    overrides = {
+        "k_loops": 5, "p_max_dbw": 17.58196409101017, "f_max_ghz": 4.5510242418311915,
+        "r_max_mbps": 12.571518701763635, "n_state": 5, "rho": 0.12366924373345267,
+        "beta": 73.68628562613331, "cycle_s": 0.05228342800952452, "d_bits": 168442.3500794891,
+    }
+    scenario = generate_scenario(32, overrides)
+    alloc, _ = sca_solve(scenario)
+    assert check_allocation(scenario, alloc).ok
+    assert alloc.sum_lqr == pytest.approx(1.2595375431166689, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

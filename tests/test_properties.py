@@ -14,7 +14,11 @@ curve, the entropy and its inverse in power agree with the scalar formulas
 written out here.  ``sca_solve`` is checked for answering a permutation of
 the loops with the same permutation of its allocation, for an outer
 objective that never increases, and for outputs ``check_allocation``
-accepts.  Examples are derandomized and
+accepts.  On generated scenarios of up to eight loops, drawn over wide
+budget, plant, offload, cycle-time and data-size ranges, ``sca_solve`` and
+the power-only baseline answer with an allocation ``check_allocation``
+accepts or raise an ``Sc3Error``, and the communication-oriented answer
+passes exactly when its cost is finite.  Examples are derandomized and
 kept few, so the suite's time stays flat and every run checks the same
 cases.
 """
@@ -35,10 +39,12 @@ from sc3opt import (
     LinkParams,
     Loop,
     RegionLabel,
+    Sc3Error,
     Scenario,
     brute_force_min_time,
     channel_gain,
     check_allocation,
+    communication_oriented,
     entropy_per_cycle,
     generate_scenario,
     lqr_from_entropy,
@@ -46,6 +52,7 @@ from sc3opt import (
     min_entropy,
     optimal_split,
     power_for_entropy,
+    power_only_closed_loop,
     realized_latency,
     region_time,
     sca_solve,
@@ -444,3 +451,38 @@ def test_permuting_the_loops_permutes_the_allocation(case):
         assert abs(g.f_cycles - w.f_cycles) <= ROUNDING * b.f_max_cycles
         assert abs(g.r_bits - w.r_bits) <= ROUNDING * b.r_max_bits
         assert g.lqr_cost == pytest.approx(w.lqr_cost, rel=ROUNDING, abs=0.0)
+
+
+@st.composite
+def generated_scenarios(draw):
+    """A generated scenario of one to eight loops, its budgets, plant order,
+    offload constants, cycle time and data size drawn over wide ranges."""
+    overrides = {
+        "k_loops": draw(st.integers(1, 8)),
+        "p_max_dbw": draw(st.floats(-5.0, 25.0)),
+        "f_max_ghz": draw(_log_uniform(-0.5, 1.5)),
+        "r_max_mbps": draw(_log_uniform(0.5, 2.5)),
+        "n_state": draw(st.integers(1, 59)),
+        "rho": draw(st.floats(0.05, 1.0)),
+        "beta": draw(st.floats(10.0, 95.0)),
+        "cycle_s": draw(st.floats(0.03, 0.1)),
+        "d_bits": draw(_log_uniform(5.0, 6.5)),
+    }
+    return generate_scenario(draw(st.integers(0, 2**16)), overrides)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(generated_scenarios())
+def test_every_scheme_answers_or_refuses_with_a_typed_error(scenario):
+    """``sca_solve`` and the power-only baseline either raise an
+    ``Sc3Error`` or return an allocation ``check_allocation`` accepts; the
+    communication-oriented answer passes exactly when its cost is finite
+    (its unstable loops are documented, not refused)."""
+    for solve in (lambda: sca_solve(scenario)[0], lambda: power_only_closed_loop(scenario)):
+        try:
+            alloc = solve()
+        except Sc3Error:
+            continue
+        assert check_allocation(scenario, alloc).ok
+    alloc = communication_oriented(scenario)
+    assert check_allocation(scenario, alloc).ok == math.isfinite(alloc.sum_lqr)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sc3opt import RegionLabel, min_compute_time, region_time
-from sc3opt.compute import region_partials
 from sc3opt.surrogate import (
     MajorantCoefficients,
     SurrogateAnchor,
@@ -187,9 +186,10 @@ def _same_bits(a, b):
 
 def test_s1_row_is_the_exact_s1_latency():
     """On every loop anchored in S1 or S2 the last row of ``partials()`` is
-    ``region_time`` and ``region_partials`` of S1 bit for bit, with the
-    second partials 2 beta d c c^T / w^3 of c = (1 - rho, beta); on every
-    other loop it repeats row 0 bit for bit."""
+    ``region_time`` of S1 and its partials -(1 - rho) beta d / w^2 and
+    -beta^2 d / w^2 bit for bit, with the second partials
+    2 beta d c c^T / w^3 of c = (1 - rho, beta); on every other loop it
+    repeats row 0 bit for bit."""
     rng = np.random.default_rng(59)
     on_seam = 0
     for _ in range(100):
@@ -205,9 +205,9 @@ def test_s1_row_is_the_exact_s1_latency():
         t, df, dr, dff, dfr, drr = (a[-1][s12] for a in rows)
         fs, rs, ds = f[s12], r[s12], d[s12]
         assert _same_bits(t, region_time(RegionLabel.S1, fs, rs, ds, p))
-        df1, dr1 = region_partials(RegionLabel.S1, fs, rs, ds, p)
-        assert _same_bits(df, df1) and _same_bits(dr, dr1)
         w = (1.0 - p.rho) * fs + p.beta * rs
+        assert _same_bits(df, -(1.0 - p.rho) * p.beta * ds / (w * w))
+        assert _same_bits(dr, -p.beta * p.beta * ds / (w * w))
         scale = 2.0 * p.beta * ds / w**3
         np.testing.assert_allclose(dff, scale * (1.0 - p.rho) ** 2, rtol=1e-14)
         np.testing.assert_allclose(dfr, scale * (1.0 - p.rho) * p.beta, rtol=1e-14)

@@ -517,7 +517,7 @@ def _cmd_oracle(args) -> int:
     unit = EntropyParams(n=2, h=0.0, l_min=1.0, c=1.0)
     kernel = lambda z: min_entropy(z[0], unit) / z[1]  # noqa: E731
     rep = convexity_probe(kernel, [(1.001, 50.0), (0.01, 10.0)], 500, args.seed)
-    print(f"entropy kernel: passed={rep.passed} violations={rep.violations}")
+    print(f"entropy kernel: passed={rep.passed} violations={rep.violations} samples={rep.samples}")
     loop = scenario.loops[0]
     coef = MajorantCoefficients.at(
         np.array([scenario.budgets.f_max_cycles / 2]), np.array([scenario.budgets.r_max_bits / 2]),
@@ -529,7 +529,7 @@ def _cmd_oracle(args) -> int:
         (1e-3 * scenario.budgets.r_max_bits, scenario.budgets.r_max_bits),
     ]
     rep = convexity_probe(fn, box, 500, args.seed)
-    print(f"latency majorant: passed={rep.passed} violations={rep.violations}")
+    print(f"latency majorant: passed={rep.passed} violations={rep.violations} samples={rep.samples}")
     return 0
 
 

@@ -308,6 +308,11 @@ def optimal_split(f: float, r: float, d: float, params: ComputeParams) -> SplitP
     )
 
 
+def is_int(value) -> bool:
+    """Whether value is an integer, bool excluded."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def brute_force_min_time(
     f: float, r: float, d: float, params: ComputeParams, grid_n: int = 200
 ) -> float:
@@ -319,32 +324,30 @@ def brute_force_min_time(
     pre-processing at beta*d2/(t - delay) (the two deadlines give a
     quadratic in t), while the backhaul must move rho*d2 + d3 bits within
     t - delay.  The split's makespan is the larger of the two bottlenecks;
-    the oracle returns the grid minimum.  Only the points of the square
-    grid that lie on the simplex, d1 + d2 <= d up to 1e-9 of d, are
-    evaluated.  grid_n must be an integer of at least 100.
+    the oracle returns the grid minimum.  Only the grid points (i, j) with
+    i + j <= grid_n, those of the square grid with d1 + d2 <= d, are
+    evaluated, row by row.  d1 > 0 exactly when i > 0 and d2 > 0 exactly
+    when j > 0, so the hub's time is set per row and column, not chosen
+    point by point.  grid_n must be an integer of at least 100.
     """
-    if not (isinstance(grid_n, numbers.Integral) and not isinstance(grid_n, bool) and grid_n >= 100):
+    if not (is_int(grid_n) and grid_n >= 100):
         raise ValueError("grid_n must be an integer of at least 100")
     _check_flow(f, r, d)
     a, b, rho = params.alpha, params.beta, params.rho
     delay = params.relay_delay
     axis = np.linspace(0.0, d, grid_n + 1)
-    d1, d2 = np.meshgrid(axis, axis, indexing="ij")
-    d3 = d - d1 - d2
-    valid = d3 >= -1e-9 * d
-    d1, d2, d3 = d1[valid], d2[valid], np.clip(d3[valid], 0.0, None)
+    lengths = np.arange(grid_n + 1, 0, -1)  # row i holds j = 0 .. grid_n - i
+    starts = np.cumsum(lengths) - lengths  # each row's j = 0 point
+    d1 = np.repeat(axis, lengths)
+    d2 = axis[np.arange(d1.size) - np.repeat(starts, lengths)]
+    d3 = np.clip(d - d1 - d2, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         quad_b = delay * f + a * d1 + b * d2
         disc = quad_b * quad_b - 4.0 * delay * f * a * d1
-        t_hub = np.where(
-            d2 > 0.0,
-            np.where(
-                d1 > 0.0,
-                (quad_b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * f),
-                delay + b * d2 / f,
-            ),
-            np.where(d1 > 0.0, a * d1 / f, 0.0),
-        )
+        t_hub = (quad_b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * f)  # parts 1 and 2
+        t_hub[starts] = a * axis / f  # d2 = 0: part 1 only
+        t_hub[1 : grid_n + 1] = delay + b * axis[1:] / f  # d1 = 0: part 2 only
+        t_hub[0] = 0.0
         relay_bits = rho * d2 + d3
         t_relay = np.where(relay_bits > 0.0, delay + relay_bits / r, 0.0)
         return float(np.nanmin(np.maximum(t_hub, t_relay)))

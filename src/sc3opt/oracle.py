@@ -12,12 +12,11 @@ entropy-cost curve, not its tightness.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compute import min_compute_time_batch
+from .compute import is_int, min_compute_time_batch
 from .control import LoopControlSpec
 from .errors import Infeasible, UnsupportedStructure
 from .solver import Allocation, LoopData, Scenario
@@ -30,6 +29,11 @@ GRID_POWER_BLOCK = 8
 _LOCKSTEP_MODES = 24
 # cycles per block of the lockstep's precomputed bit schedule and noise
 _LOCKSTEP_BLOCK = 128
+
+
+def _check_seed(seed) -> None:
+    if not is_int(seed):
+        raise ValueError("the seed must be an integer, for reproducible draws")
 
 
 def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation, float]:
@@ -50,7 +54,7 @@ def grid_search_global(scenario: Scenario, grid_n: int = 60) -> tuple[Allocation
     """
     if scenario.k > 2:
         raise ValueError("the grid oracle only handles one or two loops")
-    if not (isinstance(grid_n, numbers.Integral) and not isinstance(grid_n, bool) and 1 <= grid_n <= 100):
+    if not (is_int(grid_n) and 1 <= grid_n <= 100):
         raise ValueError("grid_n must be an integer from 1 to 100")
     b = scenario.budgets
     axis = np.linspace(0.0, 1.0, grid_n + 1)
@@ -103,7 +107,8 @@ def monte_carlo_loop(
     deadbeat gain -a / b times the reconstruction.  The range follows a
     worst-case containment recursion, L <- |a| L / levels + 4 sigma_v,
     re-inflating whenever a reading escapes it; fractional bit budgets
-    time-share neighboring power-of-two level counts.  Each plant mode is its own scalar loop with
+    time-share neighboring power-of-two level counts, at most 30 bits a
+    cycle.  Each plant mode is its own scalar loop with
     the bit budget split proportionally to each mode's entropy rate, and
     the cost is the mean squared state summed over the modes (Q = I,
     R = 0).  Divergence (state beyond the overflow bound) is reported in
@@ -112,21 +117,25 @@ def monte_carlo_loop(
 
     Plants with fewer than ``_LOCKSTEP_MODES`` modes step one mode at a
     time in Python floats.  Larger plants step all modes together, one
-    numpy row per cycle, in blocks of ``_LOCKSTEP_BLOCK`` cycles.  Both
+    numpy row per cycle, in blocks of ``_LOCKSTEP_BLOCK`` cycles; but when
+    mode 0's share is below its own rate log2|a_0|, which no quantizer can
+    hold, mode 0 first steps alone as in the scalar loop, and its
+    divergence ends the run before the other modes' noise is drawn.  All
     steppings do the same float operations per mode and give the same
     result bit for bit.
 
-    Results are reproducible from ``seed``: one generator feeds the modes
-    in order, each taking one block of 1 + per * n_cycles standard normals
-    (per = 2 with sensing noise, 1 without).  A block is consumed as the
-    initial state, then per cycle the reading noise (when sigma_w > 0)
+    Results are reproducible from the integer ``seed``: one generator feeds
+    the modes in order, each taking one block of 1 + per * n_cycles standard
+    normals (per = 2 with sensing noise, 1 without).  A block is consumed as
+    the initial state, then per cycle the reading noise (when sigma_w > 0)
     followed by the process noise, each scaled by its standard deviation,
     exactly the draws ``rng.normal(0.0, sigma)`` would give one at a time.
     """
     if not (math.isfinite(bits_per_cycle) and bits_per_cycle > 0.0):
         raise ValueError("the bit budget must be positive and finite")
-    if not (isinstance(n_cycles, numbers.Integral) and not isinstance(n_cycles, bool) and n_cycles >= 1):
+    if not (is_int(n_cycles) and n_cycles >= 1):
         raise ValueError("the run needs an integer number of cycles, at least one")
+    _check_seed(seed)
     n = loop.n
     a_diag, b_diag = loop.a, loop.b
     if np.any(b_diag == 0.0):
@@ -145,128 +154,144 @@ def monte_carlo_loop(
     per = 2 if sigma_w > 0.0 else 1
     warmup = max(n_cycles // 10, 1)
     overflow = 1e8 * max(sigma_v, 1e-9)
-    if n >= _LOCKSTEP_MODES:
-        noise = rng.standard_normal((n, 1 + per * n_cycles))
-        return _lockstep(
-            a_diag, b_diag, gains, bits, slack, noise, sigma_v, sigma_w, n_cycles, warmup, overflow
-        )
 
+    modes = (a_diag, b_diag, gains, bits, slack)
     cost_sum = 0.0
-    diverged = False
-    ran = n_cycles
-
-    for dim in range(n):
-        a, b = float(a_diag[dim]), float(b_diag[dim])
-        abs_a = abs(a)
-        gain = float(gains[dim])
-        dim_bits = float(bits[dim])
-        dim_slack = float(slack[dim])
-        span = max(dim_slack, 1e-12)
+    # modes stepped alone: all of a small plant; of a large one, mode 0 when
+    # its share is below its rate, as its divergence then settles the run
+    alone = n if n < _LOCKSTEP_MODES else int(bits[0] < math.log2(abs(a_diag[0])))
+    for dim in range(alone):
         z = rng.standard_normal(1 + per * n_cycles)
-        x = float(0.0 + sigma_v * z[0])
-        process = (0.0 + sigma_v * z[per::per]).tolist()
-        reading = (0.0 + sigma_w * z[1::2]).tolist() if per == 2 else None
-        credit = 0.0
-        dim_cost = 0.0
-        dim_cycles = 0
-        for t in range(n_cycles):
-            credit += dim_bits
-            used = math.floor(credit)  # whole bits spent this cycle
-            if used > 30:
-                used = 30
-            credit -= used
-            levels = 1 << used
-            y = x if reading is None else x + reading[t]
-            abs_y = abs(y)
-            if abs_y > span:
-                span = 1.1 * abs_y  # reading escaped, re-capture it
-            if used:
-                half = levels >> 1
-                delta = 2.0 * span / levels
-                idx = math.floor(y / delta)
-                if idx < -half:
-                    idx = -half
-                elif idx >= half:
-                    idx = half - 1
-                x_hat = (idx + 0.5) * delta
-            else:
-                x_hat = 0.0
-            u = -gain * x_hat
-            if t >= warmup:
-                dim_cost += x * x
-                dim_cycles += 1
-            x = a * x + b * u + process[t]
-            span = abs_a * span / levels + dim_slack
-            if not -overflow <= x <= overflow:
-                diverged = True
-                ran = min(ran, t + 1)
-                break
-        if dim_cycles > 0:
-            cost_sum += dim_cost / dim_cycles
-        if diverged:
-            break
-
-    cost = math.inf if diverged else cost_sum
-    return McResult(empirical_cost=cost, diverged=diverged, cycles=ran)
+        term, ran = _step_alone(*(float(v[dim]) for v in modes), z, sigma_v, sigma_w, n_cycles, warmup, overflow)
+        if ran:
+            return McResult(empirical_cost=math.inf, diverged=True, cycles=ran)
+        cost_sum += term
+    if alone == n:
+        return McResult(empirical_cost=cost_sum, diverged=False, cycles=n_cycles)
+    noise = rng.standard_normal((n - alone, 1 + per * n_cycles))
+    return _lockstep(*(v[alone:] for v in modes), noise, sigma_v, sigma_w, n_cycles, warmup, overflow, cost_sum)
 
 
-def _lockstep(a, b, gains, bits, slack, noise, sigma_v, sigma_w, n_cycles, warmup, overflow) -> McResult:
-    """``monte_carlo_loop``'s modes stepped together, one row per cycle.
+def _step_alone(a, b, gain, bits, slack, z, sigma_v, sigma_w, n_cycles, warmup, overflow) -> tuple[float, int]:
+    """One ``monte_carlo_loop`` mode stepped in Python floats on its block
+    ``z`` of standard normals.  Returns the mode's mean squared state from
+    the warm-up on (0.0 when no cycle counts) and 0, or inf and the cycle
+    at which the state left the overflow bound."""
+    per = 2 if sigma_w > 0.0 else 1
+    abs_a = abs(a)
+    span = max(slack, 1e-12)
+    x = float(0.0 + sigma_v * z[0])
+    process = (0.0 + sigma_v * z[per::per]).tolist()
+    reading = (0.0 + sigma_w * z[1::2]).tolist() if per == 2 else None
+    credit = 0.0
+    cost = 0.0
+    counted = 0
+    for t in range(n_cycles):
+        credit += bits
+        used = math.floor(credit)  # whole bits spent this cycle
+        if used > 30:
+            used = 30
+        credit -= used
+        levels = 1 << used
+        y = x if reading is None else x + reading[t]
+        abs_y = abs(y)
+        if abs_y > span:
+            span = 1.1 * abs_y  # reading escaped, re-capture it
+        if used:
+            half = levels >> 1
+            delta = 2.0 * span / levels
+            idx = math.floor(y / delta)
+            if idx < -half:
+                idx = -half
+            elif idx >= half:
+                idx = half - 1
+            x_hat = (idx + 0.5) * delta
+        else:
+            x_hat = 0.0
+        u = -gain * x_hat
+        if t >= warmup:
+            cost += x * x
+            counted += 1
+        x = a * x + b * u + process[t]
+        span = abs_a * span / levels + slack
+        if not -overflow <= x <= overflow:
+            return math.inf, t + 1
+    return (cost / counted if counted else 0.0), 0
+
+
+def _lockstep(a, b, gains, bits, slack, noise, sigma_v, sigma_w, n_cycles, warmup, overflow, cost_sum) -> McResult:
+    """``monte_carlo_loop``'s modes stepped together, one row per cycle,
+    their mean squared states added to ``cost_sum``.
 
     ``noise`` holds each mode's standard normals as one row.  Every block
     of cycles first runs the bit credit forward and builds its power-of-two
     factors with ``ldexp``: span times 2 / levels and span times
     |a| / levels round exactly as the scalar loop's 2 span / levels and
-    |a| span / levels, short of overflow or underflow.  A cycle that spends
-    no bit clamps floor(y / delta) to -1/2, so the reconstruction
-    (index + 1/2) delta is 0 as in the scalar loop.  The squared states are
-    summed over time by ``cumsum``, in the scalar loop's order.  After each
-    block the lowest-index mode that diverged in it sets the cycle count
-    and is dropped with every mode after it; the modes before it run on,
-    since one of them may still diverge later and then sets the count.
+    |a| span / levels, short of overflow or underflow.  Shares are clipped
+    to 30 bits first: a larger share spends exactly 30 bits every cycle,
+    since its credit only grows, and a smaller one never reaches the cap,
+    since its credit stays below 1.  A cycle
+    that spends no bit clamps floor(y / delta) to -1/2, so the
+    reconstruction (index + 1/2) delta is 0 as in the scalar loop.
+
+    The state and the range advance as one stacked (2, modes) row:
+    (x, span) times (a, |a| / levels), plus (b u, slack); the process noise
+    is then added to the x row, the scalar loop's operations in its order.
+    The squared states are summed over time by ``cumsum``, in the
+    scalar loop's order.  After each block the lowest-index mode that
+    diverged in it sets the cycle count and is dropped with every mode
+    after it; the modes before it run on, since one of them may still
+    diverge later and then sets the count.
     """
     per = 2 if sigma_w > 0.0 else 1
     neg_gain, abs_a = -gains, np.abs(a)
-    x = 0.0 + sigma_v * noise[:, 0]
-    span = np.maximum(slack, 1e-12)
-    credit = np.zeros(x.size)
-    cost = np.zeros(x.size)  # each mode's sum of x * x from the warm-up on
+    bits = np.minimum(bits, 30.0)
+    state = np.stack([0.0 + sigma_v * noise[:, 0], np.maximum(slack, 1e-12)])  # rows x, span
+    credit = np.zeros(a.size)
+    cost = np.zeros(a.size)  # each mode's sum of x * x from the warm-up on
     ran = 0  # cycle count of the lowest-index mode diverged so far
 
-    def scaled(first, sigma, size):
-        """Rows of size cycles, each holding every mode's noise sample
-        from columns first, first + per, ...; C-ordered for the steps."""
-        out = np.empty((size, x.size))
-        np.multiply(noise[:, first : first + per * size : per].T, sigma, out)
+    def scaled(first, sigma, out):
+        """Fill out's rows, one per cycle, with every mode's noise sample
+        from columns first, first + per, ..., times sigma."""
+        np.multiply(noise[:, first : first + per * len(out) : per].T, sigma, out)
         out += 0.0
-        return out
 
     with np.errstate(all="ignore"):  # diverging modes overflow
         for t0 in range(0, n_cycles, _LOCKSTEP_BLOCK):
-            size, m = min(_LOCKSTEP_BLOCK, n_cycles - t0), x.size
+            size, m = min(_LOCKSTEP_BLOCK, n_cycles - t0), a.size
             # constants as rows: a Python float argument makes each ufunc
             # call about a third slower
-            most, half, recapture = np.full(m, 30.0), np.full(m, 0.5), np.full(m, 1.1)
+            half, recapture = np.full(m, 0.5), np.full(m, 1.1)
             used = np.empty((size, m))
             for row in used:
                 np.add(credit, bits, credit)
-                np.floor(credit, row)
-                np.minimum(row, most, out=row)
-                np.subtract(credit, row, credit)
+                np.modf(credit, credit, row)  # the credit left, whole bits spent
             e = used.astype(np.intp)
             two_over_levels = np.ldexp(2.0, -e)
-            a_over_levels = np.ldexp(abs_a, -e)
+            factors = np.empty((size, 2, m))  # rows a, |a| / levels
+            factors[:, 0] = a
+            np.ldexp(abs_a, -e, out=factors[:, 1])
             hi = np.ldexp(0.5, e)  # half the levels; 1/2 when no bit is spent
             lo = -hi
             hi -= 1.0
-            process = scaled(per * (t0 + 1), sigma_v, size)
-            reading = scaled(1 + 2 * t0, sigma_w, size) if per == 2 else [None] * size
-            states = np.empty((size + 1, m))
-            states[0] = x
+            process = np.empty((size, m))
+            scaled(per * (t0 + 1), sigma_v, process)
+            if per == 2:
+                reading = np.empty((size, m))
+                scaled(1 + 2 * t0, sigma_w, reading)
+            else:
+                reading = [None] * size
+            pushes = np.empty((2, m))  # rows b u, slack
+            pushes[1] = slack
+            bu = pushes[0]
+            states = np.empty((size + 1, 2, m))
+            states[0] = state
             y, ay, delta, q = (np.empty(m) for _ in range(4))
             escaped = np.empty(m, dtype=bool)
-            for x_t, x_next, v, w, two, shrink, lo_t, hi_t in zip(
-                states[:-1], states[1:], process, reading, two_over_levels, a_over_levels, lo, hi
+            rows = (states[:-1], states[:-1, 0], states[:-1, 1], states[1:], states[1:, 0])
+            for st, x_t, span, nxt, x_next, w, v, two, factor, lo_t, hi_t in zip(
+                *rows, reading, process, two_over_levels, factors, lo, hi
             ):
                 if w is None:
                     y = x_t
@@ -283,20 +308,19 @@ def _lockstep(a, b, gains, bits, slack, noise, sigma_v, sigma_w, n_cycles, warmu
                 np.add(q, half, q)
                 np.multiply(q, delta, q)  # x_hat
                 np.multiply(q, neg_gain, q)  # u
-                np.multiply(q, b, q)
-                np.multiply(x_t, a, x_next)
-                np.add(x_next, q, x_next)
+                np.multiply(q, b, bu)
+                np.multiply(st, factor, nxt)
+                np.add(nxt, pushes, nxt)
                 np.add(x_next, v, x_next)
-                np.multiply(span, shrink, span)
-                np.add(span, slack, span)
-            counted = states[max(warmup - t0, 0) : size]
+            xs = states[:, 0]
+            counted = xs[max(warmup - t0, 0) : size]
             if counted.size:
                 squares = np.square(counted)
                 squares[0] += cost
                 cost = np.cumsum(squares, axis=0)[-1]
-            beyond = ~(np.abs(states[1:]) <= overflow)  # NaN counts as beyond
+            beyond = ~(np.abs(xs[1:]) <= overflow)  # NaN counts as beyond
             hit = beyond.any(axis=0)
-            x = states[size].copy()
+            state = states[size]
             if hit.any():
                 k = int(hit.argmax())
                 ran = t0 + int(beyond[:, k].argmax()) + 1
@@ -305,10 +329,9 @@ def _lockstep(a, b, gains, bits, slack, noise, sigma_v, sigma_w, n_cycles, warmu
                 a, b, abs_a, neg_gain, bits, slack, noise = (
                     v[:k] for v in (a, b, abs_a, neg_gain, bits, slack, noise)
                 )
-                x, span, credit, cost = x[:k].copy(), span[:k].copy(), credit[:k].copy(), cost[:k]
+                state, credit, cost = state[:, :k], credit[:k].copy(), cost[:k]
     if ran:
         return McResult(empirical_cost=math.inf, diverged=True, cycles=ran)
-    cost_sum = 0.0
     counted_cycles = n_cycles - warmup
     if counted_cycles > 0:
         for mode_cost in cost.tolist():
@@ -327,33 +350,51 @@ class ProbeReport:
 def convexity_probe(fn, box, n_samples: int = 500, seed: int = 0) -> ProbeReport:
     """Random midpoint convexity test of fn over an axis-aligned box.
 
-    Draws point pairs (a, b), checks fn((a+b)/2) <= (fn(a)+fn(b))/2 up to
-    1e-9 of the values' scale, and reports violation counts.  Pairs where
-    fn is not finite are skipped.
+    ``box`` is a (dim, 2) array of finite (lo, hi) bounds, lo <= hi.  The
+    probe draws point pairs (a, b) uniformly from it, checks
+    fn((a+b)/2) <= (fn(a)+fn(b))/2 up to 1e-9 of the values' scale, and
+    reports violation counts.  Pairs where fn is not finite are skipped; the
+    probe stops after ``n_samples`` (an integer, at least 100) tested pairs
+    or 50 * n_samples drawn ones, and fails when it tested none.  Pairs are
+    drawn in blocks by ``rng.random((size, 2, dim))``, the same stream as
+    one ``rng.random(dim)`` per point, so results are reproducible from the
+    integer ``seed``.
     """
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples for a meaningful probe")
-    box = np.asarray(box, dtype=float)
+    if not (is_int(n_samples) and n_samples >= 100):
+        raise ValueError("need an integer of at least 100 samples for a meaningful probe")
+    _check_seed(seed)
+    try:
+        box = np.asarray(box, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("the box must be a (dim, 2) array of bounds") from exc
+    if not (box.ndim == 2 and box.shape[0] >= 1 and box.shape[1] == 2):
+        raise ValueError("the box must be a (dim, 2) array of bounds")
     lo, hi = box[:, 0], box[:, 1]
+    if not (np.isfinite(box).all() and (lo <= hi).all()):
+        raise ValueError("the box bounds must be finite, with lo <= hi")
+    width = hi - lo
     rng = np.random.default_rng(seed)
-    violations = 0
-    tested = 0
+    isfinite = math.isfinite
+    violations = tested = drawn = 0
     worst = 0.0
-    for _ in range(50 * n_samples):  # draw cap for mostly-infeasible boxes
-        if tested >= n_samples:
-            break
-        a = lo + (hi - lo) * rng.random(lo.size)
-        c = lo + (hi - lo) * rng.random(lo.size)
-        fa, fc = fn(a), fn(c)
-        fm = fn(0.5 * (a + c))
-        if not all(map(math.isfinite, (fa, fc, fm))):
-            continue
-        tested += 1
-        scale = max(1.0, abs(fa), abs(fc))
-        gap = fm - 0.5 * (fa + fc)
-        if gap > 1e-9 * scale:
-            violations += 1
-            worst = max(worst, gap / scale)
+    cap = 50 * n_samples  # draw cap for mostly-infeasible boxes
+    while tested < n_samples and drawn < cap:
+        # a block never tests more pairs than the probe still needs
+        size = min(n_samples - tested, cap - drawn)
+        drawn += size
+        ends = lo + width * rng.random((size, 2, lo.size))
+        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        for a, c, mid in zip(ends[:, 0], ends[:, 1], mids):
+            fa, fc = fn(a), fn(c)
+            fm = fn(mid)
+            if not (isfinite(fa) and isfinite(fc) and isfinite(fm)):
+                continue
+            tested += 1
+            scale = max(1.0, abs(fa), abs(fc))
+            gap = fm - 0.5 * (fa + fc)
+            if gap > 1e-9 * scale:
+                violations += 1
+                worst = max(worst, gap / scale)
     return ProbeReport(
-        passed=violations == 0, violations=violations, samples=tested, max_violation=worst
+        passed=tested > 0 and violations == 0, violations=violations, samples=tested, max_violation=worst
     )

@@ -20,8 +20,9 @@ from sc3opt import (
     monte_carlo_loop,
     sca_solve,
 )
-from sc3opt import EntropyParams, Infeasible, McResult, UnsupportedStructure
+from sc3opt import EntropyParams, Infeasible, McResult, ProbeReport, UnsupportedStructure
 from sc3opt.control import LN2
+from sc3opt.surrogate import SurrogateAnchor, convex_compute_time
 from sc3opt.oracle import _LOCKSTEP_BLOCK, _LOCKSTEP_MODES, GRID_POWER_BLOCK
 from sc3opt.solver import LoopData
 from conftest import symmetric_two_loop_scenario, tight_single_loop_scenario
@@ -110,8 +111,148 @@ def test_convexity_probe_entropy_kernel():
 
 
 def test_convexity_probe_sample_floor():
-    with pytest.raises(ValueError):
-        convexity_probe(lambda z: 0.0, [(0.0, 1.0)], 10)
+    for n_samples in (10, 99, 150.0, True, None):
+        with pytest.raises(ValueError, match="samples"):
+            convexity_probe(lambda z: 0.0, [(0.0, 1.0)], n_samples)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        [(0.0, math.nan)],
+        [(-math.inf, 1.0)],
+        [(1.0, 0.0)],
+        [(0.0, 1.0), (2.0, 1.0)],
+        [],
+        [0.0, 1.0],
+        [(0.0, 1.0, 2.0)],
+        [[(0.0, 1.0)]],
+        [(0.0, "a")],
+        [(0.0, 1.0), (0.0,)],
+        None,
+    ],
+    ids=[
+        "nan_bound",
+        "infinite_bound",
+        "reversed",
+        "second_reversed",
+        "empty",
+        "flat",
+        "three_columns",
+        "three_dims",
+        "text",
+        "ragged",
+        "none",
+    ],
+)
+def test_convexity_probe_rejects_bad_box(box):
+    with pytest.raises(ValueError, match="box"):
+        convexity_probe(lambda z: 0.0, box, 100)
+
+
+def test_convexity_probe_accepts_a_point_box():
+    # lo == hi on an axis pins it; every pair is tested
+    rep = convexity_probe(lambda z: float(z[0] ** 2 + z[1]), [(0.0, 1.0), (3.0, 3.0)], 100)
+    assert rep.passed and rep.samples == 100
+
+
+def test_convexity_probe_with_no_finite_pair_fails():
+    rep = convexity_probe(lambda z: math.inf, [(0.0, 1.0)], 100)
+    assert rep == ProbeReport(passed=False, violations=0, samples=0, max_violation=0.0)
+
+
+@pytest.mark.parametrize(
+    "seed", [None, True, 1.0, "0", np.float64(2.0)], ids=["none", "bool", "float", "text", "np_float"]
+)
+def test_oracles_reject_non_integer_seeds(seed):
+    with pytest.raises(ValueError, match="seed"):
+        convexity_probe(lambda z: 0.0, [(0.0, 1.0)], 100, seed)
+    with pytest.raises(ValueError, match="seed"):
+        monte_carlo_loop(scalar_plant(), 2.0, 100, seed)
+
+
+def test_oracles_accept_numpy_integer_seeds():
+    plant = scalar_plant()
+    assert monte_carlo_loop(plant, 2.0, 300, np.int64(4)) == monte_carlo_loop(plant, 2.0, 300, 4)
+    quad = lambda z: float(z[0] ** 2)  # noqa: E731
+    assert convexity_probe(quad, [(0.0, 1.0)], 100, np.uint8(4)) == convexity_probe(quad, [(0.0, 1.0)], 100, 4)
+
+
+def reference_convexity_probe(fn, box, n_samples, seed):
+    """The convexity probe drawing each pair with its own two
+    ``rng.random`` calls, kept as the reference for the block-drawn one."""
+    box = np.asarray(box, dtype=float)
+    lo, hi = box[:, 0], box[:, 1]
+    rng = np.random.default_rng(seed)
+    violations = 0
+    tested = 0
+    worst = 0.0
+    for _ in range(50 * n_samples):
+        if tested >= n_samples:
+            break
+        a = lo + (hi - lo) * rng.random(lo.size)
+        c = lo + (hi - lo) * rng.random(lo.size)
+        fa, fc = fn(a), fn(c)
+        fm = fn(0.5 * (a + c))
+        if not all(map(math.isfinite, (fa, fc, fm))):
+            continue
+        tested += 1
+        scale = max(1.0, abs(fa), abs(fc))
+        gap = fm - 0.5 * (fa + fc)
+        if gap > 1e-9 * scale:
+            violations += 1
+            worst = max(worst, gap / scale)
+    return ProbeReport(passed=violations == 0, violations=violations, samples=tested, max_violation=worst)
+
+
+def _majorant_probe(seed):
+    # the S3-anchored latency majorant the benchmark's oracle op probes
+    sc = generate_scenario(seed, {"k_loops": 2, "p_max_dbw": 3.0})
+    loop, b = sc.loops[0], sc.budgets
+    anchor = SurrogateAnchor.at(b.f_max_cycles / 2, b.r_max_bits / 2, loop.data_bits, sc.compute)
+    box = [(1e-3 * b.f_max_cycles, b.f_max_cycles), (1e-3 * b.r_max_bits, b.r_max_bits)]
+    return (lambda z: float(convex_compute_time(z[0], z[1], anchor, loop.data_bits, sc.compute))), box
+
+
+def _mostly_infinite(z):
+    return float(z[0] ** 2) if z[0] < 0.1 else math.inf
+
+
+def _partly_infinite(z):
+    return float(z[0] ** 2 - z[1]) if z[0] < 0.8 else math.inf
+
+
+@pytest.mark.parametrize(
+    "probe, n_samples, seeds",
+    [
+        ((lambda z: float(z[0] ** 3), [(-1.0, 1.0)]), 500, range(3)),
+        ((lambda z: float(z[0] ** 2 + z[1] ** 2), [(-5.0, 5.0), (-5.0, 5.0)]), 137, range(3)),
+        (
+            (
+                lambda z: min_entropy(z[0], EntropyParams(n=3, h=0.0, l_min=1.0, c=1.0)) / z[1],
+                [(1.0001, 100.0), (0.01, 10.0)],
+            ),
+            500,
+            range(3),
+        ),
+        ((_partly_infinite, [(0.0, 1.0), (-1.0, 1.0)]), 300, range(3)),
+        ((_mostly_infinite, [(0.0, 1.0)]), 100, range(3)),
+        *(((_majorant_probe(s)), 500, (s,)) for s in range(4)),
+    ],
+    ids=["cubic", "quadratic", "entropy_kernel", "skipped_pairs", "draw_cap", *(f"majorant_seed{s}" for s in range(4))],
+)
+def test_convexity_probe_matches_per_pair_reference(probe, n_samples, seeds):
+    fn, box = probe
+    for seed in seeds:
+        got = convexity_probe(fn, box, n_samples, seed)
+        assert got == reference_convexity_probe(fn, box, n_samples, seed)
+        assert got.samples > 0
+
+
+def test_convexity_probe_draw_cap_ends_short():
+    # about 1 pair in 100 is finite, so 50 * 100 draws test well under 100
+    rep = convexity_probe(_mostly_infinite, [(0.0, 1.0)], 100, 0)
+    assert rep.passed and 0 < rep.samples < 100
 
 
 def test_monte_carlo_deterministic():
@@ -353,6 +494,7 @@ LOCKSTEP_RUNS = (1, _LOCKSTEP_BLOCK - 1, 2 * _LOCKSTEP_BLOCK + 37)
         (_generated(_LOCKSTEP_MODES - 1), (0.9, 2.0), LOCKSTEP_RUNS),
         (_generated(_LOCKSTEP_MODES), (0.9, 2.0), LOCKSTEP_RUNS),
         (_generated(50), (0.9, 2.0), LOCKSTEP_RUNS),
+        (_generated(50), (20.0,), LOCKSTEP_RUNS),
         (_low_mode_diverges_later(), (0.9, 1.5), (600,)),
         (_last_mode_unstable(), (0.1, 0.9, 2.0), (400,)),
     ],
@@ -364,6 +506,7 @@ LOCKSTEP_RUNS = (1, _LOCKSTEP_BLOCK - 1, 2 * _LOCKSTEP_BLOCK + 37)
         "generated_below_lockstep",
         "generated_lockstep",
         "generated_n50",
+        "generated_n50_capped",
         "low_mode_diverges_later",
         "last_mode_diverges",
     ],
@@ -392,3 +535,51 @@ def test_second_mode_divergence_ends_the_run():
     plant = _second_mode_unstable()
     res = monte_carlo_loop(plant, 0.9 * intrinsic_entropy(plant.a), 400, 0)
     assert res.diverged and res.cycles < 400
+
+
+def test_capped_run_reaches_the_30_bit_cap():
+    # the capped reference case above spends 30 bits in some cycle
+    plant = _generated(50)
+    h_dims = np.abs(np.log2(np.abs(plant.a)))
+    assert (20.0 * intrinsic_entropy(plant.a) * h_dims / h_dims.sum()).max() >= 30.0
+
+
+class _CountingGenerator:
+    """A numpy generator that counts the standard normals it hands out."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        self._counts.append(out.size)
+        return out
+
+
+@pytest.mark.parametrize("mult, modes_drawn", [(0.9, 1), (2.0, 50)], ids=["starved_mode_0", "above_rate"])
+def test_starved_mode_0_ends_the_run_before_the_rest_is_drawn(monkeypatch, mult, modes_drawn):
+    import sc3opt.oracle
+
+    plant = _generated(50)
+    h = intrinsic_entropy(plant.a)
+    counts = []
+    real = np.random.default_rng
+    monkeypatch.setattr(sc3opt.oracle.np.random, "default_rng", lambda seed: _CountingGenerator(real(seed), counts))
+    for seed in range(3):
+        counts.clear()
+        res = monte_carlo_loop(plant, mult * h, 2000, seed)
+        assert res.diverged == (mult < 1.0)
+        assert sum(counts) == modes_drawn * (1 + 2 * 2000)
+
+
+def test_mode_0_alone_hands_on_to_the_lockstep():
+    # mode 0 gets 0.999 of its rate log2(1.02) but grows too slowly to
+    # diverge in 300 cycles, so the stable modes run in lockstep after it
+    plant = _lockstep_plant([1.02] + [0.5] * _LOCKSTEP_MODES)
+    h_dims = np.abs(np.log2(np.abs(plant.a)))
+    bits = 0.999 * h_dims.sum()
+    assert bits * h_dims[0] / h_dims.sum() < math.log2(1.02)
+    for seed in range(3):
+        got = monte_carlo_loop(plant, bits, 300, seed)
+        assert not got.diverged
+        assert got == reference_monte_carlo(plant, bits, 300, seed)

@@ -21,7 +21,21 @@ import numpy as np
 from .compute import classify_region, min_compute_time, min_compute_time_grad, optimal_split  # noqa: F401
 from .errors import NoConvergence
 from .optim import newton_descent, newton_kkt_step, project_budget_simplex
-from .solver import Allocation, LoopData, Scenario, SolverConfig, feasible_power_init
+from .solver import BUDGET_SLACK, Allocation, LoopData, Scenario, SolverConfig, feasible_power_init
+
+
+def _within_budget(values, k: int, budget: float, what: str) -> np.ndarray:
+    """values as an array of k finite, nonnegative entries summing to at
+    most budget (up to rounding, as ``sca_solve``'s init may); anything
+    else raises ValueError."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (k,):
+        raise ValueError(f"{what} needs {k} entries, one per loop")
+    if not (np.isfinite(v).all() and v.min() >= 0.0):
+        raise ValueError(f"{what} entries must be finite and nonnegative")
+    if v.sum() > budget * (1.0 + BUDGET_SLACK):
+        raise ValueError(f"{what} exceeds its budget")
+    return v
 
 
 def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
@@ -80,19 +94,28 @@ def _power_terms(data: LoopData, t_commu: np.ndarray):
     return fun
 
 
-def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:
+def power_only_closed_loop(
+    scenario: Scenario, config: SolverConfig | None = None, init: np.ndarray | None = None
+) -> Allocation:
     """Equal compute/backhaul split; power alone optimized for the sum cost.
 
     With the windows fixed, min sum_k l_k(e_k(p_k)) subject to
     sum(p) = p_max and p >= 0 is smooth, convex and separable by loop; the
     budget is tight because every loop's cost falls in its power.
-    ``newton_descent`` solves its KKT system from ``feasible_power_init``,
-    which raises Infeasible when no power split stabilizes every loop.
-    Every loop's curvature H_k is positive, so each step is closed form:
+    ``newton_descent`` solves its KKT system.  Every loop's curvature H_k
+    is positive, so each step is closed form:
     dp_k = max(-(g_k + mu) / H_k, -p_k), the multiplier mu making the step
     restore sum(p) = p_max (``newton_kkt_step`` with one budget row).  At
     the optimum the bound p_k >= 0 can bind only for a loop with a
     negative intrinsic rate, whose cost stays finite at zero power.
+
+    The descent starts from ``init`` when the objective is finite there,
+    and otherwise from ``feasible_power_init``, which raises Infeasible
+    when no power split stabilizes every loop.  ``init`` must hold K
+    finite, nonnegative powers within the budget up to rounding, as
+    ``sca_solve``'s does; anything else raises ValueError, and a sum above
+    the budget is scaled down to it.  The optimum is unique, so a start
+    moves the answer only by rounding.
 
     Stops at a decrement of 16 eps |sum|: the last full step then moves
     the sum only by rounding but squares the KKT residual, so the relative
@@ -108,7 +131,17 @@ def power_only_closed_loop(scenario: Scenario, config: SolverConfig | None = Non
     f = np.full(k, b.f_max_cycles / k)
     r = np.full(k, b.r_max_bits / k)
     t_commu = data.t_cycle - data.true_min_times(f, r)
-    p0 = feasible_power_init(data, t_commu, "power-only baseline")
+    if init is not None:
+        init = _within_budget(init, k, b.p_max_w, "init")
+        total = float(init.sum())
+        if total > b.p_max_w:
+            # the descent weighs the objective alone, which a step back
+            # onto the budget raises, so a start above it could stay there
+            init = init * (b.p_max_w / total)
+    if init is not None and math.isfinite(data.costs(init, t_commu).sum()):
+        p0 = init
+    else:
+        p0 = feasible_power_init(data, t_commu, "power-only baseline")
 
     def step(p, newton_terms):
         g, curv = newton_terms()
@@ -153,7 +186,9 @@ def _projected_gradient_step():
     return step
 
 
-def communication_oriented(scenario: Scenario, config: SolverConfig | None = None) -> Allocation:
+def communication_oriented(
+    scenario: Scenario, config: SolverConfig | None = None, split: np.ndarray | None = None
+) -> Allocation:
     """Equal backhaul split, compute minimizing total computation time,
     power water-filled for throughput; loop costs evaluated afterwards.
 
@@ -161,7 +196,12 @@ def communication_oriented(scenario: Scenario, config: SolverConfig | None = Non
     ``newton_descent`` with ``_projected_gradient_step`` at a decrement of
     16 eps |total|, as the power-only baseline stops, and takes the point
     the descent returns however it stops; generated loops, carrying equal
-    data, keep the equal split.  Reads only ``config.inner_max_iters``.
+    data, keep the equal split.  A given ``split``, K compute shares in
+    cycles/s within f_max (anything else raises ValueError), is taken as
+    is, without the descent: the split depends on neither the power budget
+    nor the plants, so an earlier answer on the same loops, compute
+    parameters, f_max and r_max serves again.  Reads only
+    ``config.inner_max_iters``.
     Loops whose delivered entropy falls at or below their intrinsic rate
     come out with an infinite cost rather than an error.
     """
@@ -170,6 +210,9 @@ def communication_oriented(scenario: Scenario, config: SolverConfig | None = Non
     k = data.k
     b = scenario.budgets
     r = np.full(k, b.r_max_bits / k)
+    p = water_filling(data.gamma, b.p_max_w)
+    if split is not None:
+        return data.allocation(p, _within_budget(split, k, b.f_max_cycles, "split"), r)
 
     def total_time(x):
         f = x * b.f_max_cycles
@@ -181,7 +224,6 @@ def communication_oriented(scenario: Scenario, config: SolverConfig | None = Non
             total_time, _projected_gradient_step(), np.full(k, 1.0 / k), 16.0 * np.finfo(float).eps,
             cfg.inner_max_iters, "compute split",
         )[0]
-    p = water_filling(data.gamma, b.p_max_w)
     return data.allocation(p, x * b.f_max_cycles, r)
 
 

@@ -316,6 +316,8 @@ class SweepSpec:
                 raise ValueError(f"a sweep needs at least one of its {name}")
         if not all(map(math.isfinite, self.values)):
             raise ValueError("sweep values must be finite")
+        if min(self.seeds) < 0:
+            raise ValueError("sweep seeds must be nonnegative")
         bad = set(self.schemes) - set(SCHEMES)
         if bad:
             raise BadOverride(f"unknown schemes {sorted(bad)}")
@@ -334,10 +336,13 @@ class SweepSpec:
 CSV_HEADER = ("param_value", "scheme", "seed", "sum_lqr", "status", "iterations", "wall_ms")
 
 
-def _run_cell(scenario, value, scheme, seed, config, start):
-    """One row: ``scheme`` on ``scenario``, or the Sc3Error building it raised;
-    ``sum_lqr`` is the allocation's own, ``wall_ms`` counts from ``start``."""
+def _run_cell(scenario, value, scheme, seed, config, start, warm):
+    """One row: ``scheme`` on ``scenario``, a baseline given the keyword
+    arguments ``warm``, or the Sc3Error building it raised; and the
+    allocation, None when the cell failed.  ``sum_lqr`` is the
+    allocation's own, ``wall_ms`` counts from ``start``."""
     iterations = 0
+    alloc = None
     try:
         if isinstance(scenario, Sc3Error):
             raise scenario
@@ -345,9 +350,9 @@ def _run_cell(scenario, value, scheme, seed, config, start):
             alloc, trace = sca_solve(scenario, config)
             iterations = len(trace.iterations) - 1
         elif scheme == "power_only":
-            alloc = power_only_closed_loop(scenario, config)
+            alloc = power_only_closed_loop(scenario, config, **warm)
         else:
-            alloc = communication_oriented(scenario, config)
+            alloc = communication_oriented(scenario, config, **warm)
         total = alloc.sum_lqr
         status = "ok" if math.isfinite(total) else "unstable"
     except Infeasible:
@@ -355,7 +360,7 @@ def _run_cell(scenario, value, scheme, seed, config, start):
     except Sc3Error as exc:
         total, status = math.inf, f"error:{type(exc).__name__}"
     wall_ms = (time.perf_counter() - start) * 1e3
-    return {
+    row = {
         "param_value": value,
         "scheme": scheme,
         "seed": seed,
@@ -364,6 +369,7 @@ def _run_cell(scenario, value, scheme, seed, config, start):
         "iterations": iterations,
         "wall_ms": round(wall_ms, 3),
     }
+    return row, alloc
 
 
 @_rejects_bad_values
@@ -372,11 +378,33 @@ def _with_budgets(scenario: Scenario, overrides: dict) -> Scenario:
     return replace(scenario, budgets=_budgets({**DEFAULTS, **overrides}))
 
 
+def _warm_start(scheme: str, budgets: Budgets, last) -> dict:
+    """The keyword arguments that start a baseline ``scheme`` on ``budgets``
+    from ``last``, the (allocation, budgets) of the seed's previous cell of
+    that scheme, if any: its powers scaled by the ratio of the power
+    budgets, or its compute split when f_max and r_max are the same."""
+    if last is None:
+        return {}
+    alloc, before = last
+    if scheme == "power_only":
+        return {"init": np.array([la.p_w for la in alloc.loops]) * (budgets.p_max_w / before.p_max_w)}
+    if (budgets.f_max_cycles, budgets.r_max_bits) == (before.f_max_cycles, before.r_max_bits):
+        return {"split": np.array([la.f_cycles for la in alloc.loops])}
+    return {}
+
+
 def _seed_rows(sweep, seed, base_overrides, config):
     """One seed's rows in (value, scheme) order.  Every scheme of a value
-    shares its scenario; a budget sweep draws the seed's loops only once."""
+    shares its scenario; a budget sweep draws the seed's loops only once.
+
+    A baseline cell starts from the seed's previous cell of its scheme
+    (``_warm_start``).  A power-only chain ends at a cell that is not
+    ``ok``, and a comm_oriented one at a failed cell or a fresh draw of
+    the loops, so a ``sigma_v2`` sweep descends the split at every value.
+    ``sca`` cells start cold."""
     rows = []
     drawn = None
+    last = {}  # baseline scheme -> (allocation, budgets) of its previous cell
     for value in sweep.values:
         overrides = {**(base_overrides or {}), sweep.parameter: value}
         start = time.perf_counter()
@@ -385,10 +413,17 @@ def _seed_rows(sweep, seed, base_overrides, config):
                 scenario = _with_budgets(drawn, overrides)
             else:
                 scenario = drawn = generate_scenario(seed, overrides)
+                last.pop("comm_oriented", None)
         except Sc3Error as exc:
             scenario = exc
         for scheme in sweep.schemes:
-            rows.append(_run_cell(scenario, value, scheme, seed, config, start))
+            warm = {} if isinstance(scenario, Sc3Error) else _warm_start(scheme, scenario.budgets, last.get(scheme))
+            row, alloc = _run_cell(scenario, value, scheme, seed, config, start, warm)
+            rows.append(row)
+            if alloc is None or (scheme == "power_only" and row["status"] != "ok"):
+                last.pop(scheme, None)
+            elif scheme != "sca":
+                last[scheme] = alloc, scenario.budgets
             start = time.perf_counter()
     return rows
 
@@ -402,11 +437,16 @@ def run_sweep(
     failures are encoded in the status column and never abort the sweep.
 
     Cells run seed by seed in the calling thread, so only one seed's
-    scenario is alive at a time.  A budget sweep draws a seed's loops once,
-    at the first value the model accepts, and re-budgets that scenario for
-    each later value: budgets consume no randomness, so every row equals a
-    fresh draw's.  A ``sigma_v2`` sweep draws once per (seed, value).  The
-    first scheme's ``wall_ms`` includes building the value's scenario.
+    scenario is alive at a time, and each seed's values run in the given
+    order.  A budget sweep draws a seed's loops once, at the first value
+    the model accepts, and re-budgets that scenario for each later value:
+    budgets consume no randomness, so every scenario equals a fresh
+    draw's.  A ``sigma_v2`` sweep draws once per (seed, value).  Each
+    baseline cell starts from the seed's previous answer of its scheme
+    (``_seed_rows``): comm_oriented rows equal a cold call's bit for bit,
+    power-only rows to rounding, and ``sca`` rows exactly, as they start
+    cold.  The first scheme's ``wall_ms`` includes building the value's
+    scenario.
     """
     per_seed = [_seed_rows(sweep, seed, base_overrides, config) for seed in sweep.seeds]
     return [rows[cell] for cell in range(len(sweep.values) * len(sweep.schemes)) for rows in per_seed]

@@ -47,7 +47,7 @@ ANCHOR_FLOOR = 1e-6
 _EXTRAPOLATION_TRIALS = 8
 # MM points spend a budget only to within rounding: a normalized block sum
 # this far above 1 still counts as inside
-_BUDGET_SLACK = 1e-9
+BUDGET_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -488,7 +488,7 @@ def _extrapolate(data: LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: f
         x = x_mm + t * step
         # above twice the anchor floor the next majorant is anchored at the
         # trial itself, so the trial is a feasible warm start for it
-        if x.min() < 2.0 * ANCHOR_FLOOR or x.reshape(3, k).sum(1).max() > 1.0 + _BUDGET_SLACK:
+        if x.min() < 2.0 * ANCHOR_FLOOR or x.reshape(3, k).sum(1).max() > 1.0 + BUDGET_SLACK:
             break
         obj = data.true_objective(*x.reshape(3, k) * data.budget_col)
         if not obj < best[1]:
@@ -558,7 +558,7 @@ def sca_solve(
     if init is not None:
         if not (np.isfinite(x).all() and x.min() >= 0.0):
             raise ValueError("init entries must be finite and nonnegative")
-        if x.reshape(3, k).sum(1).max() > 1.0 + _BUDGET_SLACK:
+        if x.reshape(3, k).sum(1).max() > 1.0 + BUDGET_SLACK:
             raise ValueError("init exceeds a budget")
     obj = data.true_objective(p, f, r)
     if not math.isfinite(obj):

@@ -183,3 +183,28 @@ def test_comm_oriented_split_moves_off_equal_start():
         )
 
     assert sum_time(f) < 0.95 * sum_time([b.f_max_cycles / sc.k] * sc.k)
+
+
+def _unequal_data_scenario(p_max_dbw):
+    sc = generate_scenario(0, {"p_max_dbw": p_max_dbw})
+    sizes = (2e5, 5e5, 1e6, 2e6, 4e6)
+    return dataclasses.replace(sc, loops=tuple(dataclasses.replace(lp, data_bits=d) for lp, d in zip(sc.loops, sizes)))
+
+
+def test_comm_oriented_given_split_equals_the_descent():
+    """A split from another power budget, same compute and backhaul, gives
+    the cold allocation bit for bit."""
+    split = np.array([la.f_cycles for la in communication_oriented(_unequal_data_scenario(20.0)).loops])
+    for p_max_dbw in (0.0, 5.0, 10.0):
+        sc = _unequal_data_scenario(p_max_dbw)
+        assert communication_oriented(sc, split=split) == communication_oriented(sc)
+
+
+@pytest.mark.parametrize(
+    "split",
+    [np.full(4, 1e9), np.array([1e9, 1e9, math.nan, 1e9, 1e9]), np.array([1e9, -1.0, 1e9, 1e9, 1e9]), np.full(5, 1.01e9)],
+    ids=["wrong_length", "nan", "negative", "over_budget"],
+)
+def test_comm_oriented_split_outside_the_budget_raises(split):
+    with pytest.raises(ValueError):
+        communication_oriented(generate_scenario(0), split=split)  # 5 GHz of compute

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+import sc3opt.baselines
 import sc3opt.cli
 from sc3opt import (
     BadConfig,
@@ -27,6 +29,8 @@ from sc3opt import (
     run_sweep,
     sca_solve,
 )
+from sc3opt.optim import newton_descent
+from sc3opt.solver import feasible_power_init
 from sc3opt.cli import (
     SCHEMES,
     allocation_from_dict,
@@ -174,22 +178,36 @@ def test_run_sweep_serial_runs_agree():
     assert strip(run_sweep(sweep)) == strip(run_sweep(sweep))
 
 
-def reference_run_sweep(sweep, base_overrides=None, config=None):
+def reference_run_sweep(sweep, base_overrides=None, config=None, chain=True):
     """run_sweep as it was before cells shared scenarios: every
-    (value, scheme, seed) cell generates its own scenario."""
+    (value, scheme, seed) cell generates its own scenario.
+
+    With ``chain``, a power-only cell starts, as run_sweep documents, from
+    the powers of the previous power-only cell of its seed entry, scaled
+    by the ratio of the power budgets, while that cell ended ok; without
+    it, every cell starts cold.  comm_oriented cells always descend the
+    split, which run_sweep's reused split equals bit for bit."""
     rows = []
+    chains = [None] * len(sweep.seeds)  # (powers, p_max_w) per seed entry
     for value in sweep.values:
         for scheme in sweep.schemes:
-            for seed in sweep.seeds:
+            for entry, seed in enumerate(sweep.seeds):
                 start = time.perf_counter()
                 iterations = 0
+                chained = chains[entry] if chain else None
+                if scheme == "power_only":
+                    chains[entry] = None  # until the cell ends ok
                 try:
                     scenario = generate_scenario(seed, {**(base_overrides or {}), sweep.parameter: value})
                     if scheme == "sca":
                         alloc, trace = sca_solve(scenario, config)
                         iterations = len(trace.iterations) - 1
                     elif scheme == "power_only":
-                        alloc = power_only_closed_loop(scenario, config)
+                        p_max = scenario.budgets.p_max_w
+                        init = None if chained is None else chained[0] * (p_max / chained[1])
+                        alloc = power_only_closed_loop(scenario, config, init=init)
+                        if math.isfinite(alloc.sum_lqr):
+                            chains[entry] = np.array([la.p_w for la in alloc.loops]), p_max
                     else:
                         alloc = communication_oriented(scenario, config)
                     total = evaluate_allocation(scenario, alloc)
@@ -244,6 +262,78 @@ def test_run_sweep_matches_per_cell_reference(sweep, statuses):
     assert _without_wall_ms(rows) == _without_wall_ms(reference_run_sweep(sweep))
     assert len(rows) == len(sweep.values) * len(sweep.schemes) * len(sweep.seeds)
     assert statuses <= {r["status"] for r in rows}
+
+
+P_MAX_GRID = tuple(2.5 * i for i in range(9))
+SEEDS_16 = tuple(range(16))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        SweepSpec("p_max_dbw", P_MAX_GRID, BASELINES, SEEDS_16),
+        SweepSpec("p_max_dbw", P_MAX_GRID[::-1], BASELINES, SEEDS_16),
+        SweepSpec("p_max_dbw", (10.0, 10.0, 2.5, 20.0, 20.0, 10.0, 0.0, 10.0), BASELINES, SEEDS_16),
+        SweepSpec("r_max_mbps", (5.0, 50.0, 500.0, 50.0), BASELINES, SEEDS_16),
+        SweepSpec("sigma_v2", (0.005, 0.05, 0.01), BASELINES, SEEDS_16),
+    ],
+    ids=["p_max_ascending", "p_max_descending", "p_max_repeated", "r_max", "sigma_v2"],
+)
+def test_chained_rows_match_cold_calls(sweep):
+    """Carrying each baseline's answer to the next cell changes no status,
+    moves power-only costs only by rounding and comm_oriented costs not at
+    all."""
+    rows = run_sweep(sweep)
+    cold = reference_run_sweep(sweep, chain=False)
+    assert [r["status"] for r in rows] == [r["status"] for r in cold]
+    for row, ref in zip(rows, cold):
+        if row["scheme"] == "comm_oriented" or not math.isfinite(ref["sum_lqr"]):
+            assert row["sum_lqr"] == ref["sum_lqr"]
+        else:
+            assert row["sum_lqr"] == pytest.approx(ref["sum_lqr"], rel=1e-12, abs=0.0)
+
+
+def _count_cold_work(monkeypatch):
+    """Record ``feasible_power_init``'s outcomes ("start" or "infeasible")
+    and the ``newton_descent`` runs on the compute split."""
+    starts, descents = [], []
+
+    def counted_init(*args):
+        try:
+            p = feasible_power_init(*args)
+        except Infeasible:
+            starts.append("infeasible")
+            raise
+        starts.append("start")
+        return p
+
+    def counted_descent(*args):
+        descents.append(args[-1])
+        return newton_descent(*args)
+
+    monkeypatch.setattr(sc3opt.baselines, "feasible_power_init", counted_init)
+    monkeypatch.setattr(sc3opt.baselines, "newton_descent", counted_descent)
+    return starts, descents
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_budget_sweep_starts_each_chain_cold_once(monkeypatch, seed):
+    """Up a 0-20 dBW sweep a seed's power-only cells start cold until the
+    first one that solves, and the rest continue from it; the split
+    descends once."""
+    starts, descents = _count_cold_work(monkeypatch)
+    rows = run_sweep(SweepSpec("p_max_dbw", P_MAX_GRID, BASELINES, (seed,)))
+    power = [r["status"] for r in rows if r["scheme"] == "power_only"]
+    solved = power.index("ok")
+    assert set(power[:solved]) <= {"infeasible"} and set(power[solved:]) == {"ok"}
+    assert starts == ["infeasible"] * solved + ["start"]
+    assert descents.count("compute split") == 1
+
+
+def test_f_max_sweep_descends_the_split_at_every_value(monkeypatch):
+    _, descents = _count_cold_work(monkeypatch)
+    run_sweep(SweepSpec("f_max_ghz", (2.5, 5.0, 10.0), BASELINES, (0, 1)))
+    assert descents.count("compute split") == 6
 
 
 @pytest.mark.parametrize(
@@ -388,8 +478,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         '"values": [1.0], "seeds": [0, 1.5]',
         '"values": [1.0], "seeds": []',
         '"values": [1.0], "schemes": []',
+        '"values": [1.0], "seeds": [0, -1]',
     ],
-    ids=["infinite_value", "no_values", "fractional_seed", "no_seeds", "no_schemes"],
+    ids=["infinite_value", "no_values", "fractional_seed", "no_seeds", "no_schemes", "negative_seed"],
 )
 def test_cli_sweep_bad_spec_ends_in_error_line(tmp_path, capsys, fields):
     # a later key wins, so "schemes" in fields replaces the default one here

@@ -19,6 +19,7 @@ import pytest
 
 import sc3opt.baselines
 from sc3opt import Infeasible, NoConvergence, SolverConfig, generate_scenario, power_only_closed_loop
+from sc3opt.cli import dbw_to_watts
 from sc3opt.control import LN2
 from sc3opt.optim import project_budget_simplex
 from sc3opt.solver import LoopData, feasible_power_init
@@ -197,3 +198,91 @@ def test_newton_calls_no_projection(monkeypatch):
     for seed in range(4):
         power_only_closed_loop(generate_scenario(seed))
     assert calls == []
+
+
+def _powers(alloc):
+    return np.array([la.p_w for la in alloc.loops])
+
+
+def _counted_power_init(monkeypatch):
+    """Record each ``feasible_power_init`` call the baseline makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return feasible_power_init(*args)
+
+    monkeypatch.setattr(sc3opt.baselines, "feasible_power_init", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "init",
+    [
+        np.full(4, 0.1),
+        np.array([0.1, 0.1, math.nan, 0.1, 0.1]),
+        np.array([0.1, 0.1, math.inf, 0.1, 0.1]),
+        np.array([0.1, 0.1, -1e-12, 0.1, 0.1]),
+        np.full(5, 2.01),
+    ],
+    ids=["wrong_length", "nan", "inf", "negative", "over_budget"],
+)
+def test_init_outside_the_budget_simplex_raises(init):
+    scenario = generate_scenario(0)  # 10 dBW: a budget of 10 W
+    with pytest.raises(ValueError):
+        power_only_closed_loop(scenario, init=init)
+
+
+def test_init_at_the_budget_up_to_rounding_is_taken(monkeypatch):
+    scenario = generate_scenario(0)
+    p = _powers(power_only_closed_loop(scenario))
+    calls = _counted_power_init(monkeypatch)
+    warm = power_only_closed_loop(scenario, init=p * (1.0 + 5e-10))
+    assert calls == []
+    assert warm.sum_lqr == pytest.approx(power_only_closed_loop(scenario).sum_lqr, rel=1e-12)
+
+
+def test_init_that_leaves_a_loop_at_its_rate_falls_back(monkeypatch):
+    """A start whose objective is infinite is dropped for the cold one, so
+    the answer is the cold answer exactly."""
+    scenario = generate_scenario(0)
+    cold = power_only_closed_loop(scenario)
+    init = _powers(cold)
+    init[2] = 0.0  # no entropy at zero power, below the loop's positive rate
+    calls = _counted_power_init(monkeypatch)
+    warm = power_only_closed_loop(scenario, init=init)
+    assert len(calls) == 1
+    assert warm == cold
+
+
+def test_init_does_not_hide_an_infeasible_scenario(monkeypatch):
+    scenario = generate_scenario(0, {"p_max_dbw": -10.0})
+    calls = _counted_power_init(monkeypatch)
+    with pytest.raises(Infeasible) as info:
+        power_only_closed_loop(scenario, init=np.full(scenario.k, scenario.budgets.p_max_w / scenario.k))
+    assert len(calls) == 1
+    assert info.value.report
+
+
+def test_warm_answer_equals_the_cold_one_to_rounding(monkeypatch):
+    """Started from the answer at another budget, scaled to this one, the
+    Newton ends at the cold answer to rounding: the optimum is unique."""
+    budgets = (0.0, 10.0, 20.0)
+    warm_cells = 0
+    for seed in range(16):
+        cold = {dbw: _outcome(power_only_closed_loop, generate_scenario(seed, {"p_max_dbw": dbw})) for dbw in budgets}
+        for dbw in budgets:
+            scenario = generate_scenario(seed, {"p_max_dbw": dbw})
+            for other in budgets:
+                if other == dbw or cold[other] is None:
+                    continue
+                init = _powers(cold[other]) * (scenario.budgets.p_max_w / dbw_to_watts(other))
+                calls = _counted_power_init(monkeypatch)
+                warm = _outcome(lambda s: power_only_closed_loop(s, init=init), scenario)
+                assert (warm is None) == (cold[dbw] is None)
+                if warm is None:
+                    continue
+                warm_cells += not calls
+                assert warm.sum_lqr == pytest.approx(cold[dbw].sum_lqr, rel=1e-12)
+                assert _powers(warm) == pytest.approx(_powers(cold[dbw]), rel=1e-6, abs=1e-9 * dbw_to_watts(dbw))
+    assert warm_cells > 30

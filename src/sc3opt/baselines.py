@@ -21,21 +21,7 @@ import numpy as np
 from .compute import classify_region, min_compute_time, min_compute_time_grad, optimal_split  # noqa: F401
 from .errors import NoConvergence
 from .optim import newton_descent, newton_kkt_step, project_budget_simplex
-from .solver import BUDGET_SLACK, Allocation, LoopData, Scenario, SolverConfig, feasible_power_init
-
-
-def _within_budget(values, k: int, budget: float, what: str) -> np.ndarray:
-    """values as an array of k finite, nonnegative entries summing to at
-    most budget (up to rounding, as ``sca_solve``'s init may); anything
-    else raises ValueError."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != (k,):
-        raise ValueError(f"{what} needs {k} entries, one per loop")
-    if not (np.isfinite(v).all() and v.min() >= 0.0):
-        raise ValueError(f"{what} entries must be finite and nonnegative")
-    if v.sum() > budget * (1.0 + BUDGET_SLACK):
-        raise ValueError(f"{what} exceeds its budget")
-    return v
+from .solver import Allocation, LoopData, Scenario, SolverConfig, feasible_power_init, within_budget
 
 
 def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
@@ -132,7 +118,7 @@ def power_only_closed_loop(
     r = np.full(k, b.r_max_bits / k)
     t_commu = data.t_cycle - data.true_min_times(f, r)
     if init is not None:
-        init = _within_budget(init, k, b.p_max_w, "init")
+        init = within_budget(init, k, b.p_max_w, "init")
         total = float(init.sum())
         if total > b.p_max_w:
             # the descent weighs the objective alone, which a step back
@@ -212,7 +198,7 @@ def communication_oriented(
     r = np.full(k, b.r_max_bits / k)
     p = water_filling(data.gamma, b.p_max_w)
     if split is not None:
-        return data.allocation(p, _within_budget(split, k, b.f_max_cycles, "split"), r)
+        return data.allocation(p, within_budget(split, k, b.f_max_cycles, "split"), r)
 
     def total_time(x):
         f = x * b.f_max_cycles

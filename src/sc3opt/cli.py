@@ -37,7 +37,7 @@ from .solver import (
     check_allocation,
     sca_solve,
 )
-from .surrogate import MajorantCoefficients, surrogate_batch
+from .surrogate import SurrogateAnchor, convex_compute_time
 
 BUDGET_PARAMETERS = ("p_max_dbw", "f_max_ghz", "r_max_mbps")
 SWEEP_PARAMETERS = BUDGET_PARAMETERS + ("sigma_v2",)
@@ -101,9 +101,10 @@ def _rejects_bad_values(parse):
 
 
 def _integer(value) -> int:
-    """An integral number, 4 or 4.0, as int; anything else is a ValueError."""
+    """An integral number, 4 or 4.0, as int; anything else, a bool too, is a
+    ValueError."""
     number = int(value)
-    if number != value:
+    if number != value or isinstance(value, bool):
         raise ValueError(f"{value!r} is not an integer")
     return number
 
@@ -558,16 +559,10 @@ def _cmd_oracle(args) -> int:
     kernel = lambda z: min_entropy(z[0], unit) / z[1]  # noqa: E731
     rep = convexity_probe(kernel, [(1.001, 50.0), (0.01, 10.0)], 500, args.seed)
     print(f"entropy kernel: passed={rep.passed} violations={rep.violations} samples={rep.samples}")
-    loop = scenario.loops[0]
-    coef = MajorantCoefficients.at(
-        np.array([scenario.budgets.f_max_cycles / 2]), np.array([scenario.budgets.r_max_bits / 2]),
-        np.array([loop.data_bits]), scenario.compute,
-    )
-    fn = lambda z: float(surrogate_batch(z[:1], z[1:], coef)[0][0])  # noqa: E731
-    box = [
-        (1e-3 * scenario.budgets.f_max_cycles, scenario.budgets.f_max_cycles),
-        (1e-3 * scenario.budgets.r_max_bits, scenario.budgets.r_max_bits),
-    ]
+    loop, b = scenario.loops[0], scenario.budgets
+    anchor = SurrogateAnchor.at(b.f_max_cycles / 2, b.r_max_bits / 2, loop.data_bits, scenario.compute)
+    fn = lambda z: float(convex_compute_time(z[0], z[1], anchor, loop.data_bits, scenario.compute))  # noqa: E731
+    box = [(1e-3 * b.f_max_cycles, b.f_max_cycles), (1e-3 * b.r_max_bits, b.r_max_bits)]
     rep = convexity_probe(fn, box, 500, args.seed)
     print(f"latency majorant: passed={rep.passed} violations={rep.violations} samples={rep.samples}")
     return 0

@@ -18,10 +18,11 @@ regimes:
 
 Each regime's closed form is one row (c_f, c_r, a, B_f, B_r, C) of
 t = (a*d + B_f*f + B_r*r) / (c_f*f + c_r*r) + C, held on
-``ComputeParams.rows``.  ``min_compute_time`` evaluates the closed form
-(``min_compute_time_batch`` over arrays), ``optimal_split`` recovers a split
-achieving it, and ``brute_force_min_time`` is an independent grid oracle
-used for validation.  Units are bits, cycles/s, bits/s and seconds
+``ComputeParams.rows``, and its convex majorant one row of
+``ComputeParams.majorant_rows``.  ``min_compute_time`` evaluates the closed
+form (``min_compute_time_batch`` over arrays), ``optimal_split`` recovers a
+split achieving it, and ``brute_force_min_time`` is an independent grid
+oracle used for validation.  Units are bits, cycles/s, bits/s and seconds
 throughout; unit conversions belong to the config layer.
 """
 
@@ -61,9 +62,11 @@ class ComputeParams:
     beta: float
     rho: float
     tau: float
-    # each regime's row, S1 to S4, giving its closed form bit for bit; set on
-    # construction, as a value cached later in __dict__ slows attribute reads
+    # each regime's row, S1 to S4, giving its closed form bit for bit, and its
+    # majorant's row; set on construction, as a value cached later in
+    # __dict__ slows attribute reads
     rows: dict[RegionLabel, tuple[float, ...]] = field(init=False, repr=False, compare=False)
+    majorant_rows: dict[RegionLabel, tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.alpha, self.beta, self.rho, self.tau))):
@@ -83,7 +86,19 @@ class ComputeParams:
             RegionLabel.S3: (1.0, a, a, -delay, 0.0, delay),
             RegionLabel.S4: (1.0, 0.0, a, 0.0, 0.0, 0.0),
         }
+        # each regime's majorant row (c_f, c_r, a, C, kappa, -c_f*a, -c_r*a) of
+        # a*d/w + C - kappa*(f0/w0)*(3 - f0/f - w/w0), w = c_f*f + c_r*r, which
+        # touches its latency at the anchor (f0, r0); S1 and S4 are exact
+        c_f, c_r, a1, _, _, c = rows[RegionLabel.S1]
+        kappa = rho * a * delay / (a - b)
+        majorant_rows = {
+            RegionLabel.S1: (c_f, c_r, a1, c, 0.0, -c_f * a1, -c_r * a1),
+            RegionLabel.S2: (rho, a - b, rho * a, a * delay / (a - b), kappa, -rho * rho * a, -(a - b) * rho * a),
+            RegionLabel.S3: (1.0, a, a, delay, delay, -a, -a * a),
+            RegionLabel.S4: (1.0, 0.0, a, 0.0, 0.0, -a, 0.0),
+        }
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "majorant_rows", majorant_rows)
 
     @property
     def relay_delay(self) -> float:
@@ -167,7 +182,7 @@ def classify_region(f: float, r: float, d: float, params: ComputeParams) -> Regi
     values coincide there, so the returned latency is unaffected.  A zero
     backhaul rate is classified S3 with the raw-relay part forced empty.
     """
-    if f < 0.0 or r < 0.0 or d <= 0.0:
+    if not (f >= 0.0 and r >= 0.0 and d > 0.0):  # refuses NaN too
         raise ValueError("need f >= 0, r >= 0 and d > 0")
     if f >= params.alpha * d / params.relay_delay:
         return RegionLabel.S4

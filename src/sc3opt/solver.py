@@ -26,7 +26,6 @@ hopelessly ill-conditioned.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -34,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import LinkParams, channel_gain, delivered_entropy, required_power
-from .compute import ComputeParams, RegionLabel, min_compute_time, optimal_split, realized_latency
+from .compute import ComputeParams, RegionLabel, is_int, min_compute_time, optimal_split, realized_latency
 from .control import LN2, EntropyParams, LoopControlSpec, cost_curve
 from .errors import Infeasible, InfeasibleSubproblem, NoFeasibleFlow
 from .optim import kink_step, newton_descent, project_budget_simplex
@@ -48,6 +47,20 @@ _EXTRAPOLATION_TRIALS = 8
 # MM points spend a budget only to within rounding: a normalized block sum
 # this far above 1 still counts as inside
 BUDGET_SLACK = 1e-9
+
+
+def within_budget(values, k: int, budget: float, what: str) -> np.ndarray:
+    """values as an array of k finite, nonnegative entries summing to at
+    most budget, up to BUDGET_SLACK of it; anything else raises ValueError
+    naming what."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (k,):
+        raise ValueError(f"{what} needs {k} entries, one per loop")
+    if not (np.isfinite(v).all() and v.min() >= 0.0):
+        raise ValueError(f"{what} entries must be finite and nonnegative")
+    if v.sum() > budget * (1.0 + BUDGET_SLACK):
+        raise ValueError(f"{what} exceeds its budget")
+    return v
 
 
 @dataclass(frozen=True)
@@ -122,7 +135,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be finite and positive")
-        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (self.max_outer_iters, self.inner_max_iters)):
+        if not all(is_int(v) and v >= 1 for v in (self.max_outer_iters, self.inner_max_iters)):
             raise ValueError("iteration budgets must be positive integers")
 
 
@@ -539,8 +552,8 @@ def sca_solve(
     decrease falls below epsilon, returning that round's MM point as is.
     Raises Infeasible (with a per-loop report) when the initial split cannot
     stabilize every loop.  An explicit ``init`` (p, f, r) must hold three
-    arrays of K finite, nonnegative entries within every budget (up to
-    rounding); anything else raises ValueError.
+    arrays each ``within_budget`` of its budget; anything else raises
+    ValueError.
     """
     cfg = config or SolverConfig()
     data = LoopData(scenario)
@@ -551,15 +564,11 @@ def sca_solve(
         r = np.full(k, b.r_max_bits / k)
         p = feasible_power_init(data, data.t_cycle - data.true_min_times(f, r), "initialization")
     else:
-        p, f, r = (np.asarray(v, dtype=float) for v in init)
-        if not p.shape == f.shape == r.shape == (k,):
-            raise ValueError(f"init needs three arrays of {k} entries, one per loop")
+        p, f, r = init
+        p = within_budget(p, k, b.p_max_w, "init power")
+        f = within_budget(f, k, b.f_max_cycles, "init compute")
+        r = within_budget(r, k, b.r_max_bits, "init rate")
     x = _pack(p, f, r, b)
-    if init is not None:
-        if not (np.isfinite(x).all() and x.min() >= 0.0):
-            raise ValueError("init entries must be finite and nonnegative")
-        if x.reshape(3, k).sum(1).max() > 1.0 + BUDGET_SLACK:
-            raise ValueError("init exceeds a budget")
     obj = data.true_objective(p, f, r)
     if not math.isfinite(obj):
         raise Infeasible("initial allocation does not stabilize every loop")

@@ -4,9 +4,12 @@ The minimal computation time is non-convex in (f, R) because its S2 and S3
 branches carry a term of the form f / (linear in f, R).  Bounding that term
 through the first-order lower bound on 1/(x*y) at a positive anchor yields,
 per regime, a convex function that majorizes the true latency everywhere
-and touches it at the anchor.  These majorants define the convex inner
-problem of the alternating solver; re-anchoring at each solution drives the
-outer objective monotonically down.
+and touches it at the anchor.  Each regime's majorant is one row of
+``ComputeParams.majorant_rows``; ``MajorantCoefficients`` and
+``surrogate_batch`` evaluate the rows over arrays of loops, and
+``convex_compute_time`` evaluates them at one anchor, bit for bit alike.
+These majorants define the convex inner problem of the alternating solver;
+re-anchoring at each solution drives the outer objective monotonically down.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compute import ComputeParams, RegionLabel, classify_region, region_masks, region_time
+from .compute import ComputeParams, RegionLabel, classify_region, region_masks
 
 
 @dataclass(frozen=True)
 class SurrogateAnchor:
     """A strictly positive expansion point with its latency regime, the
-    anchor of the scalar reference majorants below (the solver anchors
+    anchor of ``convex_compute_time`` (the solver anchors
     ``MajorantCoefficients`` at arrays instead)."""
 
     f0: float
@@ -29,7 +32,7 @@ class SurrogateAnchor:
     region: RegionLabel
 
     def __post_init__(self):
-        if self.f0 <= 0.0 or self.r0 <= 0.0:
+        if not (self.f0 > 0.0 and self.r0 > 0.0):  # refuses NaN too
             raise ValueError("anchors must have strictly positive components")
 
     @classmethod
@@ -37,24 +40,13 @@ class SurrogateAnchor:
         return cls(f0=f0, r0=r0, region=classify_region(f0, r0, d, params))
 
 
-def convex_time_s2(f, r, anchor: SurrogateAnchor, d: float, params: ComputeParams):
-    """Convex majorant of the S2-regime latency, tangent at the anchor."""
-    a, b, rho = params.alpha, params.beta, params.rho
-    delay = params.relay_delay
-    w = rho * f + (a - b) * r
-    w0 = rho * anchor.f0 + (a - b) * anchor.r0
-    k = rho * a * delay / (a - b) * anchor.f0 / w0
-    return rho * a * d / w + a * delay / (a - b) - k * (3.0 - anchor.f0 / f - w / w0)
-
-
-def convex_time_s3(f, r, anchor: SurrogateAnchor, d: float, params: ComputeParams):
-    """Convex majorant of the S3-regime latency, tangent at the anchor."""
-    a = params.alpha
-    delay = params.relay_delay
-    v = f + a * r
-    v0 = anchor.f0 + a * anchor.r0
-    k = delay * anchor.f0 / v0
-    return a * d / v + delay - k * (3.0 - anchor.f0 / f - v / v0)
+def _row_majorant(row, f, r, anchor: SurrogateAnchor, d):
+    """One row of ``ComputeParams.majorant_rows`` at the anchor, in the
+    operation order of ``MajorantCoefficients.at`` and ``surrogate_batch``."""
+    c_f, c_r, a, c, kappa, _, _ = row
+    w = c_f * f + c_r * r
+    w0 = c_f * anchor.f0 + c_r * anchor.r0
+    return a * d / w + c - kappa * anchor.f0 / w0 * (3.0 - anchor.f0 / f - w / w0)
 
 
 def convex_compute_time(f, r, anchor: SurrogateAnchor, d: float, params: ComputeParams):
@@ -64,12 +56,11 @@ def convex_compute_time(f, r, anchor: SurrogateAnchor, d: float, params: Compute
     S2 anchors use max(S1 latency, S2 majorant), S3 anchors the S3 majorant,
     S4 anchors the exact S4 latency (already convex).
     """
+    rows = params.majorant_rows
     if anchor.region in (RegionLabel.S1, RegionLabel.S2):
-        t1 = region_time(RegionLabel.S1, f, r, d, params)
-        return np.maximum(t1, convex_time_s2(f, r, anchor, d, params))
-    if anchor.region is RegionLabel.S3:
-        return convex_time_s3(f, r, anchor, d, params)
-    return region_time(RegionLabel.S4, f, r, d, params)
+        t1 = _row_majorant(rows[RegionLabel.S1], f, r, anchor, d)
+        return np.maximum(t1, _row_majorant(rows[RegionLabel.S2], f, r, anchor, d))
+    return _row_majorant(rows[anchor.region], f, r, anchor, d)
 
 
 @dataclass(frozen=True)
@@ -78,19 +69,18 @@ class MajorantCoefficients:
 
     Every branch of every loop takes the form
 
-        A / w + C - K * (3 - f0/f - w/w0),   w = c_f * f + c_r * r.
+        A / w + C - K * (3 - f0/f - w/w0),   w = c_f * f + c_r * r,
 
-    Row 0 is the smooth majorant: anchors in S1 or S2 take c_f = rho,
-    c_r = alpha - beta (the S2 majorant), S3 anchors c_f = 1, c_r = alpha,
-    and S4 anchors c_f = 1, c_r = 0, C = K = 0, which leaves the exact
-    alpha*d/f.  When some anchor lies in S1 or S2 a second row holds, on
-    those loops, the exact S1 latency, read off the S1 row of
-    ``ComputeParams.rows`` (its B terms are zero: A = a*d, K = 0), and row
-    0 again on every other loop; the majorant is the max of the rows.  Each
-    array is (rows, K), except the anchor's f0 (K,).  ``at`` builds the
-    constants once per anchor set, with the operation order of the scalar
-    majorants ``convex_time_s2`` and ``convex_time_s3`` and of
-    ``region_time``, so ``surrogate_batch`` reproduces them bit for bit.
+    from a row (c_f, c_r, a, C, kappa, g_f, g_r) of
+    ``ComputeParams.majorant_rows``, with A = a*d and K = kappa*f0/w0.
+    Row 0 is the smooth majorant: anchors in S1 or S2 take the S2 row, the
+    others their own regime's row.  When some anchor lies in S1 or S2 a
+    second row holds, on those loops, the exact S1 latency (the S1 row,
+    kappa = 0), and row 0 again on every other loop; the majorant is the
+    max of the rows.  Each array is (rows, K), except the anchor's f0 (K,).
+    ``at`` builds the constants once per anchor set in the operation order
+    of ``convex_compute_time``, so ``surrogate_batch`` reproduces it bit for
+    bit.
     """
 
     f0: np.ndarray
@@ -110,43 +100,27 @@ class MajorantCoefficients:
     def at(cls, f0: np.ndarray, r0: np.ndarray, d: np.ndarray, params: ComputeParams) -> "MajorantCoefficients":
         """Constants of the majorant anchored at each loop's (f0, r0), a
         strictly positive pair, with data size d (arrays of one length);
-        ``region_masks`` gives each anchor's regime."""
-        a, b, rho = params.alpha, params.beta, params.rho
-        delay = params.relay_delay
+        ``region_masks`` gives each anchor's regime and so its row."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            s1, s2, s3, _ = region_masks(f0, r0, d, params)
+            s1, s2, s3, s4 = region_masks(f0, r0, d, params)
         s12 = s1 | s2
-        cf = np.where(s12, rho, 1.0)
-        cr = np.where(s12, a - b, np.where(s3, a, 0.0))
+        smooth = 3 * s4 + 2 * s3 + s12  # the S2 row for S1 and S2 anchors
+        index = np.stack([smooth, np.where(s12, 0, smooth)]) if s12.any() else smooth[None]
+        table = np.array(list(params.majorant_rows.values())).T
+        cf, cr, a, const, kappa, g_f, g_r = table.take(index, axis=1)
         w0 = cf * f0 + cr * r0
-        rows = [
-            cf,
-            cr,
-            np.where(s12, rho * a * d, a * d),
-            np.where(s12, a * delay / (a - b), np.where(s3, delay, 0.0)),
-            np.where(s12, rho * a * delay / (a - b) * f0 / w0, np.where(s3, delay * f0 / w0, 0.0)),
-            np.where(s12, -rho * rho * a * d, -a * d),
-            np.where(s12, -(a - b) * rho * a * d, np.where(s3, -a * a * d, 0.0)),
-        ]
-        if s12.any():
-            c_f, c_r, a1, _, _, c = params.rows[RegionLabel.S1]  # B_f = B_r = 0
-            s1_row = [c_f, c_r, a1 * d, c, 0.0, -c_f * a1 * d, -c_r * a1 * d]
-            rows = [np.stack([row, np.where(s12, s1, row)]) for row, s1 in zip(rows, s1_row)]
-        else:
-            rows = [row[None] for row in rows]
-        cf, cr, num, const, slope, gf, gr = rows
-        w0 = cf * f0 + cr * r0
+        slope = kappa * f0 / w0
         return cls(
             f0=f0,
             w0=w0,
             cf=cf,
             cr=cr,
-            num=num,
+            num=a * d,
             const=const,
             slope=slope,
             cf_w0=cf / w0,
-            gf=gf,
-            gr=gr,
+            gf=g_f * d,
+            gr=g_r * d,
             hr=slope * cr / w0,
             s12=s12,
         )

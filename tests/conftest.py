@@ -83,3 +83,25 @@ def max_branch(rows):
     takes, per loop: the S1 branch where it is at least the smooth one."""
     take = rows[0][-1] >= rows[0][0]
     return tuple(np.where(take, a[-1], a[0]) for a in rows)
+
+
+def convex_time_s2(f, r, anchor, d, params):
+    """Reference S2 majorant, tangent at the anchor (a ``SurrogateAnchor``),
+    written from the offload constants: the closed form that
+    ``ComputeParams.majorant_rows`` must reproduce bit for bit."""
+    a, b, rho = params.alpha, params.beta, params.rho
+    delay = params.relay_delay
+    w = rho * f + (a - b) * r
+    w0 = rho * anchor.f0 + (a - b) * anchor.r0
+    k = rho * a * delay / (a - b) * anchor.f0 / w0
+    return rho * a * d / w + a * delay / (a - b) - k * (3.0 - anchor.f0 / f - w / w0)
+
+
+def convex_time_s3(f, r, anchor, d, params):
+    """Reference S3 majorant, tangent at the anchor, as ``convex_time_s2``."""
+    a = params.alpha
+    delay = params.relay_delay
+    v = f + a * r
+    v0 = anchor.f0 + a * anchor.r0
+    k = delay * anchor.f0 / v0
+    return a * d / v + delay - k * (3.0 - anchor.f0 / f - v / v0)

@@ -36,8 +36,16 @@ from sc3opt import (
     power_only_closed_loop,
     sca_solve,
 )
-from sc3opt.surrogate import SurrogateAnchor, convex_compute_time, convex_time_s2, convex_time_s3
-from conftest import QUICK_SEEDS, make_loop, random_compute_params, random_flow, tight_single_loop_scenario
+from sc3opt.surrogate import SurrogateAnchor, convex_compute_time
+from conftest import (
+    QUICK_SEEDS,
+    convex_time_s2,
+    convex_time_s3,
+    make_loop,
+    random_compute_params,
+    random_flow,
+    tight_single_loop_scenario,
+)
 
 # fixed snapshot seeds; 500 and 1465 carry far-robot placements that expose
 # the communication-oriented scheme's low-power instability

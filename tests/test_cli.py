@@ -479,8 +479,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         '"values": [1.0], "seeds": []',
         '"values": [1.0], "schemes": []',
         '"values": [1.0], "seeds": [0, -1]',
+        '"values": [1.0], "seeds": [true, false]',
     ],
-    ids=["infinite_value", "no_values", "fractional_seed", "no_seeds", "no_schemes", "negative_seed"],
+    ids=["infinite_value", "no_values", "fractional_seed", "no_seeds", "no_schemes", "negative_seed", "boolean_seeds"],
 )
 def test_cli_sweep_bad_spec_ends_in_error_line(tmp_path, capsys, fields):
     # a later key wins, so "schemes" in fields replaces the default one here
@@ -539,6 +540,7 @@ def test_cli_reads_integral_floats_as_integers(tmp_path):
         json.dumps({**scenario_to_dict(generate_scenario(0)), "compute": {"rho": 0.25}}),
         _explicit_state_dimension_text(4.9),
         json.dumps({"seed": 0, "overrides": {"k_loops": 2.5}}),
+        json.dumps({"seed": 0, "overrides": {"k_loops": True}}),
         json.dumps({"seed": 0, "overrides": {"n_state": 3.7}}),
         json.dumps({"seed": 0.5}),
     ],
@@ -554,6 +556,7 @@ def test_cli_reads_integral_floats_as_integers(tmp_path):
         "missing_key",
         "fractional_state_dimension",
         "fractional_loop_count",
+        "boolean_loop_count",
         "fractional_n_state",
         "fractional_seed",
     ],
@@ -799,15 +802,17 @@ def test_cli_sweep_rejects_malformed_generation_config(tmp_path, capsys, text):
     assert main(["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")]) == 1
 
 
-def test_cli_convexity_probe_runs_the_solver_kernel(tmp_path, monkeypatch):
+def test_cli_convexity_probe_runs_the_scalar_majorant(tmp_path, monkeypatch):
+    """The CLI probes the majorant through ``convex_compute_time``, as the
+    benchmark does; it equals the solver's kernel bit for bit."""
     calls = []
-    kernel = sc3opt.cli.surrogate_batch
+    kernel = sc3opt.cli.convex_compute_time
 
     def counted(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(sc3opt.cli, "surrogate_batch", counted)
+    monkeypatch.setattr(sc3opt.cli, "convex_compute_time", counted)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 0, "overrides": {"k_loops": 2}}))
     assert main(["oracle", "--config", str(config), "--mode", "convexity"]) == 0

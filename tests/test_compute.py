@@ -102,6 +102,16 @@ def test_classify_zero_rate(params):
     assert classify_region(6e9, 0.0, 1e6, params) is RegionLabel.S4
 
 
+@pytest.mark.parametrize(
+    "flow",
+    [(math.nan, 1e6, 1e6), (1e9, math.nan, 1e6), (1e9, 1e6, math.nan), (-1.0, 1e6, 1e6), (1e9, 1e6, 0.0)],
+    ids=["nan_compute", "nan_rate", "nan_data", "negative_compute", "no_data"],
+)
+def test_classify_rejects_nan_and_out_of_range(params, flow):
+    with pytest.raises(ValueError):
+        classify_region(*flow, params)
+
+
 def test_min_time_examples(params):
     d = 1e6
     assert min_compute_time(1e8, 1e6, d, params) == pytest.approx(0.42, rel=1e-12)

@@ -139,15 +139,16 @@ def test_library_scores_loops_through_loop_data():
     assert _calls_outside(("entropy_per_cycle", "lqr_from_entropy"), ("channel.py", "control.py")) == []
 
 
-def test_latency_constants_are_read_in_compute_and_surrogate():
+def test_latency_constants_are_read_in_compute_only():
     """The offload constants enter the latency through ``ComputeParams.rows``
-    (compute.py) and the majorant (surrogate.py); any other module reading
-    alpha, beta, rho, tau, the relay delay or the pre-processing gain off a
-    ``ComputeParams`` writes a regime's constants a second time."""
+    and the majorant through ``ComputeParams.majorant_rows``, both set in
+    compute.py; any other module reading alpha, beta, rho, tau, the relay
+    delay or the pre-processing gain off a ``ComputeParams`` writes a
+    regime's constants a second time."""
     constants = {"alpha", "beta", "rho", "tau", "relay_delay", "preproc_gain"}
     offenders = []
     for path in sorted(Path(sc3opt.__file__).parent.glob("*.py")):
-        if path.name in ("compute.py", "surrogate.py"):
+        if path.name == "compute.py":
             continue
         offenders += [
             f"{path.name}:{node.lineno}: .{node.attr}"

@@ -60,13 +60,8 @@ from sc3opt import (
 from sc3opt.channel import required_power
 from sc3opt.control import LN2
 from sc3opt.solver import LoopData
-from sc3opt.surrogate import (
-    MajorantCoefficients,
-    SurrogateAnchor,
-    convex_time_s2,
-    surrogate_batch,
-)
-from conftest import max_branch
+from sc3opt.surrogate import MajorantCoefficients, SurrogateAnchor, surrogate_batch
+from conftest import convex_time_s2, max_branch
 
 ROUNDING = 1e-12  # relative; the kernel and the closed form differ by a few ulps
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

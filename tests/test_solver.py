@@ -424,8 +424,9 @@ def test_solver_config_rejects_non_finite(field, bad):
     with pytest.raises(ValueError):
         SolverConfig(**{field: bad})
     if field.endswith("_iters"):  # a non-integral iteration budget
-        with pytest.raises(ValueError):
-            SolverConfig(**{field: 2.5})
+        for count in (2.5, True):
+            with pytest.raises(ValueError):
+                SolverConfig(**{field: count})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,16 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from sc3opt import RegionLabel, min_compute_time, region_time
-from sc3opt.surrogate import (
-    MajorantCoefficients,
-    SurrogateAnchor,
-    convex_compute_time,
-    convex_time_s2,
-    convex_time_s3,
-    surrogate_batch,
-)
-from conftest import max_branch, random_compute_params, random_flow
+from sc3opt.surrogate import MajorantCoefficients, SurrogateAnchor, convex_compute_time, surrogate_batch
+from conftest import convex_time_s2, convex_time_s3, max_branch, random_compute_params, random_flow
 
 
 def inverse_product_bound(x: float, y: float, x0: float, y0: float) -> float:
@@ -107,6 +102,9 @@ def test_anchor_validation(params):
         SurrogateAnchor(f0=0.0, r0=1e6, region=RegionLabel.S1)
     with pytest.raises(ValueError):
         SurrogateAnchor(f0=1e9, r0=-1.0, region=RegionLabel.S2)
+    for f0, r0 in ((math.nan, 1e6), (1e9, math.nan)):
+        with pytest.raises(ValueError):
+            SurrogateAnchor(f0=f0, r0=r0, region=RegionLabel.S1)
 
 
 def _assert_batch_matches_scalar(anchors, f, r, d, params):
@@ -214,3 +212,59 @@ def test_s1_row_is_the_exact_s1_latency():
         np.testing.assert_allclose(drr, scale * p.beta**2, rtol=1e-14)
         on_seam += int(s12.sum())
     assert on_seam >= 100
+
+
+def _reference_rows(f0, r0, d, p, region):
+    """A loop's smooth row and, for S1 and S2 anchors, its S1 row, each as
+    (c_f, c_r, A, C, K, -c_f*A, -c_r*A), written from alpha, beta, rho and
+    the relay delay in the operation order of ``convex_time_s2``,
+    ``convex_time_s3`` and ``region_time``."""
+    a, b, rho, delay = p.alpha, p.beta, p.rho, p.relay_delay
+    if region is RegionLabel.S3:
+        return [(1.0, a, a * d, delay, delay * f0 / (f0 + a * r0), -a * d, -a * a * d)]
+    if region is RegionLabel.S4:
+        return [(1.0, 0.0, a * d, 0.0, 0.0, -a * d, 0.0)]
+    slope = rho * a * delay / (a - b) * f0 / (rho * f0 + (a - b) * r0)
+    return [
+        (rho, a - b, rho * a * d, a * delay / (a - b), slope, -rho * rho * a * d, -(a - b) * rho * a * d),
+        (1.0 - rho, b, b * d, delay, 0.0, -(1.0 - rho) * b * d, -b * b * d),
+    ]
+
+
+def test_majorant_rows_match_the_references_bit_for_bit():
+    """``MajorantCoefficients.at`` reads its constants off
+    ``ComputeParams.majorant_rows``; every field equals the constants the
+    reference majorants are written with, and the rows' values and
+    ``convex_compute_time`` equal ``convex_time_s2``, ``convex_time_s3`` and
+    ``region_time`` bit for bit, on anchors in all four regimes."""
+    rng = np.random.default_rng(61)
+    seen = set()
+    for _ in range(100):
+        p = random_compute_params(rng)
+        f0, r0, d = (np.array(c) for c in zip(*(random_flow(rng) for _ in range(8))))
+        f, r, _ = (np.array(c) for c in zip(*(random_flow(rng) for _ in range(8))))
+        coef = MajorantCoefficients.at(f0, r0, d, p)
+        fields = (coef.cf, coef.cr, coef.num, coef.const, coef.slope, coef.gf, coef.gr, coef.w0, coef.cf_w0, coef.hr)
+        t = surrogate_batch(f, r, coef)[1]()[0]
+        for i in range(8):
+            fi, ri, di = float(f[i]), float(r[i]), float(d[i])
+            anchor = SurrogateAnchor.at(float(f0[i]), float(r0[i]), di, p)
+            seen.add(anchor.region)
+            rows = _reference_rows(anchor.f0, anchor.r0, di, p, anchor.region)
+            rows += rows[:1] * (len(coef.cf) - len(rows))  # row 0 again where no S1 row applies
+            for j, (c_f, c_r, num, const, slope, g_f, g_r) in enumerate(rows):
+                w0 = c_f * anchor.f0 + c_r * anchor.r0
+                expected = [c_f, c_r, num, const, slope, g_f, g_r, w0, c_f / w0, slope * c_r / w0]
+                assert [x[j, i] for x in fields] == expected
+            if anchor.region is RegionLabel.S3:
+                expected = smooth = convex_time_s3(fi, ri, anchor, di, p)
+            elif anchor.region is RegionLabel.S4:
+                expected = smooth = region_time(RegionLabel.S4, fi, ri, di, p)
+            else:
+                smooth = convex_time_s2(fi, ri, anchor, di, p)
+                exact = region_time(RegionLabel.S1, fi, ri, di, p)
+                assert t[-1, i] == exact
+                expected = max(smooth, exact)
+            assert t[0, i] == smooth
+            assert convex_compute_time(fi, ri, anchor, di, p) == expected
+    assert seen == set(RegionLabel)

@@ -21,7 +21,7 @@ import numpy as np
 from .compute import classify_region, min_compute_time, min_compute_time_grad, optimal_split  # noqa: F401
 from .errors import NoConvergence
 from .optim import newton_descent, newton_kkt_step, project_budget_simplex
-from .solver import Allocation, LoopData, Scenario, SolverConfig, feasible_power_init, within_budget
+from .solver import INNER_MAX_STEPS, Allocation, LoopData, Scenario, feasible_power_init, within_budget
 
 
 def water_filling(gains: np.ndarray, p_total: float) -> np.ndarray:
@@ -80,9 +80,7 @@ def _power_terms(data: LoopData, t_commu: np.ndarray):
     return fun
 
 
-def power_only_closed_loop(
-    scenario: Scenario, config: SolverConfig | None = None, init: np.ndarray | None = None
-) -> Allocation:
+def power_only_closed_loop(scenario: Scenario, *, init: np.ndarray | None = None) -> Allocation:
     """Equal compute/backhaul split; power alone optimized for the sum cost.
 
     With the windows fixed, min sum_k l_k(e_k(p_k)) subject to
@@ -106,11 +104,9 @@ def power_only_closed_loop(
     Stops at a decrement of 16 eps |sum|: the last full step then moves
     the sum only by rounding but squares the KKT residual, so the relative
     prox residual, max |x - project_budget_simplex(x - g / |sum|, 1)| in
-    normalized power x, ends far below 1e-7.  Reads only
-    ``config.inner_max_iters``: that many steps without stopping raise
-    NoConvergence.
+    normalized power x, ends far below 1e-7.  ``INNER_MAX_STEPS`` steps
+    without stopping raise NoConvergence.
     """
-    cfg = config or SolverConfig()
     data = LoopData(scenario)
     k = data.k
     b = scenario.budgets
@@ -137,10 +133,10 @@ def power_only_closed_loop(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p, *_, stop = newton_descent(
             _power_terms(data, t_commu), step, p0, 16.0 * np.finfo(float).eps,
-            cfg.inner_max_iters, "power-only baseline",
+            INNER_MAX_STEPS, "power-only baseline",
         )
         if stop == "cap":
-            raise NoConvergence(f"power-only baseline: Newton exceeded {cfg.inner_max_iters} steps")
+            raise NoConvergence(f"power-only baseline: Newton exceeded {INNER_MAX_STEPS} steps")
         return data.allocation(p, f, r, t_commu)
 
 
@@ -172,9 +168,7 @@ def _projected_gradient_step():
     return step
 
 
-def communication_oriented(
-    scenario: Scenario, config: SolverConfig | None = None, split: np.ndarray | None = None
-) -> Allocation:
+def communication_oriented(scenario: Scenario, *, split: np.ndarray | None = None) -> Allocation:
     """Equal backhaul split, compute minimizing total computation time,
     power water-filled for throughput; loop costs evaluated afterwards.
 
@@ -186,12 +180,11 @@ def communication_oriented(
     cycles/s within f_max (anything else raises ValueError), is taken as
     is, without the descent: the split depends on neither the power budget
     nor the plants, so an earlier answer on the same loops, compute
-    parameters, f_max and r_max serves again.  Reads only
-    ``config.inner_max_iters``.
+    parameters, f_max and r_max serves again.  The descent stops after
+    ``INNER_MAX_STEPS`` steps at the latest.
     Loops whose delivered entropy falls at or below their intrinsic rate
     come out with an infinite cost rather than an error.
     """
-    cfg = config or SolverConfig()
     data = LoopData(scenario)
     k = data.k
     b = scenario.budgets
@@ -208,7 +201,7 @@ def communication_oriented(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = newton_descent(
             total_time, _projected_gradient_step(), np.full(k, 1.0 / k), 16.0 * np.finfo(float).eps,
-            cfg.inner_max_iters, "compute split",
+            INNER_MAX_STEPS, "compute split",
         )[0]
     return data.allocation(p, x * b.f_max_cycles, r)
 

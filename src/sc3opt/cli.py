@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -46,7 +47,7 @@ SCHEMES = ("sca", "power_only", "comm_oriented")
 # generation defaults; the data size per cycle is a modeling choice, picked
 # so that computation occupies a meaningful share of the cycle only when
 # offloading is actually exercised
-DEFAULTS: dict[str, float] = {
+DEFAULTS: dict[str, int | float] = {
     "k_loops": 5,
     "radius_m": 5000.0,
     "uav_height_m": 100.0,
@@ -100,21 +101,45 @@ def _rejects_bad_values(parse):
     return wrapper
 
 
+def _number(value) -> float:
+    """A real number, 4, 4.5 or a numpy float, as float; a bool, a numpy
+    bool (not a Real), a string or anything else is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """An integral number, 4 or 4.0, as int; anything else, a bool too, is a
-    ValueError."""
+    """An integral number, 4 or 4.0, as int; what ``_number`` refuses is a
+    TypeError, a fraction a ValueError."""
+    _number(value)
     number = int(value)
-    if number != value or isinstance(value, bool):
+    if number != value:
         raise ValueError(f"{value!r} is not an integer")
     return number
 
 
+def _numbers(values) -> list[float]:
+    """A plant's diagonals, each entry read by ``_number``."""
+    return [_number(v) for v in values]
+
+
+def _merged(overrides: dict | None) -> dict:
+    """DEFAULTS with each override read as a number of its default's type."""
+    cfg = dict(DEFAULTS)
+    for key, value in (overrides or {}).items():
+        if key not in DEFAULTS:
+            raise BadOverride(f"unknown override {key!r}")
+        cfg[key] = _integer(value) if type(DEFAULTS[key]) is int else _number(value)
+    return cfg
+
+
 def _budgets(cfg: dict) -> Budgets:
-    """The budgets a generation config names, in model units."""
+    """The budgets a merged generation config names, in model units."""
     return Budgets(
-        p_max_w=dbw_to_watts(float(cfg["p_max_dbw"])),
-        f_max_cycles=float(cfg["f_max_ghz"]) * 1e9,
-        r_max_bits=float(cfg["r_max_mbps"]) * 1e6,
+        p_max_w=dbw_to_watts(cfg["p_max_dbw"]),
+        f_max_cycles=cfg["f_max_ghz"] * 1e9,
+        r_max_bits=cfg["r_max_mbps"] * 1e6,
     )
 
 
@@ -128,49 +153,44 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
     positive entropy and the stabilization constraint stays meaningful:
     a_mag_low below 1, or a_mag_high below a_mag_low, is a BadConfig.
     """
-    cfg = dict(DEFAULTS)
-    for key, value in (overrides or {}).items():
-        if key not in DEFAULTS:
-            raise BadOverride(f"unknown override {key!r}")
-        cfg[key] = value
+    cfg = _merged(overrides)
     rng = np.random.default_rng(seed)
-    k = _integer(cfg["k_loops"])
-    n = _integer(cfg["n_state"])
-    a_low, a_high = float(cfg["a_mag_low"]), float(cfg["a_mag_high"])
+    k, n = cfg["k_loops"], cfg["n_state"]
+    a_low, a_high = cfg["a_mag_low"], cfg["a_mag_high"]
     if not 1.0 <= a_low <= a_high:  # magnitudes below one give h <= 0
         raise BadConfig(f"need 1 <= a_mag_low <= a_mag_high, not {a_low} and {a_high}")
 
     link = LinkParams(
-        bandwidth_hz=float(cfg["bandwidth_hz"]),
-        gamma0=db_to_linear(float(cfg["gamma0_db"])),
-        noise_power_w=dbm_to_watts(float(cfg["noise_dbm"])),
-        uav_height_m=float(cfg["uav_height_m"]),
+        bandwidth_hz=cfg["bandwidth_hz"],
+        gamma0=db_to_linear(cfg["gamma0_db"]),
+        noise_power_w=dbm_to_watts(cfg["noise_dbm"]),
+        uav_height_m=cfg["uav_height_m"],
     )
     compute = ComputeParams(
-        alpha=float(cfg["alpha"]),
-        beta=float(cfg["beta"]),
-        rho=float(cfg["rho"]),
-        tau=float(cfg["tau_s"]),
+        alpha=cfg["alpha"],
+        beta=cfg["beta"],
+        rho=cfg["rho"],
+        tau=cfg["tau_s"],
     )
     budgets = _budgets(cfg)
 
     loops = []
     for _ in range(k):
-        radius = float(cfg["radius_m"]) * math.sqrt(rng.random())
-        distance = math.hypot(float(cfg["uav_height_m"]), radius)
+        radius = cfg["radius_m"] * math.sqrt(rng.random())
+        distance = math.hypot(cfg["uav_height_m"], radius)
         mags = a_low + (a_high - a_low) * rng.random(n)
         signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         control = LoopControlSpec(
             a=mags * signs,
             b=np.ones(n),
-            sigma_v2=float(cfg["sigma_v2"]),
-            sigma_w2=float(cfg["sigma_w2"]),
+            sigma_v2=cfg["sigma_v2"],
+            sigma_w2=cfg["sigma_w2"],
         )
         loops.append(
             Loop(
                 entropy=build_entropy_params(control),
-                data_bits=float(cfg["d_bits"]),
-                cycle_seconds=float(cfg["cycle_s"]),
+                data_bits=cfg["d_bits"],
+                cycle_seconds=cfg["cycle_s"],
                 distance_m=distance,
                 control=control,
             )
@@ -182,30 +202,30 @@ def generate_scenario(seed: int, overrides: dict | None = None) -> Scenario:
 # serialization
 
 
-def _as_given(value):
-    return value  # a plant's diagonals: LoopControlSpec checks them
-
-
 # JSON key -> (attribute, reader) for each type written to JSON, in the
 # order written
 _FIELDS = {
     ComputeParams: {
-        "alpha_cycles_per_bit": ("alpha", float),
-        "beta_cycles_per_bit": ("beta", float),
-        "rho": ("rho", float),
-        "tau_s": ("tau", float),
+        "alpha_cycles_per_bit": ("alpha", _number),
+        "beta_cycles_per_bit": ("beta", _number),
+        "rho": ("rho", _number),
+        "tau_s": ("tau", _number),
     },
-    LinkParams: {key: (key, float) for key in ("bandwidth_hz", "gamma0", "noise_power_w", "uav_height_m")},
-    Budgets: {key: (key, float) for key in ("p_max_w", "f_max_cycles", "r_max_bits")},
-    EntropyParams: {"n": ("n", _integer), "h_bits": ("h", float), "l_min": ("l_min", float), "c": ("c", float)},
-    Loop: {"data_bits": ("data_bits", float), "cycle_s": ("cycle_seconds", float), "distance_m": ("distance_m", float)},
+    LinkParams: {key: (key, _number) for key in ("bandwidth_hz", "gamma0", "noise_power_w", "uav_height_m")},
+    Budgets: {key: (key, _number) for key in ("p_max_w", "f_max_cycles", "r_max_bits")},
+    EntropyParams: {"n": ("n", _integer), "h_bits": ("h", _number), "l_min": ("l_min", _number), "c": ("c", _number)},
+    Loop: {
+        "data_bits": ("data_bits", _number),
+        "cycle_s": ("cycle_seconds", _number),
+        "distance_m": ("distance_m", _number),
+    },
     LoopControlSpec: {
-        "a_diag": ("a", _as_given),
-        "b_diag": ("b", _as_given),
-        "sigma_v2": ("sigma_v2", float),
-        "sigma_w2": ("sigma_w2", float),
+        "a_diag": ("a", _numbers),
+        "b_diag": ("b", _numbers),
+        "sigma_v2": ("sigma_v2", _number),
+        "sigma_w2": ("sigma_w2", _number),
     },
-    LoopAllocation: {key: (key, float) for key in ("p_w", "f_cycles", "r_bits", "t_commu_s", "lqr_cost")},
+    LoopAllocation: {key: (key, _number) for key in ("p_w", "f_cycles", "r_bits", "t_commu_s", "lqr_cost")},
 }
 _SECTIONS = (("compute", ComputeParams), ("link", LinkParams), ("budgets", Budgets))
 
@@ -258,7 +278,7 @@ def allocation_from_dict(data: dict) -> Allocation:
     resources = [v for la in loops for v in (la.p_w, la.f_cycles, la.r_bits, la.t_commu_s)]
     if not all(map(math.isfinite, resources)):
         raise ValueError("allocation resources and windows must be finite")
-    return Allocation(loops=loops, sum_lqr=float(data["sum_lqr"]))
+    return Allocation(loops=loops, sum_lqr=_number(data["sum_lqr"]))
 
 
 @_rejects_bad_values
@@ -328,7 +348,7 @@ class SweepSpec:
     def from_dict(cls, data: dict) -> "SweepSpec":
         return cls(
             parameter=data["parameter"],
-            values=tuple(float(v) for v in data["values"]),
+            values=tuple(map(_number, data["values"])),
             schemes=tuple(data.get("schemes", SCHEMES)),
             seeds=tuple(map(_integer, data.get("seeds", (0,)))),
         )
@@ -337,7 +357,7 @@ class SweepSpec:
 CSV_HEADER = ("param_value", "scheme", "seed", "sum_lqr", "status", "iterations", "wall_ms")
 
 
-def _run_cell(scenario, value, scheme, seed, config, start, warm):
+def _run_cell(scenario, value, scheme, seed, start, warm):
     """One row: ``scheme`` on ``scenario``, a baseline given the keyword
     arguments ``warm``, or the Sc3Error building it raised; and the
     allocation, None when the cell failed.  ``sum_lqr`` is the
@@ -348,12 +368,12 @@ def _run_cell(scenario, value, scheme, seed, config, start, warm):
         if isinstance(scenario, Sc3Error):
             raise scenario
         if scheme == "sca":
-            alloc, trace = sca_solve(scenario, config)
+            alloc, trace = sca_solve(scenario)
             iterations = len(trace.iterations) - 1
         elif scheme == "power_only":
-            alloc = power_only_closed_loop(scenario, config, **warm)
+            alloc = power_only_closed_loop(scenario, **warm)
         else:
-            alloc = communication_oriented(scenario, config, **warm)
+            alloc = communication_oriented(scenario, **warm)
         total = alloc.sum_lqr
         status = "ok" if math.isfinite(total) else "unstable"
     except Infeasible:
@@ -376,7 +396,7 @@ def _run_cell(scenario, value, scheme, seed, config, start, warm):
 @_rejects_bad_values
 def _with_budgets(scenario: Scenario, overrides: dict) -> Scenario:
     """``scenario`` with the budgets the generation overrides name."""
-    return replace(scenario, budgets=_budgets({**DEFAULTS, **overrides}))
+    return replace(scenario, budgets=_budgets(_merged(overrides)))
 
 
 def _warm_start(scheme: str, budgets: Budgets, last) -> dict:
@@ -394,7 +414,7 @@ def _warm_start(scheme: str, budgets: Budgets, last) -> dict:
     return {}
 
 
-def _seed_rows(sweep, seed, base_overrides, config):
+def _seed_rows(sweep, seed, base_overrides):
     """One seed's rows in (value, scheme) order.  Every scheme of a value
     shares its scenario; a budget sweep draws the seed's loops only once.
 
@@ -419,7 +439,7 @@ def _seed_rows(sweep, seed, base_overrides, config):
             scenario = exc
         for scheme in sweep.schemes:
             warm = {} if isinstance(scenario, Sc3Error) else _warm_start(scheme, scenario.budgets, last.get(scheme))
-            row, alloc = _run_cell(scenario, value, scheme, seed, config, start, warm)
+            row, alloc = _run_cell(scenario, value, scheme, seed, start, warm)
             rows.append(row)
             if alloc is None or (scheme == "power_only" and row["status"] != "ok"):
                 last.pop(scheme, None)
@@ -429,11 +449,7 @@ def _seed_rows(sweep, seed, base_overrides, config):
     return rows
 
 
-def run_sweep(
-    sweep: SweepSpec,
-    base_overrides: dict | None = None,
-    config: SolverConfig | None = None,
-) -> list[dict]:
+def run_sweep(sweep: SweepSpec, base_overrides: dict | None = None) -> list[dict]:
     """All sweep cells, one row each in (value, scheme, seed) order;
     failures are encoded in the status column and never abort the sweep.
 
@@ -449,7 +465,7 @@ def run_sweep(
     cold.  The first scheme's ``wall_ms`` includes building the value's
     scenario.
     """
-    per_seed = [_seed_rows(sweep, seed, base_overrides, config) for seed in sweep.seeds]
+    per_seed = [_seed_rows(sweep, seed, base_overrides) for seed in sweep.seeds]
     return [rows[cell] for cell in range(len(sweep.values) * len(sweep.schemes)) for rows in per_seed]
 
 

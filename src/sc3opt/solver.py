@@ -42,6 +42,8 @@ from .surrogate import MajorantCoefficients, surrogate_batch
 # anchors with a dead component are pushed up to this fraction of the budget
 ANCHOR_FLOOR = 1e-6
 
+# steps after which a newton_descent run (inner solves, both baselines) stops: "cap"
+INNER_MAX_STEPS = 100_000
 # extrapolation trials per outer round, at 1, 2, 4, ... MM steps beyond the MM point
 _EXTRAPOLATION_TRIALS = 8
 # MM points spend a budget only to within rounding: a normalized block sum
@@ -122,21 +124,19 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """epsilon stops the outer loop on relative objective decrease;
-    inner_max_iters caps the steps of every ``newton_descent`` run (each
-    inner solve and both baselines).  No solve reads the constant
+    """epsilon stops ``sca_solve``'s outer loop on relative objective
+    decrease, max_outer_iters caps its rounds.  No solve reads the constant
     inner_tol: the residual above which an inner solve counts as stalled."""
 
     epsilon: float = 5e-5
     max_outer_iters: int = 30
-    inner_max_iters: int = 100_000
     inner_tol: ClassVar[float] = 1e-7
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be finite and positive")
-        if not all(is_int(v) and v >= 1 for v in (self.max_outer_iters, self.inner_max_iters)):
-            raise ValueError("iteration budgets must be positive integers")
+        if not (is_int(self.max_outer_iters) and self.max_outer_iters >= 1):
+            raise ValueError("the round budget must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -201,12 +201,12 @@ class IterationRecord:
     # max |x - project_budget_simplex(x - g / |value|, 1)| over the
     # normalized blocks (nan: no inner solve)
     inner_residual: float
-    # accepted multiple of the round's majorize-minimize step (1.0: the MM point)
+    # accepted multiple of the round's majorize-minimize step (1.0: the MM point, 0.0: the init kept)
     step_scale: float = 1.0
     # surrogate_batch calls in the round's inner solve (0: no inner solve)
     inner_evaluations: int = 0
     # why the inner solve stopped, as ``newton_descent`` reports it: "kkt",
-    # "stall" or "cap" (inner_max_iters steps); None: no inner solve
+    # "stall" or "cap" (INNER_MAX_STEPS steps); None: no inner solve
     inner_stop: str | None = None
 
     @property
@@ -455,7 +455,7 @@ def make_anchors(scenario: Scenario, f: np.ndarray, r: np.ndarray) -> tuple[np.n
 _FINAL_DECREMENT = 1e-12
 
 
-def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConfig, x0: np.ndarray):
+def _inner_solve(data: LoopData, majorant: MajorantCoefficients, x0: np.ndarray):
     """``newton_descent`` on the round's convex problem from x0 (normalized,
     flat (p, f, r) blocks), each step a ``kink_step``.  Returns (x, value,
     steps, residual, evaluations, stop): the residual is the relative prox
@@ -474,7 +474,7 @@ def _inner_solve(data: LoopData, majorant: MajorantCoefficients, cfg: SolverConf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z, val, terms, steps, evals, stop = newton_descent(
             _round_objective(data, majorant), step, x0.reshape(3, k).T.copy(), _FINAL_DECREMENT,
-            cfg.inner_max_iters, "inner problem",
+            INNER_MAX_STEPS, "inner problem",
         )
         blocks, gap, _, _ = terms()
         grad = blocks(np.where(kink, np.minimum(np.maximum(theta, 0.0), 1.0), gap >= 0.0))[0].T
@@ -511,7 +511,7 @@ def _extrapolate(data: LoopData, x_prev: np.ndarray, x_mm: np.ndarray, obj_mm: f
     return best
 
 
-def solve_inner(scenario: Scenario, anchors, config: SolverConfig | None = None) -> Allocation:
+def solve_inner(scenario: Scenario, anchors) -> Allocation:
     """Solve the convex subproblem at fixed anchors, the arrays (f0, r0)
     ``make_anchors`` returns, from the anchors with ``feasible_power_init``'s
     power (InfeasibleSubproblem when it has none).
@@ -519,7 +519,6 @@ def solve_inner(scenario: Scenario, anchors, config: SolverConfig | None = None)
     Returns a feasible allocation whose communication windows are tight
     against the surrogate latency, hence feasible under the true one.
     """
-    cfg = config or SolverConfig()
     data = LoopData(scenario)
     f, r = anchors
     majorant = MajorantCoefficients.at(f, r, data.d_bits, scenario.compute)
@@ -528,7 +527,7 @@ def solve_inner(scenario: Scenario, anchors, config: SolverConfig | None = None)
         p = feasible_power_init(data, data.t_cycle - tbar, "inner problem")
     except Infeasible as exc:
         raise InfeasibleSubproblem(str(exc), report=exc.report) from None
-    x = _inner_solve(data, majorant, cfg, _pack(p, f, r, scenario.budgets))[0]
+    x = _inner_solve(data, majorant, _pack(p, f, r, scenario.budgets))[0]
     p, f, r = x.reshape(3, data.k) * data.budget_col
     return data.allocation(p, f, r, data.t_cycle - surrogate_batch(f, r, majorant)[0])
 
@@ -553,7 +552,9 @@ def sca_solve(
     Raises Infeasible (with a per-loop report) when the initial split cannot
     stabilize every loop.  An explicit ``init`` (p, f, r) must hold three
     arrays each ``within_budget`` of its budget; anything else raises
-    ValueError.
+    ValueError.  An init with a zero compute share, where the majorant is
+    infinite, starts the first inner solve from its shares floored as
+    anchors and scaled into f_max; the init stands if that MM point is worse.
     """
     cfg = config or SolverConfig()
     data = LoopData(scenario)
@@ -584,15 +585,18 @@ def sca_solve(
     for _ in range(cfg.max_outer_iters):
         f0, r0 = make_anchors(scenario, f, r)
         majorant = MajorantCoefficients.at(f0, r0, data.d_bits, scenario.compute)
-        x_mm, _, iters, resid, evals, stop = _inner_solve(data, majorant, cfg, x)
+        # every smooth majorant is +inf at f = 0, a share only an init holds
+        start = x if f.all() else _pack(p, f0 * min(1.0, b.f_max_cycles / f0.sum()), r, b)
+        x_mm, _, iters, resid, evals, stop = _inner_solve(data, majorant, start)
         mm_obj = data.true_objective(*x_mm.reshape(3, k) * data.budget_col)
-        # the stop rule judges the plain MM step; its point is returned as is
+        # the stop rule judges the plain MM step; its point is returned as is,
+        # unless it came from a moved start and lost to the init
         converged = (obj - mm_obj) / obj < cfg.epsilon
-        if converged:
-            x, obj, scale = x_mm, mm_obj, 1.0
+        if converged and start is not x and mm_obj > obj:
+            scale = 0.0
         else:
-            x, obj, scale = _extrapolate(data, x, x_mm, mm_obj)
-        p, f, r = x.reshape(3, k) * data.budget_col
+            x, obj, scale = (x_mm, mm_obj, 1.0) if converged else _extrapolate(data, x, x_mm, mm_obj)
+            p, f, r = x.reshape(3, k) * data.budget_col
         records.append(
             IterationRecord(
                 objective=obj,

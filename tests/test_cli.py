@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -30,9 +31,11 @@ from sc3opt import (
     sca_solve,
 )
 from sc3opt.optim import newton_descent
-from sc3opt.solver import feasible_power_init
+from sc3opt.solver import Allocation, LoopAllocation, feasible_power_init
 from sc3opt.cli import (
+    DEFAULTS,
     SCHEMES,
+    SWEEP_PARAMETERS,
     allocation_from_dict,
     allocation_to_dict,
     db_to_linear,
@@ -178,7 +181,7 @@ def test_run_sweep_serial_runs_agree():
     assert strip(run_sweep(sweep)) == strip(run_sweep(sweep))
 
 
-def reference_run_sweep(sweep, base_overrides=None, config=None, chain=True):
+def reference_run_sweep(sweep, base_overrides=None, chain=True):
     """run_sweep as it was before cells shared scenarios: every
     (value, scheme, seed) cell generates its own scenario.
 
@@ -200,16 +203,16 @@ def reference_run_sweep(sweep, base_overrides=None, config=None, chain=True):
                 try:
                     scenario = generate_scenario(seed, {**(base_overrides or {}), sweep.parameter: value})
                     if scheme == "sca":
-                        alloc, trace = sca_solve(scenario, config)
+                        alloc, trace = sca_solve(scenario)
                         iterations = len(trace.iterations) - 1
                     elif scheme == "power_only":
                         p_max = scenario.budgets.p_max_w
                         init = None if chained is None else chained[0] * (p_max / chained[1])
-                        alloc = power_only_closed_loop(scenario, config, init=init)
+                        alloc = power_only_closed_loop(scenario, init=init)
                         if math.isfinite(alloc.sum_lqr):
                             chains[entry] = np.array([la.p_w for la in alloc.loops]), p_max
                     else:
-                        alloc = communication_oriented(scenario, config)
+                        alloc = communication_oriented(scenario)
                     total = evaluate_allocation(scenario, alloc)
                     status = "ok" if math.isfinite(total) else "unstable"
                 except Infeasible:
@@ -568,6 +571,95 @@ def test_cli_bad_value_ends_in_error_line(tmp_path, capsys, text):
         load_scenario(str(config))
     assert main(["solve", "--config", str(config), "--out", str(tmp_path / "alloc.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# every number a config, sweep, scenario or allocation file holds, found
+# from the tables that read and write them: the generation defaults, the
+# sweepable parameters and each number scenario_to_dict and
+# allocation_to_dict write (a plant's diagonals and sum_lqr included)
+_SMALL = {"k_loops": 1, "n_state": 1}
+_GENERATION = {"seed": 0, "overrides": _SMALL}
+
+
+def _number_paths(data, path=()):
+    if isinstance(data, dict):
+        return [p for key, value in data.items() for p in _number_paths(value, path + (key,))]
+    if isinstance(data, list):
+        return [p for i, value in enumerate(data) for p in _number_paths(value, path + (i,))]
+    return [path]
+
+
+def _sweep(parameter):
+    return {"parameter": parameter, "values": [DEFAULTS[parameter]], "schemes": ["power_only"], "seeds": [0]}
+
+
+_SCENARIO = scenario_to_dict(generate_scenario(0, _SMALL))
+_ALLOCATION = allocation_to_dict(Allocation(loops=(LoopAllocation(1.0, 1e9, 1e7, 0.03, 5.0),), sum_lqr=5.0))
+NUMBER_ENTRIES = (
+    [("config", _GENERATION, ("overrides", key)) for key in DEFAULTS]
+    + [("sweep", _sweep(key), ("values", 0)) for key in SWEEP_PARAMETERS]
+    + [("sweep", _sweep("p_max_dbw"), ("seeds", 0))]
+    + [("config", _SCENARIO, path) for path in _number_paths(_SCENARIO)]
+    + [("alloc", _ALLOCATION, path) for path in _number_paths(_ALLOCATION)]
+)
+_READERS = {
+    "config": lambda d: scenario_from_dict(d) if "loops" in d else generate_scenario(d["seed"], d["overrides"]),
+    "sweep": SweepSpec.from_dict,
+    "alloc": allocation_from_dict,
+}
+_COMMANDS = {"config": "solve", "sweep": "sweep", "alloc": "validate"}
+
+
+def _placed(base, path, value):
+    data = copy.deepcopy(base)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+def _value_at(base, path):
+    """The number at path in base; for an override base does not give, its
+    default."""
+    if path[0] == "overrides":
+        return base["overrides"].get(path[1], DEFAULTS[path[1]])
+    for key in path:
+        base = base[key]
+    return base
+
+
+@pytest.mark.parametrize(
+    "file, base, path",
+    NUMBER_ENTRIES,
+    ids=[f"{file}:{base.get('parameter', '')}:{'.'.join(map(str, path))}" for file, base, path in NUMBER_ENTRIES],
+)
+def test_every_config_number_refuses_bools_and_strings(tmp_path, capsys, file, base, path):
+    """True, numpy's True and the string "10" are refused wherever a number
+    is read, by the reader and by the CLI command that reads the file; the
+    number there as a numpy float, or as a JSON integer where integral,
+    reads as the number itself."""
+    read = _READERS[file]
+    number = _value_at(base, path)
+    expected = repr(read(_placed(base, path, number)))
+    assert repr(read(_placed(base, path, np.float64(number)))) == expected
+    if float(number).is_integer():
+        assert repr(read(json.loads(json.dumps(_placed(base, path, int(number)))))) == expected
+    files = {"config": _GENERATION, "sweep": _sweep("p_max_dbw"), "alloc": _ALLOCATION}
+    for bad in (True, np.True_, "10"):
+        with pytest.raises(BadConfig):
+            read(_placed(base, path, bad))
+        if bad is np.True_:
+            continue  # JSON holds no numpy value
+        argv = [_COMMANDS[file]]
+        for name, data in {**files, file: _placed(base, path, bad)}.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+            if name == "config" or name == file:
+                argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+        if file != "alloc":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from sc3opt import (
 )
 from sc3opt.baselines import water_filling
 from sc3opt.optim import _kkt_solve, newton_descent, newton_kkt_step, project_budget_simplex
+from sc3opt.solver import INNER_MAX_STEPS
 from sc3opt.surrogate import surrogate_batch
 from test_spg import reference_joint_objective, reference_spg
 
@@ -533,8 +534,8 @@ def _rounds(monkeypatch, seed, overrides=None):
     rounds = []
     inner_solve = sc3opt.solver._inner_solve
 
-    def recorded(data, majorant, cfg, x0):
-        got = inner_solve(data, majorant, cfg, x0)
+    def recorded(data, majorant, x0):
+        got = inner_solve(data, majorant, x0)
         rounds.append((data, majorant, x0, got))
         return got
 
@@ -546,9 +547,10 @@ def _rounds(monkeypatch, seed, overrides=None):
 def _spg_value(data, majorant, x0):
     k = data.k
     project = lambda x: project_budget_simplex(x.reshape(-1, k), 1.0).reshape(x.shape)  # noqa: E731
-    cfg = SolverConfig()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return reference_spg(reference_joint_objective(data, majorant), project, x0, cfg.inner_tol, 100_000, "inner")[1]
+        return reference_spg(
+            reference_joint_objective(data, majorant), project, x0, SolverConfig.inner_tol, INNER_MAX_STEPS, "inner"
+        )[1]
 
 
 def _s1_gap(data, majorant, x):

@@ -22,7 +22,7 @@ from sc3opt import Infeasible, NoConvergence, SolverConfig, generate_scenario, p
 from sc3opt.cli import dbw_to_watts
 from sc3opt.control import LN2
 from sc3opt.optim import project_budget_simplex
-from sc3opt.solver import LoopData, feasible_power_init
+from sc3opt.solver import INNER_MAX_STEPS, LoopData, feasible_power_init
 from test_spg import reference_spg
 
 P_MAX_DBW = [2.5 * i for i in range(9)]  # 0, 2.5, ..., 20
@@ -53,16 +53,15 @@ def _equal_split(data):
     return f, r, data.t_cycle - data.true_min_times(f, r)
 
 
-def reference_power_only(scenario, config=None):
+def reference_power_only(scenario):
     """The power-only baseline as SPG solved it."""
-    cfg = config or SolverConfig()
     data = LoopData(scenario)
     b = scenario.budgets
     f, r, t_commu = _equal_split(data)
     p0 = feasible_power_init(data, t_commu, "power-only baseline")
     fun = _power_objective(data, t_commu)
     project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
-    x = reference_spg(fun, project, p0 / b.p_max_w, cfg.inner_tol, cfg.inner_max_iters, "power-only baseline")[0]
+    x = reference_spg(fun, project, p0 / b.p_max_w, SolverConfig.inner_tol, INNER_MAX_STEPS, "power-only baseline")[0]
     return data.allocation(x * b.p_max_w, f, r, t_commu)
 
 
@@ -178,10 +177,11 @@ def test_stable_loop_reaches_zero_power():
     assert from_positive
 
 
-def test_step_cap_raises_no_convergence():
+def test_step_cap_raises_no_convergence(monkeypatch):
     """The baseline fails only when its step budget runs out."""
+    monkeypatch.setattr(sc3opt.baselines, "INNER_MAX_STEPS", 1)
     with pytest.raises(NoConvergence, match="exceeded 1 steps"):
-        power_only_closed_loop(generate_scenario(0), SolverConfig(inner_max_iters=1))
+        power_only_closed_loop(generate_scenario(0))
 
 
 def test_newton_calls_no_projection(monkeypatch):

@@ -240,6 +240,46 @@ def test_sca_solve_init_without_compute_or_backhaul_is_infeasible():
         sca_solve(sc, init=(p, f, r))
 
 
+def _zero_share_init():
+    """Default seed 0's tight answer with its two compute shares below
+    ANCHOR_FLOOR of f_max set to 0: a feasible start at which every
+    smooth majorant is infinite."""
+    sc = generate_scenario(0)
+    alloc, _ = sca_solve(sc, SolverConfig(epsilon=1e-12, max_outer_iters=3000))
+    p, f, r = (np.array([getattr(la, name) for la in alloc.loops]) for name in ("p_w", "f_cycles", "r_bits"))
+    f[f < ANCHOR_FLOOR * sc.budgets.f_max_cycles] = 0.0
+    assert (f == 0.0).sum() == 2
+    return sc, (p, f, r)
+
+
+def test_init_with_a_zero_compute_share_is_solved():
+    sc, init = _zero_share_init()
+    start = LoopData(sc).allocation(*init)
+    assert check_allocation(sc, start).ok
+    alloc, trace = sca_solve(sc, init=init)
+    assert trace.objectives[0] == start.sum_lqr
+    assert check_allocation(sc, alloc).ok
+    assert alloc.sum_lqr <= start.sum_lqr
+
+
+def test_init_with_a_zero_compute_share_stands_when_its_first_round_loses(monkeypatch):
+    """The first round of such an init starts away from it, so its MM point
+    can be worse than the init; the init is then the answer.  The inner
+    solve here halves the powers it returns to force that."""
+    sc, init = _zero_share_init()
+    inner_solve = sc3opt.solver._inner_solve
+
+    def worse(data, majorant, x0):
+        x, *rest = inner_solve(data, majorant, x0)
+        return (np.concatenate([x[: data.k] / 2.0, x[data.k :]]), *rest)
+
+    monkeypatch.setattr(sc3opt.solver, "_inner_solve", worse)
+    alloc, trace = sca_solve(sc, init=init)
+    assert trace.converged and trace.objectives == [trace.objectives[0]] * 2
+    assert trace.iterations[-1].step_scale == 0.0
+    assert alloc == LoopData(sc).allocation(*init)
+
+
 def test_inner_solve_call_counts(monkeypatch):
     """Every objective evaluation calls ``surrogate_batch`` through this
     module's global once (the benchmark's tracer wraps that name), and each
@@ -419,7 +459,7 @@ def test_solver_config_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["epsilon", "max_outer_iters", "inner_max_iters"])
+@pytest.mark.parametrize("field", ["epsilon", "max_outer_iters"])
 def test_solver_config_rejects_non_finite(field, bad):
     with pytest.raises(ValueError):
         SolverConfig(**{field: bad})

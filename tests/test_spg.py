@@ -31,7 +31,7 @@ from sc3opt.baselines import _projected_gradient_step
 from sc3opt.compute import min_compute_time_grad
 from sc3opt.control import LN2
 from sc3opt.optim import newton_descent, project_budget_simplex
-from sc3opt.solver import LoopData
+from sc3opt.solver import INNER_MAX_STEPS, LoopData
 from sc3opt.surrogate import surrogate_batch
 from conftest import max_branch
 
@@ -148,12 +148,12 @@ def test_solver_rounds_at_tolerance_match_reference(monkeypatch, seed):
     outcomes = []
     inner_solve = sc3opt.solver._inner_solve
 
-    def twin(data, majorant, cfg, x0):
-        got = inner_solve(data, majorant, cfg, x0)
+    def twin(data, majorant, x0):
+        got = inner_solve(data, majorant, x0)
         k = data.k
         project = lambda x: project_budget_simplex(x.reshape(-1, k), 1.0).reshape(x.shape)  # noqa: E731
         ref = reference_spg(
-            reference_joint_objective(data, majorant), project, x0, cfg.inner_tol, cfg.inner_max_iters, "inner"
+            reference_joint_objective(data, majorant), project, x0, SolverConfig.inner_tol, INNER_MAX_STEPS, "inner"
         )
         outcomes.append((got, ref))
         return got
@@ -186,7 +186,6 @@ def _unequal_data(seed):
 def reference_split(scenario):
     """The communication-oriented compute split as SPG solved it, from the
     equal split at the default tolerances: (f, reference's run)."""
-    cfg = SolverConfig()
     k = scenario.k
     b = scenario.budgets
     d = np.array([lp.data_bits for lp in scenario.loops])
@@ -196,7 +195,7 @@ def reference_split(scenario):
         return float(t.cumsum()[-1]), dt_df * b.f_max_cycles
 
     project = lambda x: project_budget_simplex(x, 1.0)  # noqa: E731
-    run = reference_spg(value_grad, project, np.full(k, 1.0 / k), cfg.inner_tol, cfg.inner_max_iters, "compute split")
+    run = reference_spg(value_grad, project, np.full(k, 1.0 / k), SolverConfig.inner_tol, INNER_MAX_STEPS, "compute split")
     return run[0] * b.f_max_cycles, run
 
 

@@ -4,7 +4,8 @@
 optimizes transmit power for the sum cost, by damped Newton on the KKT
 system of its one budget constraint.  ``communication_oriented`` ignores
 control altogether: it splits compute to minimize total computation time,
-by projected-gradient steps in the same ``newton_descent`` loop, and
+equally when every loop carries the same data and otherwise by
+projected-gradient steps in the same ``newton_descent`` loop, and
 water-fills power for throughput, so at low power budgets distant loops
 routinely end up unstabilizable.
 """
@@ -168,20 +169,17 @@ def _projected_gradient_step():
     return step
 
 
-def communication_oriented(scenario: Scenario, *, split: np.ndarray | None = None) -> Allocation:
+def communication_oriented(scenario: Scenario) -> Allocation:
     """Equal backhaul split, compute minimizing total computation time,
     power water-filled for throughput; loop costs evaluated afterwards.
 
-    The split, not convex, descends from the equal split by
-    ``newton_descent`` with ``_projected_gradient_step`` at a decrement of
-    16 eps |total|, as the power-only baseline stops, and takes the point
-    the descent returns however it stops; generated loops, carrying equal
-    data, keep the equal split.  A given ``split``, K compute shares in
-    cycles/s within f_max (anything else raises ValueError), is taken as
-    is, without the descent: the split depends on neither the power budget
-    nor the plants, so an earlier answer on the same loops, compute
-    parameters, f_max and r_max serves again.  The descent stops after
-    ``INNER_MAX_STEPS`` steps at the latest.
+    Loops that all carry the same data, as generated ones do, keep the
+    equal compute split: every loop then has the same gradient there, so
+    the split is stationary.  Otherwise the split, not convex, descends
+    from the equal split by ``newton_descent`` with
+    ``_projected_gradient_step`` at a decrement of 16 eps |total|, as the
+    power-only baseline stops, and takes the point the descent returns
+    however it stops, after ``INNER_MAX_STEPS`` steps at the latest.
     Loops whose delivered entropy falls at or below their intrinsic rate
     come out with an infinite cost rather than an error.
     """
@@ -190,8 +188,9 @@ def communication_oriented(scenario: Scenario, *, split: np.ndarray | None = Non
     b = scenario.budgets
     r = np.full(k, b.r_max_bits / k)
     p = water_filling(data.gamma, b.p_max_w)
-    if split is not None:
-        return data.allocation(p, within_budget(split, k, b.f_max_cycles, "split"), r)
+    x = np.full(k, 1.0 / k)
+    if (data.d_bits == data.d_bits[0]).all():
+        return data.allocation(p, x * b.f_max_cycles, r)
 
     def total_time(x):
         f = x * b.f_max_cycles
@@ -200,7 +199,7 @@ def communication_oriented(scenario: Scenario, *, split: np.ndarray | None = Non
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = newton_descent(
-            total_time, _projected_gradient_step(), np.full(k, 1.0 / k), 16.0 * np.finfo(float).eps,
+            total_time, _projected_gradient_step(), x, 16.0 * np.finfo(float).eps,
             INNER_MAX_STEPS, "compute split",
         )[0]
     return data.allocation(p, x * b.f_max_cycles, r)

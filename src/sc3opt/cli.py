@@ -357,9 +357,9 @@ class SweepSpec:
 CSV_HEADER = ("param_value", "scheme", "seed", "sum_lqr", "status", "iterations", "wall_ms")
 
 
-def _run_cell(scenario, value, scheme, seed, start, warm):
-    """One row: ``scheme`` on ``scenario``, a baseline given the keyword
-    arguments ``warm``, or the Sc3Error building it raised; and the
+def _run_cell(scenario, value, scheme, seed, start, init):
+    """One row: ``scheme`` on ``scenario``, the power-only baseline from
+    the powers ``init``, or the Sc3Error building it raised; and the
     allocation, None when the cell failed.  ``sum_lqr`` is the
     allocation's own, ``wall_ms`` counts from ``start``."""
     iterations = 0
@@ -371,9 +371,9 @@ def _run_cell(scenario, value, scheme, seed, start, warm):
             alloc, trace = sca_solve(scenario)
             iterations = len(trace.iterations) - 1
         elif scheme == "power_only":
-            alloc = power_only_closed_loop(scenario, **warm)
+            alloc = power_only_closed_loop(scenario, init=init)
         else:
-            alloc = communication_oriented(scenario, **warm)
+            alloc = communication_oriented(scenario)
         total = alloc.sum_lqr
         status = "ok" if math.isfinite(total) else "unstable"
     except Infeasible:
@@ -399,33 +399,16 @@ def _with_budgets(scenario: Scenario, overrides: dict) -> Scenario:
     return replace(scenario, budgets=_budgets(_merged(overrides)))
 
 
-def _warm_start(scheme: str, budgets: Budgets, last) -> dict:
-    """The keyword arguments that start a baseline ``scheme`` on ``budgets``
-    from ``last``, the (allocation, budgets) of the seed's previous cell of
-    that scheme, if any: its powers scaled by the ratio of the power
-    budgets, or its compute split when f_max and r_max are the same."""
-    if last is None:
-        return {}
-    alloc, before = last
-    if scheme == "power_only":
-        return {"init": np.array([la.p_w for la in alloc.loops]) * (budgets.p_max_w / before.p_max_w)}
-    if (budgets.f_max_cycles, budgets.r_max_bits) == (before.f_max_cycles, before.r_max_bits):
-        return {"split": np.array([la.f_cycles for la in alloc.loops])}
-    return {}
-
-
 def _seed_rows(sweep, seed, base_overrides):
     """One seed's rows in (value, scheme) order.  Every scheme of a value
     shares its scenario; a budget sweep draws the seed's loops only once.
 
-    A baseline cell starts from the seed's previous cell of its scheme
-    (``_warm_start``).  A power-only chain ends at a cell that is not
-    ``ok``, and a comm_oriented one at a failed cell or a fresh draw of
-    the loops, so a ``sigma_v2`` sweep descends the split at every value.
-    ``sca`` cells start cold."""
+    A power-only cell starts from the seed's previous power-only answer,
+    its powers scaled by the ratio of the power budgets; the chain ends at
+    a cell that is not ``ok``.  ``sca`` and comm_oriented cells start cold."""
     rows = []
     drawn = None
-    last = {}  # baseline scheme -> (allocation, budgets) of its previous cell
+    last = None  # (allocation, budgets) of the previous power-only cell
     for value in sweep.values:
         overrides = {**(base_overrides or {}), sweep.parameter: value}
         start = time.perf_counter()
@@ -434,17 +417,16 @@ def _seed_rows(sweep, seed, base_overrides):
                 scenario = _with_budgets(drawn, overrides)
             else:
                 scenario = drawn = generate_scenario(seed, overrides)
-                last.pop("comm_oriented", None)
         except Sc3Error as exc:
             scenario = exc
         for scheme in sweep.schemes:
-            warm = {} if isinstance(scenario, Sc3Error) else _warm_start(scheme, scenario.budgets, last.get(scheme))
-            row, alloc = _run_cell(scenario, value, scheme, seed, start, warm)
+            init = None
+            if scheme == "power_only" and last is not None and not isinstance(scenario, Sc3Error):
+                init = np.array([la.p_w for la in last[0].loops]) * (scenario.budgets.p_max_w / last[1].p_max_w)
+            row, alloc = _run_cell(scenario, value, scheme, seed, start, init)
             rows.append(row)
-            if alloc is None or (scheme == "power_only" and row["status"] != "ok"):
-                last.pop(scheme, None)
-            elif scheme != "sca":
-                last[scheme] = alloc, scenario.budgets
+            if scheme == "power_only":
+                last = (alloc, scenario.budgets) if row["status"] == "ok" else None
             start = time.perf_counter()
     return rows
 
@@ -459,11 +441,10 @@ def run_sweep(sweep: SweepSpec, base_overrides: dict | None = None) -> list[dict
     the model accepts, and re-budgets that scenario for each later value:
     budgets consume no randomness, so every scenario equals a fresh
     draw's.  A ``sigma_v2`` sweep draws once per (seed, value).  Each
-    baseline cell starts from the seed's previous answer of its scheme
-    (``_seed_rows``): comm_oriented rows equal a cold call's bit for bit,
-    power-only rows to rounding, and ``sca`` rows exactly, as they start
-    cold.  The first scheme's ``wall_ms`` includes building the value's
-    scenario.
+    power-only cell starts from the seed's previous power-only answer
+    (``_seed_rows``), so its row equals a cold call's to rounding;
+    ``sca`` and comm_oriented cells start cold.  The first scheme's
+    ``wall_ms`` includes building the value's scenario.
     """
     per_seed = [_seed_rows(sweep, seed, base_overrides) for seed in sweep.seeds]
     return [rows[cell] for cell in range(len(sweep.values) * len(sweep.schemes)) for rows in per_seed]

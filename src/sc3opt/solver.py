@@ -552,9 +552,10 @@ def sca_solve(
     Raises Infeasible (with a per-loop report) when the initial split cannot
     stabilize every loop.  An explicit ``init`` (p, f, r) must hold three
     arrays each ``within_budget`` of its budget; anything else raises
-    ValueError.  An init with a zero compute share, where the majorant is
-    infinite, starts the first inner solve from its shares floored as
-    anchors and scaled into f_max; the init stands if that MM point is worse.
+    ValueError.  An init with a compute share so small that the majorant is
+    infinite there starts its inner solve again from the anchors' floored
+    compute shares scaled into f_max; the init stands if that MM point is
+    worse, and a second infeasible start raises InfeasibleSubproblem.
     """
     cfg = config or SolverConfig()
     data = LoopData(scenario)
@@ -585,9 +586,14 @@ def sca_solve(
     for _ in range(cfg.max_outer_iters):
         f0, r0 = make_anchors(scenario, f, r)
         majorant = MajorantCoefficients.at(f0, r0, data.d_bits, scenario.compute)
-        # every smooth majorant is +inf at f = 0, a share only an init holds
-        start = x if f.all() else _pack(p, f0 * min(1.0, b.f_max_cycles / f0.sum()), r, b)
-        x_mm, _, iters, resid, evals, stop = _inner_solve(data, majorant, start)
+        start = x
+        try:
+            x_mm, _, iters, resid, evals, stop = _inner_solve(data, majorant, start)
+        except InfeasibleSubproblem:
+            # the majorant is +inf at a compute share far below its anchor,
+            # which only an init holds
+            start = _pack(p, f0 * min(1.0, b.f_max_cycles / f0.sum()), r, b)
+            x_mm, _, iters, resid, evals, stop = _inner_solve(data, majorant, start)
         mm_obj = data.true_objective(*x_mm.reshape(3, k) * data.budget_col)
         # the stop rule judges the plain MM step; its point is returned as is,
         # unless it came from a moved start and lost to the init

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sc3opt.baselines
 from sc3opt import (
     Allocation,
     LoopAllocation,
@@ -15,6 +16,10 @@ from sc3opt import (
     sca_solve,
     water_filling,
 )
+from sc3opt.baselines import _projected_gradient_step
+from sc3opt.compute import min_compute_time_grad
+from sc3opt.optim import newton_descent
+from sc3opt.solver import INNER_MAX_STEPS, LoopData
 from conftest import symmetric_two_loop_scenario, tight_single_loop_scenario
 
 
@@ -185,26 +190,53 @@ def test_comm_oriented_split_moves_off_equal_start():
     assert sum_time(f) < 0.95 * sum_time([b.f_max_cycles / sc.k] * sc.k)
 
 
-def _unequal_data_scenario(p_max_dbw):
-    sc = generate_scenario(0, {"p_max_dbw": p_max_dbw})
-    sizes = (2e5, 5e5, 1e6, 2e6, 4e6)
-    return dataclasses.replace(sc, loops=tuple(dataclasses.replace(lp, data_bits=d) for lp, d in zip(sc.loops, sizes)))
+def _count_descents(monkeypatch):
+    """The ``newton_descent`` runs of the baselines, by name."""
+    descents = []
+
+    def counted(*args):
+        descents.append(args[-1])
+        return newton_descent(*args)
+
+    monkeypatch.setattr(sc3opt.baselines, "newton_descent", counted)
+    return descents
 
 
-def test_comm_oriented_given_split_equals_the_descent():
-    """A split from another power budget, same compute and backhaul, gives
-    the cold allocation bit for bit."""
-    split = np.array([la.f_cycles for la in communication_oriented(_unequal_data_scenario(20.0)).loops])
-    for p_max_dbw in (0.0, 5.0, 10.0):
-        sc = _unequal_data_scenario(p_max_dbw)
-        assert communication_oriented(sc, split=split) == communication_oriented(sc)
+@pytest.mark.parametrize("k", [*range(1, 21), 50])
+def test_comm_oriented_keeps_the_equal_split_on_equal_data(monkeypatch, k):
+    """Generated loops carry equal data, so the equal compute split is
+    stationary: it is returned bit for bit, with no descent to drift off
+    it by rounding."""
+    descents = _count_descents(monkeypatch)
+    for seed in range(4):
+        for f_max_ghz in (0.7, 5.0, 50.0):
+            sc = generate_scenario(seed, {"k_loops": k, "f_max_ghz": f_max_ghz})
+            f = np.array([la.f_cycles for la in communication_oriented(sc).loops])
+            assert f.tobytes() == (np.full(k, 1.0 / k) * sc.budgets.f_max_cycles).tobytes()
+    assert descents == []
 
 
-@pytest.mark.parametrize(
-    "split",
-    [np.full(4, 1e9), np.array([1e9, 1e9, math.nan, 1e9, 1e9]), np.array([1e9, -1.0, 1e9, 1e9, 1e9]), np.full(5, 1.01e9)],
-    ids=["wrong_length", "nan", "negative", "over_budget"],
-)
-def test_comm_oriented_split_outside_the_budget_raises(split):
-    with pytest.raises(ValueError):
-        communication_oriented(generate_scenario(0), split=split)  # 5 GHz of compute
+def test_comm_oriented_descends_when_one_loop_differs(monkeypatch):
+    """One loop of five carrying more data makes the split descend once,
+    and its answer is the descent's from the equal split, bit for bit."""
+    sc = generate_scenario(0)
+    sc = dataclasses.replace(sc, loops=(*sc.loops[:4], dataclasses.replace(sc.loops[4], data_bits=2e6)))
+    descents = _count_descents(monkeypatch)
+    alloc = communication_oriented(sc)
+    assert descents == ["compute split"]
+
+    data, b = LoopData(sc), sc.budgets
+    r = np.full(sc.k, b.r_max_bits / sc.k)
+
+    def total_time(x):
+        f = x * b.f_max_cycles
+        gradient = lambda: min_compute_time_grad(f, r, data.d_bits, sc.compute)[1] * b.f_max_cycles  # noqa: E731
+        return float(data.true_min_times(f, r).sum()), gradient
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = newton_descent(
+            total_time, _projected_gradient_step(), np.full(sc.k, 0.2), 16.0 * np.finfo(float).eps,
+            INNER_MAX_STEPS, "reference",
+        )[0]
+    assert not (x == x[0]).all()
+    assert alloc == data.allocation(water_filling(data.gamma, b.p_max_w), x * b.f_max_cycles, r)

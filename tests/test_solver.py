@@ -240,20 +240,24 @@ def test_sca_solve_init_without_compute_or_backhaul_is_infeasible():
         sca_solve(sc, init=(p, f, r))
 
 
-def _zero_share_init():
+def _zero_share_init(share=0.0):
     """Default seed 0's tight answer with its two compute shares below
-    ANCHOR_FLOOR of f_max set to 0: a feasible start at which every
-    smooth majorant is infinite."""
+    ANCHOR_FLOOR of f_max set to ``share`` of f_max: a feasible start at
+    which every smooth majorant is infinite."""
     sc = generate_scenario(0)
     alloc, _ = sca_solve(sc, SolverConfig(epsilon=1e-12, max_outer_iters=3000))
     p, f, r = (np.array([getattr(la, name) for la in alloc.loops]) for name in ("p_w", "f_cycles", "r_bits"))
-    f[f < ANCHOR_FLOOR * sc.budgets.f_max_cycles] = 0.0
-    assert (f == 0.0).sum() == 2
+    small = f < ANCHOR_FLOOR * sc.budgets.f_max_cycles
+    assert small.sum() == 2
+    f[small] = share * sc.budgets.f_max_cycles
     return sc, (p, f, r)
 
 
-def test_init_with_a_zero_compute_share_is_solved():
-    sc, init = _zero_share_init()
+@pytest.mark.parametrize("share", [0.0, 1e-300, 1e-20, 1e-15, 1e-12])
+def test_init_with_a_zero_compute_share_is_solved(share):
+    """A compute share at or far below the anchor floor: the first inner
+    solve starts again from the floored anchors."""
+    sc, init = _zero_share_init(share)
     start = LoopData(sc).allocation(*init)
     assert check_allocation(sc, start).ok
     alloc, trace = sca_solve(sc, init=init)

@@ -19,7 +19,9 @@ regimes:
 Each regime's closed form is one row (c_f, c_r, a, B_f, B_r, C) of
 t = (a*d + B_f*f + B_r*r) / (c_f*f + c_r*r) + C, held on
 ``ComputeParams.rows``, and its convex majorant one row of
-``ComputeParams.majorant_rows``.  ``min_compute_time`` evaluates the closed
+``ComputeParams.majorant_rows``.  ``region_index`` is the one rule that puts
+an (f, R) pair in its regime, on floats and arrays alike; every evaluator
+takes its row by that index.  ``min_compute_time`` evaluates the closed
 form (``min_compute_time_batch`` over arrays), ``optimal_split`` recovers a
 split achieving it, and ``brute_force_min_time`` is an independent grid
 oracle used for validation.  Units are bits, cycles/s, bits/s and seconds
@@ -46,6 +48,9 @@ class RegionLabel(Enum):
     S2 = "S2"
     S3 = "S3"
     S4 = "S4"
+
+
+_REGIONS = tuple(RegionLabel)  # by ``region_index``
 
 
 @dataclass(frozen=True)
@@ -166,33 +171,36 @@ def realized_latency(plan: SplitPlan, params: ComputeParams) -> float:
     return max(component_times(plan, params))
 
 
-def _pre_band_edge(r: float, d: float, params: ComputeParams) -> float:
-    # compute level above which shrinking part 2 shortens the makespan;
-    # only meaningful when preproc_gain > 0, which forces rho < 1
-    return (params.preproc_gain * d - PROPAGATION_HOPS * params.beta * params.tau * r) / (
-        PROPAGATION_HOPS * (1.0 - params.rho) * params.tau
-    )
+def region_index(f, r, d, params: ComputeParams):
+    """Regime of the minimal-latency split at compute f and backhaul rate r,
+    0 to 3 for S1 to S4: the one regime rule, for floats, numpy scalars and
+    arrays alike, and unvalidated (a NaN compares false).
+
+    Points satisfying several regime conditions resolve to the higher
+    regime (S4 > S3 > S2 > S1); the branch values coincide there, so the
+    latency is unaffected.  A zero backhaul rate gives S3 with the raw-relay
+    part forced empty, and so does any point below S4 when pre-processing
+    never pays (``preproc_gain <= 0``, as rho = 1 forces).
+    """
+    delay = params.relay_delay
+    s4 = f >= params.alpha * d / delay
+    gain = params.preproc_gain
+    if gain <= 0.0:
+        return 2 + s4
+    # above the band edge shrinking part 2 shortens the makespan; a positive
+    # gain forces rho < 1, so the edge is finite
+    s3 = (r <= 0.0) | (f >= (gain * d - params.beta * delay * r) / ((1.0 - params.rho) * delay))
+    s2 = f >= params.beta * r / params.rho
+    index = s2 + (2 - s2) * s3
+    return index + (3 - index) * s4
 
 
 def classify_region(f: float, r: float, d: float, params: ComputeParams) -> RegionLabel:
-    """Regime of the minimal-latency split at compute f and backhaul rate r.
-
-    Total on the nonnegative quadrant.  Points satisfying several regime
-    conditions resolve to the higher label (S4 > S3 > S2 > S1); the branch
-    values coincide there, so the returned latency is unaffected.  A zero
-    backhaul rate is classified S3 with the raw-relay part forced empty.
-    """
-    if not (f >= 0.0 and r >= 0.0 and d > 0.0):  # refuses NaN too
-        raise ValueError("need f >= 0, r >= 0 and d > 0")
-    if f >= params.alpha * d / params.relay_delay:
-        return RegionLabel.S4
-    if r <= 0.0 or params.preproc_gain <= 0.0:
-        return RegionLabel.S3
-    if f >= _pre_band_edge(r, d, params):
-        return RegionLabel.S3
-    if f >= params.beta * r / params.rho:
-        return RegionLabel.S2
-    return RegionLabel.S1
+    """``region_index`` of one finite flow with f >= 0, r >= 0 and d > 0,
+    as its label."""
+    if not (0.0 <= f < math.inf and 0.0 <= r < math.inf and 0.0 < d < math.inf):  # refuses NaN too
+        raise ValueError("need finite f >= 0, r >= 0 and d > 0")
+    return _REGIONS[region_index(f, r, d, params)]
 
 
 def _row_latency(row, f, r, d):
@@ -228,20 +236,11 @@ def min_compute_time(f: float, r: float, d: float, params: ComputeParams) -> flo
     least the relay delay whenever any data must leave the hub (outside S4).
     """
     _check_flow(f, r, d)
-    return float(region_time(classify_region(f, r, d, params), f, r, d, params))
-
-
-def region_masks(f, r, d, params: ComputeParams):
-    """``classify_region`` over arrays: one boolean mask per regime, S1 to S4.
-    With rho = 1 the band edge divides by zero: silence float warnings."""
-    s4 = f >= params.alpha * d / params.relay_delay
-    s3 = ~s4 & ((r <= 0.0) | (params.preproc_gain <= 0.0) | (f >= _pre_band_edge(r, d, params)))
-    s2 = ~(s4 | s3) & (f >= params.beta * r / params.rho)
-    return ~(s4 | s3 | s2), s2, s3, s4
+    return float(region_time(_REGIONS[region_index(f, r, d, params)], f, r, d, params))
 
 
 def _pair_rows(f, r, d, params: ComputeParams):
-    """Each (f, r) pair's row by ``region_masks``, as six arrays; refuses what
+    """Each (f, r) pair's row by ``region_index``, as six arrays; refuses what
     ``min_compute_time`` refuses but f = r = 0, whose latency is inf."""
     if not (np.isfinite(f).all() and np.isfinite(r).all() and np.isfinite(d).all()):
         raise ValueError("compute, rate and data size must be finite")
@@ -249,8 +248,7 @@ def _pair_rows(f, r, d, params: ComputeParams):
         raise ValueError("data size must be positive")
     if (f < 0.0).any() or (r < 0.0).any():
         raise ValueError("resources must be nonnegative")
-    _, s2, s3, s4 = region_masks(f, r, d, params)
-    return np.array(list(params.rows.values())).T.take(3 * s4 + 2 * s3 + s2, axis=1)
+    return np.array(list(params.rows.values())).T.take(region_index(f, r, d, params), axis=1)
 
 
 def min_compute_time_batch(f, r, d, params: ComputeParams) -> np.ndarray:
@@ -282,7 +280,7 @@ def optimal_split(f: float, r: float, d: float, params: ComputeParams) -> SplitP
     budget is always consumed; the backhaul is consumed except in S4.
     """
     t = min_compute_time(f, r, d, params)
-    region = classify_region(f, r, d, params)
+    region = _REGIONS[region_index(f, r, d, params)]
     lag = t - params.relay_delay
     if region is RegionLabel.S4:
         return SplitPlan(d1=d, d2=0.0, d3=0.0, f1=f, f2=0.0, r2=0.0, r3=0.0, region=region)

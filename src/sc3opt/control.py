@@ -36,7 +36,7 @@ class EntropyParams:
     c: float
 
     def __post_init__(self):
-        if not (self.n >= 1 and float(self.n).is_integer()):
+        if isinstance(self.n, (bool, np.bool_)) or not (self.n >= 1 and float(self.n).is_integer()):
             raise ValueError("state dimension must be an integer of at least 1")
         if not all(map(math.isfinite, (self.h, self.l_min, self.c))):
             raise ValueError("h, l_min and c must be finite")

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compute import ComputeParams, RegionLabel, classify_region, region_masks
+from .compute import ComputeParams, RegionLabel, classify_region, region_index
 
 
 @dataclass(frozen=True)
 class SurrogateAnchor:
-    """A strictly positive expansion point with its latency regime, the
-    anchor of ``convex_compute_time`` (the solver anchors
+    """A strictly positive, finite expansion point with its latency regime,
+    the anchor of ``convex_compute_time`` (the solver anchors
     ``MajorantCoefficients`` at arrays instead)."""
 
     f0: float
@@ -32,8 +32,8 @@ class SurrogateAnchor:
     region: RegionLabel
 
     def __post_init__(self):
-        if not (self.f0 > 0.0 and self.r0 > 0.0):  # refuses NaN too
-            raise ValueError("anchors must have strictly positive components")
+        if not (0.0 < self.f0 < np.inf and 0.0 < self.r0 < np.inf):  # refuses NaN too
+            raise ValueError("anchors must have strictly positive, finite components")
 
     @classmethod
     def at(cls, f0: float, r0: float, d: float, params: ComputeParams) -> "SurrogateAnchor":
@@ -100,14 +100,13 @@ class MajorantCoefficients:
     def at(cls, f0: np.ndarray, r0: np.ndarray, d: np.ndarray, params: ComputeParams) -> "MajorantCoefficients":
         """Constants of the majorant anchored at each loop's (f0, r0), a
         strictly positive pair, with data size d (arrays of one length);
-        ``region_masks`` gives each anchor's regime and so its row."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s1, s2, s3, s4 = region_masks(f0, r0, d, params)
-        s12 = s1 | s2
-        smooth = 3 * s4 + 2 * s3 + s12  # the S2 row for S1 and S2 anchors
-        index = np.stack([smooth, np.where(s12, 0, smooth)]) if s12.any() else smooth[None]
+        each anchor's ``region_index`` is its row's index."""
+        index = region_index(f0, r0, d, params)
+        s12 = index < 2
+        smooth = np.maximum(index, 1)  # the S2 row for S1 and S2 anchors
+        rows = np.stack([smooth, np.where(s12, 0, smooth)]) if s12.any() else smooth[None]
         table = np.array(list(params.majorant_rows.values())).T
-        cf, cr, a, const, kappa, g_f, g_r = table.take(index, axis=1)
+        cf, cr, a, const, kappa, g_f, g_r = table.take(rows, axis=1)
         w0 = cf * f0 + cr * r0
         slope = kappa * f0 / w0
         return cls(

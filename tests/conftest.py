@@ -7,6 +7,7 @@ from sc3opt import (
     EntropyParams,
     LinkParams,
     Loop,
+    RegionLabel,
     Scenario,
 )
 
@@ -105,3 +106,21 @@ def convex_time_s3(f, r, anchor, d, params):
     v0 = anchor.f0 + a * anchor.r0
     k = delay * anchor.f0 / v0
     return a * d / v + delay - k * (3.0 - anchor.f0 / f - v / v0)
+
+
+def reference_classify_region(f, r, d, params):
+    """The regime rule as a four-branch chain on floats, kept as the
+    reference for ``compute.region_index``: S4 > S3 > S2 > S1, r = 0 and a
+    non-positive pre-processing gain give S3 below S4."""
+    if f >= params.alpha * d / params.relay_delay:
+        return RegionLabel.S4
+    if r <= 0.0 or params.preproc_gain <= 0.0:
+        return RegionLabel.S3
+    band_edge = (params.preproc_gain * d - 4 * params.beta * params.tau * r) / (
+        4 * (1.0 - params.rho) * params.tau
+    )
+    if f >= band_edge:
+        return RegionLabel.S3
+    if f >= params.beta * r / params.rho:
+        return RegionLabel.S2
+    return RegionLabel.S1

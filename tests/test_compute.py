@@ -19,7 +19,8 @@ from sc3opt import (
     realized_latency,
     region_time,
 )
-from conftest import random_compute_params, random_flow
+from sc3opt.compute import region_index
+from conftest import random_compute_params, random_flow, reference_classify_region
 
 
 def test_params_validation():
@@ -102,10 +103,54 @@ def test_classify_zero_rate(params):
     assert classify_region(6e9, 0.0, 1e6, params) is RegionLabel.S4
 
 
+def test_region_index_is_the_reference_rule():
+    """``region_index`` equals the four-branch chain on floats, numpy
+    scalars and arrays: random flows, flows with f exactly on each regime
+    edge, r = 0, NaN, and constants whose pre-processing never pays
+    (``preproc_gain`` < 0, = 0 and rho = 1)."""
+    rng = np.random.default_rng(43)
+    cases = [random_compute_params(rng) for _ in range(30)] + [
+        ComputeParams(alpha=100.0, beta=60.0, rho=0.9, tau=5e-3),
+        ComputeParams(alpha=100.0, beta=50.0, rho=0.5, tau=5e-3),
+        ComputeParams(alpha=100.0, beta=50.0, rho=1.0, tau=5e-3),
+    ]
+    labels = list(RegionLabel)
+    seen = set()
+    for p in cases:
+        n = 600
+        f, r, d = 10.0 ** rng.uniform(6, 10, n), 10.0 ** rng.uniform(4, 8, n), 10.0 ** rng.uniform(5, 7, n)
+        r[::5] = 0.0
+        f[1::5] = p.alpha * d[1::5] / p.relay_delay
+        f[2::5] = p.beta * r[2::5] / p.rho
+        if p.preproc_gain > 0.0:
+            band = slice(3, None, 5)
+            edge = (p.preproc_gain * d[band] - 4 * p.beta * p.tau * r[band]) / (4 * (1.0 - p.rho) * p.tau)
+            f[band] = np.maximum(edge, 0.0)
+        f[4::50], r[9::50], d[14::50] = math.nan, math.nan, math.nan
+        flows = list(zip(f.tolist(), r.tolist(), d.tolist()))
+        want = [reference_classify_region(*flow, p) for flow in flows]
+        assert [labels[i] for i in region_index(f, r, d, p).tolist()] == want
+        assert [labels[region_index(*flow, p)] for flow in flows] == want
+        assert [labels[region_index(*flow, p)] for flow in zip(f, r, d)] == want  # numpy scalars
+        if p.preproc_gain > 0.0:
+            assert (region_index(f[4::50], r[4::50], d[4::50], p) == 0).all()  # NaN compute falls to S1
+        seen |= set(want)
+    assert seen == set(RegionLabel)
+
+
 @pytest.mark.parametrize(
     "flow",
-    [(math.nan, 1e6, 1e6), (1e9, math.nan, 1e6), (1e9, 1e6, math.nan), (-1.0, 1e6, 1e6), (1e9, 1e6, 0.0)],
-    ids=["nan_compute", "nan_rate", "nan_data", "negative_compute", "no_data"],
+    [
+        (math.nan, 1e6, 1e6),
+        (1e9, math.nan, 1e6),
+        (1e9, 1e6, math.nan),
+        (math.inf, 1e6, 1e6),
+        (1e9, math.inf, 1e6),
+        (1e9, 1e6, math.inf),
+        (-1.0, 1e6, 1e6),
+        (1e9, 1e6, 0.0),
+    ],
+    ids=["nan_compute", "nan_rate", "nan_data", "inf_compute", "inf_rate", "inf_data", "negative_compute", "no_data"],
 )
 def test_classify_rejects_nan_and_out_of_range(params, flow):
     with pytest.raises(ValueError):

@@ -156,3 +156,22 @@ def test_latency_constants_are_read_in_compute_only():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in constants
         ]
     assert offenders == []
+
+
+def test_regime_rule_is_written_once():
+    """compute.py reads the pre-processing gain, which gates the S1 and S2
+    regimes, only in ``region_index``, the regime rule every scalar and
+    array caller shares; a read anywhere else is a second copy of the rule."""
+    path = Path(sc3opt.__file__).parent / "compute.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def reads(node):
+        return [
+            n
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr == "preproc_gain"
+        ]
+
+    readers = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and reads(fn)]
+    assert [fn.name for fn in readers] == ["region_index"]
+    assert len(reads(tree)) == len(reads(readers[0]))

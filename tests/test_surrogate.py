@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sc3opt import RegionLabel, min_compute_time, region_time
+from sc3opt import ComputeParams, RegionLabel, min_compute_time, region_time
 from sc3opt.surrogate import MajorantCoefficients, SurrogateAnchor, convex_compute_time, surrogate_batch
-from conftest import convex_time_s2, convex_time_s3, max_branch, random_compute_params, random_flow
+from conftest import (
+    convex_time_s2,
+    convex_time_s3,
+    max_branch,
+    random_compute_params,
+    random_flow,
+    reference_classify_region,
+)
 
 
 def inverse_product_bound(x: float, y: float, x0: float, y0: float) -> float:
@@ -102,9 +109,36 @@ def test_anchor_validation(params):
         SurrogateAnchor(f0=0.0, r0=1e6, region=RegionLabel.S1)
     with pytest.raises(ValueError):
         SurrogateAnchor(f0=1e9, r0=-1.0, region=RegionLabel.S2)
-    for f0, r0 in ((math.nan, 1e6), (1e9, math.nan)):
+    for f0, r0 in ((math.nan, 1e6), (1e9, math.nan), (math.inf, 1e6), (1e9, math.inf)):
         with pytest.raises(ValueError):
             SurrogateAnchor(f0=f0, r0=r0, region=RegionLabel.S1)
+    for flow in ((math.inf, 1e6, 1e6), (1e9, math.inf, 1e6), (1e9, 1e6, math.inf)):
+        with pytest.raises(ValueError):
+            SurrogateAnchor.at(*flow, params)
+
+
+def test_majorant_rows_are_taken_by_the_regime_rule():
+    """``MajorantCoefficients.at`` gives each anchor its regime's majorant
+    row, the S2 row for S1 and S2 anchors, and on those a second row, the
+    exact S1 row; regimes from the four-branch reference, rho = 1 included."""
+    rng = np.random.default_rng(47)
+    for i in range(30):
+        p = random_compute_params(rng)
+        if i % 5 == 0:
+            p = ComputeParams(alpha=p.alpha, beta=p.beta, rho=1.0, tau=p.tau)
+        n = 200
+        f0, r0, d = 10.0 ** rng.uniform(6, 10, n), 10.0 ** rng.uniform(4, 8, n), 10.0 ** rng.uniform(5, 7, n)
+        coef = MajorantCoefficients.at(f0, r0, d, p)
+        regions = [reference_classify_region(*flow, p) for flow in zip(f0.tolist(), r0.tolist(), d.tolist())]
+        s12 = [rg in (RegionLabel.S1, RegionLabel.S2) for rg in regions]
+        rows = p.majorant_rows
+        smooth = [rows[RegionLabel.S2] if on else rows[rg] for on, rg in zip(s12, regions)]
+        exact = [rows[RegionLabel.S1] if on else row for on, row in zip(s12, smooth)]
+        assert coef.s12.tolist() == s12
+        assert coef.cf.shape[0] == (2 if any(s12) else 1)
+        for got, column in zip((coef.cf, coef.cr, coef.const), (0, 1, 3)):
+            assert got[0].tolist() == [row[column] for row in smooth]
+            assert got[-1].tolist() == [row[column] for row in (exact if any(s12) else smooth)]
 
 
 def _assert_batch_matches_scalar(anchors, f, r, d, params):
